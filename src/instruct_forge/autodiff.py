@@ -147,16 +147,21 @@ def _result_dtype(*tensors: Tensor):
     return np.float64 if any(t.data.dtype == np.float64 for t in tensors) else np.float32
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Trainable leaf or graph node; backward skips parents where this is False."""
+    return t.requires_grad or bool(t._parents)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._parents for p in parents):
+    if any(_needs_grad(p) for p in parents):
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
     return out
 
 
 def _add_grad(t: Tensor, g: np.ndarray):
-    if t.requires_grad or t._parents:
+    if _needs_grad(t):
         t.grad = _accum(t.grad, g.astype(t.data.dtype, copy=False))
 
 
@@ -171,8 +176,10 @@ def add(a, b) -> Tensor:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are not broadcastable")
 
     def backward_fn(g):
-        _add_grad(a, _unbroadcast(g, a.shape))
-        _add_grad(b, _unbroadcast(g, b.shape))
+        if _needs_grad(a):
+            _add_grad(a, _unbroadcast(g, a.shape))
+        if _needs_grad(b):
+            _add_grad(b, _unbroadcast(g, b.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -185,8 +192,10 @@ def mul(a, b) -> Tensor:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
 
     def backward_fn(g):
-        _add_grad(a, _unbroadcast(g * b.data, a.shape))
-        _add_grad(b, _unbroadcast(g * a.data, b.shape))
+        if _needs_grad(a):
+            _add_grad(a, _unbroadcast(g * b.data, a.shape))
+        if _needs_grad(b):
+            _add_grad(b, _unbroadcast(g * a.data, b.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -208,12 +217,13 @@ def gelu(x) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = _as_tensor(x)
     xd = x.data
-    inner = _GELU_C * (xd + 0.044715 * xd ** 3)
+    # repeated products: numpy's float32 power has no fast path for cubes
+    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
     t = np.tanh(inner)
     data = 0.5 * xd * (1.0 + t)
 
     def backward_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * xd ** 2)
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
         dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t ** 2) * d_inner
         _add_grad(x, g * dx)
 
@@ -299,8 +309,10 @@ def matmul(a, b) -> Tensor:
     data = (a.data @ b.data).astype(_result_dtype(a, b), copy=False)
 
     def backward_fn(g):
-        _add_grad(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        _add_grad(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if _needs_grad(a):
+            _add_grad(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
+        if _needs_grad(b):
+            _add_grad(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(data, (a, b), backward_fn)
 
@@ -321,12 +333,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
     def backward_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
-        _add_grad(gain, (g * xhat).sum(axis=reduce_axes))
-        _add_grad(bias, g.sum(axis=reduce_axes))
-        gd = g * gain.data
-        m1 = gd.mean(axis=-1, keepdims=True)
-        m2 = (gd * xhat).mean(axis=-1, keepdims=True)
-        _add_grad(x, inv * (gd - m1 - xhat * m2))
+        if _needs_grad(gain):
+            _add_grad(gain, (g * xhat).sum(axis=reduce_axes))
+        if _needs_grad(bias):
+            _add_grad(bias, g.sum(axis=reduce_axes))
+        if _needs_grad(x):
+            gd = g * gain.data
+            m1 = gd.mean(axis=-1, keepdims=True)
+            m2 = (gd * xhat).mean(axis=-1, keepdims=True)
+            _add_grad(x, inv * (gd - m1 - xhat * m2))
 
     return _node(data, (x, gain, bias), backward_fn)
 
@@ -343,6 +358,29 @@ def softmax(x) -> Tensor:
         _add_grad(x, data * (g - dot))
 
     return _node(data, (x,), backward_fn)
+
+
+def causal_softmax(x, s: float) -> Tensor:
+    """Softmax over the last axis of ``s * x + triu(-1e9, k=1)`` for [..., T, T] ``x``.
+
+    Runs in place on one buffer, in the order of ``softmax(add(scale(x, s), mask))``,
+    so forward and gradient equal that chain bit for bit.
+    """
+    x = _as_tensor(x)
+    T = x.shape[-1]
+    p = x.data * s
+    p += np.triu(np.full((T, T), -1e9, dtype=p.dtype), k=1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def backward_fn(g):
+        dx = g - (g * p).sum(axis=-1, keepdims=True)
+        dx *= p
+        dx *= s
+        _add_grad(x, dx)
+
+    return _node(p, (x,), backward_fn)
 
 
 def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:

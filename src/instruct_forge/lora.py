@@ -74,7 +74,7 @@ class LoraAdapter:
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T."""
         base = ad.matmul(x, ad.transpose(self.weight))
-        path = ad.dropout(x, self.dropout, rng, training) if training and self.dropout > 0 else x
+        path = ad.dropout(x, self.dropout, rng, training)
         delta = ad.matmul(ad.matmul(path, ad.transpose(self.A)), ad.transpose(self.B))
         return ad.add(base, ad.scale(delta, self.scaling))
 

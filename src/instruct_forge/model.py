@@ -138,7 +138,6 @@ class DecoderModel:
             raise ContextOverflowError(f"input length {T} exceeds max_seq_len {cfg.max_seq_len}")
         H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
         cos, sin = self._cos[:T], self._sin[:T]
-        causal = np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1)
 
         h = ad.embedding(self.params["embedding"], ids)
         for i in range(cfg.n_layers):
@@ -159,8 +158,8 @@ class DecoderModel:
             v = ad.transpose(ad.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
             q = ad.rotary(q, cos, sin)
             k = ad.rotary(k, cos, sin)
-            scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(hd))
-            probs = ad.softmax(ad.add(scores, Tensor(causal)))
+            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+            probs = ad.causal_softmax(scores, 1.0 / math.sqrt(hd))
             ctx = ad.matmul(probs, v)
             ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.d_model))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .lora import save_adapters
+from .lora import adapter_parameters, save_adapters
 from .prompts import PromptTemplate, render_prompt, template_for
 from .tokenizer import ByteTokenizer, PAD
 
@@ -164,7 +164,7 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
         raise ValueError("train requires a model with injected adapters")
     tokenizer = tokenizer or ByteTokenizer()
     model.rng = np.random.default_rng(config.seed + 13)
-    optimizer = AdamW(_adapter_params(model), lr=config.learning_rate)
+    optimizer = AdamW(adapter_parameters(model), lr=config.learning_rate)
     report = []
     out_dir = Path(out_dir) if out_dir is not None else None
     if out_dir is not None:
@@ -198,13 +198,6 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
                 fh.write(json.dumps(entry) + "\n")
     model.eval_mode()
     return report
-
-
-def _adapter_params(model):
-    out = []
-    for adapter in model.adapters.values():
-        out.extend([adapter.A, adapter.B])
-    return out
 
 
 def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None = None) -> list[dict]:

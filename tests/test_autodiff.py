@@ -209,6 +209,37 @@ class TestShapeOps:
             ad.embedding(Tensor(np.ones((4, 3))), [4])
 
 
+class TestCausalSoftmax:
+    def test_gradients_mask_and_normalization(self):
+        rng = np.random.default_rng(13)
+        x, w = rand(rng, 2, 4, 4), rand(rng, 2, 4, 4)
+        check_op(lambda t: ad.causal_softmax(t, 0.7), [x],
+                 reduce=lambda t: ad.tsum(ad.mul(t, Tensor(w))))
+        p = ad.causal_softmax(Tensor(x), 0.7).data
+        future = np.triu(np.ones((4, 4), dtype=bool), k=1)
+        assert np.all(p[..., future] == 0.0)
+        assert np.all(p[..., ~future] > 0.0)
+        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+
+    def test_equals_unfused_chain_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        T, s = 6, 1.0 / math.sqrt(8)
+        x_data = rand(rng, 2, 3, T, T).astype(np.float32)
+        w = Tensor(rand(rng, 2, 3, T, T).astype(np.float32))
+        mask = Tensor(np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1))
+        outs, grads = [], []
+        for op in (lambda t: ad.causal_softmax(t, s),
+                   lambda t: ad.softmax(ad.add(ad.scale(t, s), mask))):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            out = op(x)
+            ad.tsum(ad.mul(out, w)).backward()
+            outs.append(out.data)
+            grads.append(x.grad)
+        assert outs[0].dtype == np.float32
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.ones((3, 3)))

@@ -144,6 +144,33 @@ class TestTrainStep:
             assert np.abs(adapter.B.grad).max() > 0
 
 
+@pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
+                                            ("fused-qkv", ["query_key_value"])])
+def test_frozen_base_weights_get_no_gradient(layout, targets):
+    # backward skips frozen operands; adapter gradients must not notice
+    ids = np.random.default_rng(4).integers(0, 256, size=(2, 16))
+    adapter_grads = []
+    for frozen in (True, False):
+        model = inject(DecoderModel(ModelConfig(attention_layout=layout)),
+                       LoraConfig(target_names=targets, dropout=0.0))
+        rng = np.random.default_rng(5)
+        for adapter in model.adapters.values():
+            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        for p in model.params.values():
+            p.requires_grad = not frozen
+        model.train_mode()
+        ad.softmax_cross_entropy(model.forward(ids), np.roll(ids, -1, axis=1)).backward()
+        adapter_grads.append([t.grad for a in model.adapters.values() for t in (a.A, a.B)])
+        base_grads = [p.grad for p in model.params.values()]
+        if frozen:
+            assert all(g is None for g in base_grads)
+        else:
+            assert all(g is not None for g in base_grads)
+    for frozen_g, full_g in zip(*adapter_grads):
+        assert np.abs(frozen_g).max() > 0
+        assert np.array_equal(frozen_g, full_g)
+
+
 class TestTrainLoop:
     def test_steps_per_epoch(self):
         model = adapted_model()
