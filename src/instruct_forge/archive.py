@@ -8,19 +8,24 @@ then raw little-endian float payloads back to back. The manifest records
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
 MAGIC = b"IFTA0001"
+ELEM_SIZES = {"<f4": 4, "<f8": 8}
 
 
-class ArchiveError(RuntimeError):
+class ArchiveError(ValueError):
     """Corrupt, truncated, or inconsistent archive file."""
 
 
 def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
+    """Write to a temporary file beside ``path``, then rename it over ``path``:
+    a failed or interrupted write leaves any previous file untouched."""
     entries = []
     offset = 0
     payloads = []
@@ -42,12 +47,44 @@ def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
         payloads.append(raw)
         offset += len(raw)
     manifest = json.dumps({"meta": meta or {}, "entries": entries, "payload_size": offset}).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for raw in payloads:
-            fh.write(raw)
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(manifest)))
+            fh.write(manifest)
+            for raw in payloads:
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _check_manifest(manifest) -> str | None:
+    """Why ``manifest`` is malformed, or None when every field has its type."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("meta"), dict):
+        return "manifest is not an object with a meta object"
+    if not _is_count(manifest.get("payload_size")) or not isinstance(manifest.get("entries"), list):
+        return "manifest lacks payload_size or entries"
+    for entry in manifest["entries"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            return "entry is not an object with a name"
+        shape = entry.get("shape")
+        if not isinstance(shape, list) or not all(map(_is_count, shape)):
+            return f"entry {entry['name']!r} has a bad shape"
+        if entry.get("dtype") not in ELEM_SIZES or entry.get("elem_size") != ELEM_SIZES[entry["dtype"]]:
+            return f"entry {entry['name']!r} has a bad dtype or elem_size"
+        if not _is_count(entry.get("offset")):
+            return f"entry {entry['name']!r} has a bad offset"
+    return None
 
 
 def load_archive(path) -> tuple[dict, dict]:
@@ -63,16 +100,21 @@ def load_archive(path) -> tuple[dict, dict]:
         manifest = json.loads(blob[len(MAGIC) + 8 : header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArchiveError(f"{path}: unreadable manifest: {exc}") from exc
-    expected = header_end + manifest.get("payload_size", 0)
+    problem = _check_manifest(manifest)
+    if problem:
+        raise ArchiveError(f"{path}: malformed manifest: {problem}")
+    expected = header_end + manifest["payload_size"]
     if len(blob) != expected:
         raise ArchiveError(f"{path}: payload size mismatch (expected {expected} bytes, file has {len(blob)})")
     arrays = {}
     for entry in manifest["entries"]:
         shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
         start = header_end + entry["offset"]
-        stop = start + count * entry["elem_size"]
+        stop = start + math.prod(shape) * entry["elem_size"]
         if stop > len(blob):
             raise ArchiveError(f"{path}: entry {entry['name']!r} runs past end of file")
-        arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=entry["dtype"]).reshape(shape).copy()
-    return arrays, manifest.get("meta", {})
+        try:
+            arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=entry["dtype"]).reshape(shape).copy()
+        except ValueError as exc:  # e.g. a zero-size shape with a dimension numpy cannot index
+            raise ArchiveError(f"{path}: entry {entry['name']!r}: {exc}") from exc
+    return arrays, manifest["meta"]

@@ -1,8 +1,8 @@
 """Command-line surface: build-dataset, train, eval, ppl, generate.
 
-Settings resolve in order: built-in default < config file < command-line
-flag. The config file is plain text, one "section.key = value" per line.
-All randomness funnels through --seed (env INSTRUCT_FORGE_SEED as fallback).
+Each setting is one row of ``SETTINGS``; ``resolve`` applies flag > config file
+> INSTRUCT_FORGE_SEED (seed only) > default. The config file is plain text, one
+"section.key = value" per line; a key that no row declares is an error.
 """
 
 from __future__ import annotations
@@ -13,23 +13,15 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 from .evaluation import ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
 from .lora import LoraConfig, inject, load_adapters, trainable_param_count
-from .model import DecoderModel, ModelConfig, load_checkpoint
-from .prompts import PromptTemplate
-from .records import (
-    RecordError,
-    convert_qa_pair,
-    convert_typo_pair,
-    dataset_stats,
-    filter_by_category,
-    load_records,
-    save_records,
-)
+from .model import LAYOUTS, DecoderModel, ModelConfig, load_checkpoint
+from .prompts import VERSIONS
+from .records import convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, save_records
 from .sampling import GenerationParams, generate
-from .tokenizer import ByteTokenizer
-from .training import TrainConfig, train
+from .training import MASK_POLICIES, TrainConfig, train
 
 
 def load_config_file(path) -> dict:
@@ -46,17 +38,92 @@ def load_config_file(path) -> dict:
     return cfg
 
 
-def _resolve(args, cfg: dict, flag: str, key: str, default, cast):
-    value = getattr(args, flag, None)
-    if value is not None:
+def _csv(raw: str) -> list[str]:
+    return [t.strip() for t in raw.split(",") if t.strip()]
+
+
+def _ints(raw: str) -> list[int]:
+    return [int(t) for t in _csv(raw)]
+
+
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One settings row. The default is field ``field`` of a default ``owner``,
+    else ``literal`` parsed like a file value, else None."""
+
+    key: str
+    flag: str
+    parse: Callable[[str], object]
+    commands: tuple[str, ...]
+    owner: type | None = None
+    field: str | None = None
+    choices: tuple[str, ...] | None = None
+    literal: str | None = None
+    help: str | None = None
+
+    def cast(self, raw: str):
+        """A file (or environment) value, checked like its flag."""
+        try:
+            value = self.parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{self.key} = {raw}: {exc}") from None
+        if self.choices and value not in self.choices:
+            raise ValueError(f"{self.key} = {raw}: expected one of {', '.join(self.choices)}")
         return value
-    if key in cfg:
-        return cast(cfg[key])
-    return default
+
+    def default(self):
+        if self.owner is not None:
+            return getattr(self.owner(), self.field)
+        return None if self.literal is None else self.cast(self.literal)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("INSTRUCT_FORGE_SEED", "0"))
+TRAIN, EVAL, GENERATE = ("train",), ("eval",), ("generate",)
+SETTINGS = (
+    Setting("build.exclude", "--exclude", _csv, ("build-dataset",), help="comma-separated categories to drop"),
+    Setting("model.d_model", "--d-model", int, TRAIN, ModelConfig, "d_model"),
+    Setting("model.n_heads", "--n-heads", int, TRAIN, ModelConfig, "n_heads"),
+    Setting("model.n_layers", "--n-layers", int, TRAIN, ModelConfig, "n_layers"),
+    Setting("model.max_seq_len", "--max-seq-len", int, TRAIN, ModelConfig, "max_seq_len"),
+    Setting("model.layout", "--layout", str, TRAIN, ModelConfig, "attention_layout", LAYOUTS),
+    Setting("train.lr", "--lr", float, TRAIN, TrainConfig, "learning_rate"),
+    Setting("train.batch", "--batch", int, TRAIN, TrainConfig, "batch_size"),
+    Setting("train.epochs", "--epochs", int, TRAIN, TrainConfig, "epochs"),
+    Setting("train.seq_len", "--seq-len", int, TRAIN, TrainConfig, "train_seq_len"),
+    Setting("train.mask_policy", "--mask-policy", str, TRAIN, TrainConfig, "mask_policy", MASK_POLICIES),
+    Setting("lora.rank", "--rank", int, TRAIN, LoraConfig, "r"),
+    Setting("lora.alpha", "--alpha", float, TRAIN, LoraConfig, "alpha"),
+    Setting("lora.dropout", "--dropout", float, TRAIN, LoraConfig, "dropout"),
+    Setting("lora.targets", "--targets", _csv, TRAIN, LoraConfig, "target_names"),
+    Setting("eval.shots", "--shots", _ints, EVAL, literal="1,2,3", help="comma-separated, e.g. 1,2,3"),
+    Setting("eval.prompt_version", "--prompt-version", str, EVAL, choices=VERSIONS),
+    Setting("eval.seq_len", "--seq-len", int, EVAL, help="tuning length for overflow counting"),
+    Setting("generate.temperature", "--temperature", float, GENERATE, GenerationParams, "temperature"),
+    Setting("generate.repetition_penalty", "--repetition-penalty", float, GENERATE, GenerationParams,
+            "repetition_penalty"),
+    Setting("generate.max_new_tokens", "--max-new-tokens", int, GENERATE, GenerationParams, "max_new_tokens"),
+    Setting("seed", "--seed", int, TRAIN + GENERATE, TrainConfig, "seed"),
+)
+
+
+def resolve(command: str, args, cfg: dict, defaults: dict | None = None) -> dict:
+    """{key: value} for the rows of ``command``: flag > file > INSTRUCT_FORGE_SEED
+    (seed only) > ``defaults`` (by key) > the row's default."""
+    settings = {}
+    for s in (s for s in SETTINGS if command in s.commands):
+        value = getattr(args, s.flag[2:].replace("-", "_"))
+        raw = cfg.get(s.key, os.environ.get("INSTRUCT_FORGE_SEED") if s.key == "seed" else None)
+        if value is None and raw is not None:
+            value = s.cast(raw)
+        if value is None:
+            value = (defaults or {}).get(s.key, s.default())
+        settings[s.key] = value
+    return settings
+
+
+def _build(owner, settings: dict, **extra):
+    """An ``owner`` dataclass from the resolved values of the rows it owns."""
+    fields = {s.field: settings[s.key] for s in SETTINGS if s.owner is owner}
+    return owner(**fields, **extra)
 
 
 def _echo_config(settings: dict):
@@ -76,75 +143,46 @@ def _load_model(args) -> DecoderModel:
 
 
 def cmd_build_dataset(args, cfg) -> int:
+    settings = resolve("build-dataset", args, cfg)
     records = []
-    inputs = []
-    for spec in args.input or []:
-        p = Path(spec)
-        if p.is_dir():
-            inputs.extend(sorted(p.glob("*.jsonl")))
-        else:
-            inputs.append(p)
-    for path in inputs:
-        recs, _ = load_records(path)
-        records.extend(recs)
+    for spec in map(Path, args.input or []):
+        for path in sorted(spec.glob("*.jsonl")) if spec.is_dir() else [spec]:
+            records.extend(load_records(path)[0])
     if args.typo_pairs:
-        for pair in _read_jsonl(args.typo_pairs):
-            records.append(convert_typo_pair(pair["wrong"], pair["corrected"]))
+        records += [convert_typo_pair(p["wrong"], p["corrected"]) for p in _read_jsonl(args.typo_pairs)]
     if args.qa_pairs:
-        for pair in _read_jsonl(args.qa_pairs):
-            records.append(convert_qa_pair(pair["question"], pair["answer"]))
+        records += [convert_qa_pair(p["question"], p["answer"]) for p in _read_jsonl(args.qa_pairs)]
     if not records:
-        print("error: no records", file=sys.stderr)
-        return 1
-    excluded = set(filter(None, (args.exclude or "").split(",")))
-    records = filter_by_category(records, excluded)
+        raise ValueError("no records")
+    records = filter_by_category(records, set(settings["build.exclude"] or ()))
     if not records:
-        print("error: no records left after filtering", file=sys.stderr)
-        return 1
+        raise ValueError("no records left after filtering")
     save_records(records, args.output)
     manifest = dataset_stats(records)
-    _echo_config({"build.exclude": ",".join(sorted(excluded)), "build.output": args.output})
+    _echo_config({**settings, "build.output": args.output})
     print(json.dumps(manifest.to_dict(), indent=2))
     return 0
 
 
 def cmd_train(args, cfg) -> int:
-    seed = _resolve(args, cfg, "seed", "seed", _default_seed(), int)
-    model_cfg = ModelConfig(
-        d_model=_resolve(args, cfg, "d_model", "model.d_model", 64, int),
-        n_heads=_resolve(args, cfg, "n_heads", "model.n_heads", 4, int),
-        n_layers=_resolve(args, cfg, "n_layers", "model.n_layers", 4, int),
-        max_seq_len=_resolve(args, cfg, "max_seq_len", "model.max_seq_len", 512, int),
-        attention_layout=_resolve(args, cfg, "layout", "model.layout", "split-qv", str),
-        seed=seed,
-    )
-    train_cfg = TrainConfig(
-        learning_rate=_resolve(args, cfg, "lr", "train.lr", 3e-4, float),
-        batch_size=_resolve(args, cfg, "batch", "train.batch", 8, int),
-        epochs=_resolve(args, cfg, "epochs", "train.epochs", 1, int),
-        train_seq_len=_resolve(args, cfg, "seq_len", "train.seq_len", 256, int),
-        mask_policy=_resolve(args, cfg, "mask_policy", "train.mask_policy", "response-only", str),
-        seed=seed,
-    )
-    targets = _resolve(args, cfg, "targets", "lora.targets", "q_proj,v_proj", str)
-    lora_cfg = LoraConfig(
-        r=_resolve(args, cfg, "rank", "lora.rank", 4, int),
-        alpha=_resolve(args, cfg, "alpha", "lora.alpha", 16.0, float),
-        dropout=_resolve(args, cfg, "dropout", "lora.dropout", 0.05, float),
-        target_names=[t.strip() for t in targets.split(",") if t.strip()],
-    )
-    if train_cfg.train_seq_len > model_cfg.max_seq_len:
-        print("error: train seq_len exceeds model max_seq_len", file=sys.stderr)
-        return 1
-
+    # --init-from: the checkpoint's model config stands; a model.* flag or file value may only repeat it
+    base = load_checkpoint(args.init_from) if args.init_from else None
+    pinned = {s.key: getattr(base.config, s.field) for s in SETTINGS if base and s.owner is ModelConfig}
+    settings = resolve("train", args, cfg, defaults=pinned)
+    conflicts = [f"{k} = {settings[k]} (checkpoint has {v})" for k, v in pinned.items() if settings[k] != v]
+    if conflicts:
+        raise ValueError(f"--init-from {args.init_from}: {'; '.join(conflicts)}")
+    train_cfg = _build(TrainConfig, settings)
+    lora_cfg = _build(LoraConfig, settings)
+    model = base or DecoderModel(_build(ModelConfig, settings, seed=settings["seed"]))
+    if train_cfg.train_seq_len > model.config.max_seq_len:
+        raise ValueError(f"train seq_len {train_cfg.train_seq_len} > model max_seq_len {model.config.max_seq_len}")
     records, manifest = load_records(args.data)
     if not records:
-        print("error: no records", file=sys.stderr)
-        return 1
-    model = load_checkpoint(args.init_from) if args.init_from else DecoderModel(model_cfg)
+        raise ValueError("no records")
     inject(model, lora_cfg)
-    settings = {
-        "seed": seed,
+    _echo_config({
+        "seed": settings["seed"],
         **{f"model.{k}": v for k, v in model.config.to_dict().items()},
         **{f"train.{k}": v for k, v in dataclasses.asdict(train_cfg).items()},
         **{f"lora.{k}": v for k, v in lora_cfg.to_dict().items()},
@@ -152,8 +190,7 @@ def cmd_train(args, cfg) -> int:
         "out": args.out,
         "trainable_params": trainable_param_count(model),
         "adapters": len(model.adapters),
-    }
-    _echo_config(settings)
+    })
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report = train(model, records, train_cfg, out_dir=out_dir)
@@ -163,38 +200,23 @@ def cmd_train(args, cfg) -> int:
     return 0
 
 
-def _load_tasks(path, version_override=None):
+def _load_tasks(path, version=None):
     tasks = []
     for obj in _read_jsonl(path):
-        task = ChoiceTask(
-            instruction=obj["instruction"],
-            fields=obj["fields"],
-            choices=tuple(obj["choices"]),
-            gold=obj["gold"],
-            version=version_override or obj.get("version", "v0.3"),
-            constraints=obj.get("constraints"),
-            answer_label=obj.get("answer_label", "Response"),
-        )
-        tasks.append(task)
+        optional = {k: obj[k] for k in ("version", "constraints", "answer_label") if k in obj}
+        if version:
+            optional["version"] = version
+        tasks.append(ChoiceTask(obj["instruction"], obj["fields"], obj["choices"], obj["gold"], **optional))
     return tasks
 
 
 def cmd_eval(args, cfg) -> int:
+    settings = resolve("eval", args, cfg)
     model = _load_model(args)
-    shots = [int(s) for s in (args.shots or "1,2,3").split(",")]
-    tasks = _load_tasks(args.tasks, args.prompt_version)
-    tuning_len = args.seq_len
-    report = run_choice_eval(model, tasks, shots, tuning_seq_len=tuning_len)
-    _echo_config({
-        "eval.model": args.model, "eval.tasks": args.tasks,
-        "eval.shots": ",".join(map(str, shots)),
-        "eval.prompt_version": args.prompt_version or "per-task",
-    })
-    payload = report.to_dict()
-    print(json.dumps(payload, indent=2))
-    if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return 0
+    tasks = _load_tasks(args.tasks, settings["eval.prompt_version"])
+    report = run_choice_eval(model, tasks, settings["eval.shots"], tuning_seq_len=settings["eval.seq_len"])
+    _echo_config({"eval.model": args.model, "eval.tasks": args.tasks, **settings})
+    return _emit_report(args, report)
 
 
 def cmd_ppl(args, cfg) -> int:
@@ -202,36 +224,31 @@ def cmd_ppl(args, cfg) -> int:
     items = [PerplexityItem(question=o["question"], response=o["response"])
              for o in _read_jsonl(args.items)]
     if not items:
-        print("error: no items", file=sys.stderr)
-        return 1
+        raise ValueError("no items")
     template = QuestionTemplate(body=Path(args.template).read_text(encoding="utf-8")) \
         if args.template else QuestionTemplate()
     pooled, report = corpus_perplexity(model, items, template)
     _echo_config({"ppl.model": args.model, "ppl.items": args.items, "ppl.count": len(items)})
-    payload = report.to_dict()
-    print(json.dumps(payload, indent=2))
-    if args.report:
-        Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return 0
+    return _emit_report(args, report)
 
 
 def cmd_generate(args, cfg) -> int:
-    seed = _resolve(args, cfg, "seed", "seed", _default_seed(), int)
+    settings = resolve("generate", args, cfg)
     model = _load_model(args)
-    params = GenerationParams(
-        temperature=args.temperature,
-        repetition_penalty=args.repetition_penalty,
-        max_new_tokens=args.max_new_tokens,
-    )
-    _echo_config({
-        "generate.model": args.model, "generate.temperature": params.temperature,
-        "generate.repetition_penalty": params.repetition_penalty,
-        "generate.max_new_tokens": params.max_new_tokens, "seed": seed,
-    })
-    result = generate(model, args.prompt, params, seed=seed)
+    params = _build(GenerationParams, settings)
+    _echo_config({"generate.model": args.model, **settings})
+    result = generate(model, args.prompt, params, seed=settings["seed"])
     print(result.text)
     if result.truncated:
         print("warning: context overflowed during generation; output truncated", file=sys.stderr)
+    return 0
+
+
+def _emit_report(args, report) -> int:
+    payload = json.dumps(report.to_dict(), indent=2)
+    print(payload)
+    if args.report:
+        Path(args.report).write_text(payload, encoding="utf-8")
     return 0
 
 
@@ -251,72 +268,52 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("build-dataset", help="ingest, convert, filter, and write a dataset")
+    def add(command, func, help, model=False):
+        p = sub.add_parser(command, help=help)
+        p.set_defaults(func=func)
+        for s in SETTINGS:
+            if command in s.commands:
+                p.add_argument(s.flag, type=s.parse, choices=s.choices, help=s.help)
+        if model:
+            p.add_argument("--model", required=True)
+            p.add_argument("--adapters")
+        return p
+
+    p = add("build-dataset", cmd_build_dataset, "ingest, convert, filter, and write a dataset")
     p.add_argument("--input", action="append", help="JSONL file or directory (repeatable)")
     p.add_argument("--typo-pairs", help="JSONL of {wrong, corrected} pairs")
     p.add_argument("--qa-pairs", help="JSONL of {question, answer} pairs")
-    p.add_argument("--exclude", help="comma-separated categories to drop")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("train", help="LoRA-tune a model on an instruction dataset")
+    p = add("train", cmd_train, "LoRA-tune a model on an instruction dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init-from", help="base model checkpoint (default: fresh init)")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seq-len", type=int, dest="seq_len")
-    p.add_argument("--mask-policy", dest="mask_policy", choices=("response-only", "full-sequence"))
-    p.add_argument("--rank", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--targets")
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--n-heads", type=int, dest="n_heads")
-    p.add_argument("--n-layers", type=int, dest="n_layers")
-    p.add_argument("--max-seq-len", type=int, dest="max_seq_len")
-    p.add_argument("--layout", choices=("fused-qkv", "split-qv"))
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="few-shot choice classification accuracy")
-    p.add_argument("--model", required=True)
-    p.add_argument("--adapters")
+    p = add("eval", cmd_eval, "few-shot choice classification accuracy", model=True)
     p.add_argument("--tasks", required=True)
-    p.add_argument("--shots", help="comma-separated, e.g. 1,2,3")
-    p.add_argument("--prompt-version", dest="prompt_version", choices=("v0.2", "v0.3"))
-    p.add_argument("--seq-len", type=int, dest="seq_len", help="tuning length for overflow counting")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ppl", help="response-only perplexity over question/answer items")
-    p.add_argument("--model", required=True)
-    p.add_argument("--adapters")
+    p = add("ppl", cmd_ppl, "response-only perplexity over question/answer items", model=True)
     p.add_argument("--items", required=True)
     p.add_argument("--template", help="question template file with a {question} slot")
     p.add_argument("--report")
-    p.set_defaults(func=cmd_ppl)
 
-    p = sub.add_parser("generate", help="greedy/sampled generation from a prompt")
-    p.add_argument("--model", required=True)
-    p.add_argument("--adapters")
+    p = add("generate", cmd_generate, "greedy/sampled generation from a prompt", model=True)
     p.add_argument("--prompt", required=True)
-    p.add_argument("--temperature", type=float, default=0.0)
-    p.add_argument("--repetition-penalty", type=float, default=1.0, dest="repetition_penalty")
-    p.add_argument("--max-new-tokens", type=int, default=64, dest="max_new_tokens")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_generate)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = load_config_file(args.config) if args.config else {}
     try:
+        cfg = load_config_file(args.config) if args.config else {}
+        unknown = sorted(set(cfg) - {s.key for s in SETTINGS})
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
         return args.func(args, cfg)
-    except (OSError, ValueError, RecordError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

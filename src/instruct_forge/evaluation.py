@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .prompts import VERSIONS
 from .tokenizer import ByteTokenizer
 
 _DEFAULT_TOKENIZER = ByteTokenizer()
@@ -54,7 +55,7 @@ class ChoiceTask:
             raise ValueError("a choice task needs at least 2 choices")
         if not 0 <= self.gold < len(self.choices):
             raise ValueError(f"gold index {self.gold} out of range")
-        if self.version not in ("v0.2", "v0.3"):
+        if self.version not in VERSIONS:
             raise ValueError(f"unknown prompt version {self.version!r}")
 
 

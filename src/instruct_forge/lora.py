@@ -171,7 +171,10 @@ def load_adapters(model, path):
         raise ArchiveError(
             f"{path}: adapter checkpoint targets layout {meta.get('base_layout')!r}, "
             f"model uses {model.config.attention_layout!r}")
-    config = LoraConfig(**meta["config"])
+    try:
+        config = LoraConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: bad adapter config: {exc}") from exc
     if not model.adapters:
         inject(model, config)
     for name, adapter in model.adapters.items():

@@ -195,7 +195,10 @@ def load_checkpoint(path, expect_layout: str | None = None) -> DecoderModel:
     arrays, meta = load_archive(path)
     if meta.get("kind") != "decoder-model":
         raise ArchiveError(f"{path}: not a model checkpoint")
-    config = ModelConfig(**meta["config"])
+    try:
+        config = ModelConfig(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: bad model config: {exc}") from exc
     if expect_layout is not None and config.attention_layout != expect_layout:
         raise ArchiveError(
             f"{path}: checkpoint layout {config.attention_layout!r} does not match expected {expect_layout!r}")

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
+
+VERSIONS = ("v0.2", "v0.3")
+_SLOT = re.compile(r"\{(instruction|input)\}")
 
 WITH_INPUT_BODY = (
     "Below is an instruction that describes a task, paired with an input that "
@@ -48,7 +52,7 @@ class PromptTemplate:
     def __post_init__(self):
         if self.kind not in ("with-input", "no-input"):
             raise ValueError(f"unknown template kind {self.kind!r}")
-        if self.version not in ("v0.2", "v0.3"):
+        if self.version not in VERSIONS:
             raise ValueError(f"unknown template version {self.version!r}")
         if self.body is None:
             object.__setattr__(self, "body", WITH_INPUT_BODY if self.kind == "with-input" else NO_INPUT_BODY)
@@ -64,13 +68,13 @@ class PromptTemplate:
 
 def render_prompt(record, template: PromptTemplate, include_response: bool = True) -> str:
     """Instantiate the template; inference renders stop after "### Response:\\n"."""
-    prefix = template.body[: -len("{response}")]
+    slots = {"instruction": record.instruction}
     if template.kind == "with-input":
         if not record.input:
             raise ValueError("with-input template requires a record with an input")
-        prefix = prefix.replace("{instruction}", record.instruction).replace("{input}", record.input)
-    else:
-        prefix = prefix.replace("{instruction}", record.instruction)
+        slots["input"] = record.input
+    # one pass, so slot text inside a substituted value is never substituted again
+    prefix = _SLOT.sub(lambda m: slots.get(m[1], m[0]), template.body[: -len("{response}")])
     if include_response:
         return prefix + record.output
     return prefix

@@ -1,0 +1,146 @@
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from instruct_forge import archive
+from instruct_forge.archive import MAGIC, ArchiveError, load_archive, save_archive
+from instruct_forge.lora import load_adapters
+from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
+
+
+def arrays():
+    return {"w": np.arange(6, dtype=np.float32).reshape(2, 3), "b": np.array([0.5, -1.0])}
+
+
+def with_manifest(manifest, payload=b""):
+    raw = json.dumps(manifest).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(raw)) + raw + payload
+
+
+def valid_blob(tmp_path):
+    path = tmp_path / "valid.ifta"
+    save_archive(path, arrays(), meta={"kind": "test"})
+    return path.read_bytes()
+
+
+def good_entry(**changes):
+    return {"name": "w", "shape": [2], "elem_size": 4, "dtype": "<f4", "offset": 0, **changes}
+
+
+class TestRoundTrip:
+    def test_arrays_and_meta_survive(self, tmp_path):
+        path = tmp_path / "a.ifta"
+        save_archive(path, arrays(), meta={"kind": "test"})
+        loaded, meta = load_archive(path)
+        assert meta == {"kind": "test"}
+        for name, arr in arrays().items():
+            np.testing.assert_array_equal(loaded[name], arr)
+            assert loaded[name].dtype == arr.dtype
+
+
+class TestMalformedManifest:
+    @pytest.mark.parametrize("manifest", [
+        [1, 2, 3],
+        {"meta": {}, "payload_size": 8},
+        {"meta": {}, "entries": [], "payload_size": -8},
+        {"meta": [], "entries": [], "payload_size": 0},
+        {"meta": {}, "entries": [good_entry(offset=-40)], "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(elem_size=8)], "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(dtype="<i4")], "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(shape=[-2])], "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(shape=[2.0])], "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(name=3)], "payload_size": 8},
+        {"meta": {}, "entries": ["w"], "payload_size": 8},
+        {"meta": {}, "entries": [{k: v for k, v in good_entry().items() if k != "offset"}],
+         "payload_size": 8},
+        {"meta": {}, "entries": [good_entry(shape=[0, 2 ** 70])], "payload_size": 8},
+    ], ids=["list", "no-entries", "negative-payload", "meta-list", "negative-offset", "elem-size",
+            "dtype", "negative-dim", "float-dim", "name-type", "entry-type", "no-offset", "huge-dim"])
+    def test_rejected_with_archive_error(self, tmp_path, manifest):
+        path = tmp_path / "bad.ifta"
+        path.write_bytes(with_manifest(manifest, payload=b"\0" * 8))
+        with pytest.raises(ArchiveError, match="manifest|entry"):
+            load_archive(path)
+
+    def test_well_formed_manifest_loads(self, tmp_path):
+        path = tmp_path / "ok.ifta"
+        path.write_bytes(with_manifest({"meta": {}, "entries": [good_entry()], "payload_size": 8},
+                                       payload=b"\0" * 8))
+        loaded, _ = load_archive(path)
+        np.testing.assert_array_equal(loaded["w"], np.zeros(2, dtype=np.float32))
+
+
+class TestBadStoredConfig:
+    def test_model_config(self, tmp_path):
+        path = tmp_path / "m.ifta"
+        save_archive(path, {}, meta={"kind": "decoder-model", "config": {"bogus": 1}})
+        with pytest.raises(ArchiveError, match="bad model config"):
+            load_checkpoint(path)
+
+    def test_adapter_config(self, tmp_path):
+        model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=16))
+        path = tmp_path / "a.ifta"
+        save_archive(path, {}, meta={"kind": "lora-adapters", "config": ["r"],
+                                     "base_layout": model.config.attention_layout})
+        with pytest.raises(ArchiveError, match="bad adapter config"):
+            load_adapters(model, path)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mutated_archive_loads_or_raises_archive_error(tmp_path, data):
+    blob = bytearray(valid_blob(tmp_path))
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    path = tmp_path / "mutated.ifta"
+    path.write_bytes(bytes(blob))
+    try:
+        loaded, meta = load_archive(path)
+    except ArchiveError:
+        return
+    assert isinstance(meta, dict)
+    assert all(isinstance(a, np.ndarray) for a in loaded.values())
+
+
+class TestCrashSafeSave:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.ifta"
+        save_archive(path, arrays(), meta={"kind": "old"})
+        before = path.read_bytes()
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh = fh
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(archive, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_archive(path, {"w": np.ones(4)}, meta={"kind": "new"})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "ckpt.ifta"
+        save_archive(path, arrays(), meta={"kind": "old"})
+        save_archive(path, {"w": np.ones(4)}, meta={"kind": "new"})
+        loaded, meta = load_archive(path)
+        assert meta == {"kind": "new"} and list(loaded) == ["w"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]

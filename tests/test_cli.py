@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from instruct_forge.cli import load_config_file, main
+from instruct_forge import cli
+from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import PerplexityItem, corpus_perplexity
 from instruct_forge.model import load_checkpoint
 from instruct_forge.records import load_records
@@ -10,6 +11,16 @@ from instruct_forge.records import load_records
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+
+def single_error(capsys) -> str:
+    """The one stderr line of a failed command; no traceback, nothing else."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+TINY = ["--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--max-seq-len", "64", "--seq-len", "64"]
 
 
 def dataset_rows(n=8, category="other"):
@@ -283,3 +294,162 @@ class TestGenerate:
                    "--prompt", "hi"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+# Path arguments each subcommand needs before its settings can be parsed.
+REQUIRED = {
+    "build-dataset": ["--output", "o"],
+    "train": ["--data", "d", "--out", "o"],
+    "eval": ["--model", "m", "--tasks", "t"],
+    "generate": ["--model", "m", "--prompt", "p"],
+}
+
+
+def sample_value(setting) -> str:
+    """A raw value for ``setting`` that differs from its default."""
+    if setting.choices:
+        return next(c for c in setting.choices if c != setting.default())
+    return {int: "3", float: "0.5"}.get(setting.parse, "2,3")
+
+
+class TestSettingsTable:
+    @pytest.mark.parametrize("setting", SETTINGS, ids=[s.key for s in SETTINGS])
+    def test_flag_and_config_key_resolve_alike(self, setting, monkeypatch):
+        monkeypatch.delenv("INSTRUCT_FORGE_SEED", raising=False)
+        raw = sample_value(setting)
+        for command in setting.commands:
+            flagged = build_parser().parse_args([command, *REQUIRED[command], setting.flag, raw])
+            bare = build_parser().parse_args([command, *REQUIRED[command]])
+            from_flag = resolve(command, flagged, {})[setting.key]
+            assert from_flag == resolve(command, bare, {setting.key: raw})[setting.key]
+            assert from_flag != resolve(command, bare, {})[setting.key]
+
+    def test_each_key_declared_once(self):
+        keys = [s.key for s in SETTINGS]
+        assert len(keys) == len(set(keys))
+
+    def test_seed_precedence(self, monkeypatch):
+        monkeypatch.setenv("INSTRUCT_FORGE_SEED", "5")
+        bare = build_parser().parse_args(["generate", *REQUIRED["generate"]])
+        flagged = build_parser().parse_args(["generate", *REQUIRED["generate"], "--seed", "9"])
+        assert resolve("generate", bare, {})["seed"] == 5
+        assert resolve("generate", bare, {"seed": "7"})["seed"] == 7
+        assert resolve("generate", flagged, {"seed": "7"})["seed"] == 9
+
+    def test_unknown_key_rejected_before_output(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("train.epochs = 1\nbogus.key = 1\n", encoding="utf-8")
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "train", "--data", str(data), "--out", str(out), *TINY])
+        assert rc == 1
+        assert "bogus.key" in single_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["train.lr = fast\n", "model.layout = diagonal\n", "no equals sign\n"])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(text, encoding="utf-8")
+        out = tmp_path / "o"
+        rc = main(["--config", str(cfg), "train", "--data", str(tmp_path / "d.jsonl"), "--out", str(out)])
+        assert rc == 1
+        single_error(capsys)
+        assert not out.exists()
+
+    def test_config_applies_to_eval(self, tmp_path, capsys, base_model):
+        model_path, _ = base_model
+        cfg = tmp_path / "cfg"
+        cfg.write_text("eval.shots = 0,2\n", encoding="utf-8")
+        tasks = TestEval().tasks_file(tmp_path)
+        report = tmp_path / "r.json"
+        rc = main(["--config", str(cfg), "eval", "--model", str(model_path), "--tasks", str(tasks),
+                   "--report", str(report)])
+        assert rc == 0
+        assert set(json.loads(report.read_text(encoding="utf-8"))["accuracy"]) == {"0", "2"}
+
+    def test_config_applies_to_generate(self, tmp_path, capsys, monkeypatch, base_model):
+        model_path, _ = base_model
+        cfg = tmp_path / "cfg"
+        cfg.write_text("generate.max_new_tokens = 3\n", encoding="utf-8")
+        results = []
+
+        def spy(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        real = cli.generate
+        monkeypatch.setattr(cli, "generate", spy)
+        argv = ["--config", str(cfg), "generate", "--model", str(model_path), "--prompt", "Once"]
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "generate.max_new_tokens = 3\n" in capsys.readouterr().out
+        assert len(results[-1].token_ids) <= 3
+        assert main(argv + ["--max-new-tokens", "5"]) == 0
+        assert "generate.max_new_tokens = 5\n" in capsys.readouterr().out
+
+
+class TestInitFrom:
+    def run(self, tmp_path, base_model, *extra, config=None):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "o"),
+                "--init-from", str(base_model[0]), *extra]
+        if config:
+            (tmp_path / "cfg").write_text(config, encoding="utf-8")
+            argv = ["--config", str(tmp_path / "cfg"), *argv]
+        return main(argv)
+
+    def test_checkpoint_config_is_the_model_config(self, tmp_path, capsys, base_model):
+        capsys.readouterr()
+        assert self.run(tmp_path, base_model, "--seq-len", "64", "--d-model", "16") == 0
+        assert "model.d_model = 16\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra,config,named", [
+        (["--d-model", "32", "--seq-len", "64"], None, "model.d_model = 32"),
+        (["--seq-len", "64"], "model.layout = fused-qkv\n", "model.layout = fused-qkv"),
+        (["--seq-len", "128"], None, "seq_len 128"),
+    ], ids=["flag", "file", "seq-len"])
+    def test_conflict_fails_before_output(self, tmp_path, capsys, base_model, extra, config, named):
+        capsys.readouterr()
+        assert self.run(tmp_path, base_model, *extra, config=config) == 1
+        assert named in single_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+
+class TestBadCheckpoint:
+    @pytest.fixture
+    def garbage(self, tmp_path):
+        path = tmp_path / "garbage.ifta"
+        path.write_bytes(b"IFTA0001" + b"\xff" * 40)
+        return path
+
+    def argv(self, command, model, tmp_path, adapters=None):
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        extra = ["--adapters", str(adapters)] if adapters else []
+        return {
+            "eval": ["eval", "--model", str(model), "--tasks", str(TestEval().tasks_file(tmp_path)), *extra],
+            "ppl": ["ppl", "--model", str(model), "--items", str(items), *extra],
+            "generate": ["generate", "--model", str(model), "--prompt", "hi", *extra],
+        }[command]
+
+    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
+    def test_corrupt_model(self, tmp_path, capsys, garbage, command):
+        assert main(self.argv(command, garbage, tmp_path)) == 1
+        assert str(garbage) in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
+    def test_mismatched_adapters(self, tmp_path, capsys, base_model, command):
+        model_path, _ = base_model
+        capsys.readouterr()
+        assert main(self.argv(command, model_path, tmp_path, adapters=model_path)) == 1
+        assert "not an adapter checkpoint" in single_error(capsys)
+
+    def test_corrupt_init_from(self, tmp_path, capsys, garbage):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(data), "--out", str(out), "--init-from", str(garbage)]) == 1
+        assert str(garbage) in single_error(capsys)
+        assert not out.exists()

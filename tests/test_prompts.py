@@ -55,6 +55,16 @@ class TestRenderModes:
         tpl = PromptTemplate(kind="with-input")
         assert render_prompt(with_input_record(), tpl) == render_prompt(with_input_record(), tpl)
 
+    @pytest.mark.parametrize("kind", ["with-input", "no-input"])
+    def test_slot_text_in_user_text_renders_verbatim(self, kind):
+        rec = InstructionRecord("use {input} here", "out {response}",
+                                input="see {instruction}" if kind == "with-input" else None)
+        out = render_prompt(rec, PromptTemplate(kind=kind))
+        assert "### Instruction:\nuse {input} here\n" in out
+        assert out.endswith("### Response:\nout {response}")
+        if kind == "with-input":
+            assert "### Input:\nsee {instruction}\n" in out
+
 
 class TestTemplateConfig:
     def test_unknown_kind_rejected(self):
