@@ -10,6 +10,7 @@ from .records import (
     InstructionRecord,
     DatasetManifest,
     load_records,
+    read_jsonl,
     save_records,
     filter_by_category,
     convert_typo_pair,
@@ -28,6 +29,7 @@ from .evaluation import (
     EvalReport,
     assemble_fewshot_prompt,
     score_continuation,
+    choice_scores,
     classify_by_likelihood,
     response_perplexity,
     corpus_perplexity,

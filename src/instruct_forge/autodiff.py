@@ -264,11 +264,10 @@ def transpose(x, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
     data = x.data.transpose(axes)
 
     def backward_fn(g):
-        _add_grad(x, g.transpose(inverse))
+        _add_grad(x, g.transpose(np.argsort(axes)))
 
     return _node(data, (x,), backward_fn)
 
@@ -361,15 +360,19 @@ def softmax(x) -> Tensor:
 
 
 def causal_softmax(x, s: float) -> Tensor:
-    """Softmax over the last axis of ``s * x + triu(-1e9, k=1)`` for [..., T, T] ``x``.
+    """Softmax over the last axis of ``s * x + triu(-1e9, k=S-T+1)`` for [..., T, S] ``x``.
 
-    Runs in place on one buffer, in the order of ``softmax(add(scale(x, s), mask))``,
-    so forward and gradient equal that chain bit for bit.
+    Row t holds query position S-T+t and sees keys 0..S-T+t: with S > T the
+    first S-T keys are cached positions. Runs in place on one buffer, in the
+    order of ``softmax(add(scale(x, s), mask))``, so forward and gradient equal
+    that chain bit for bit.
     """
     x = _as_tensor(x)
-    T = x.shape[-1]
+    T, S = x.shape[-2:]
+    if S < T:
+        raise ValueError(f"causal_softmax: {T} queries but only {S} keys")
     p = x.data * s
-    p += np.triu(np.full((T, T), -1e9, dtype=p.dtype), k=1)
+    p += np.triu(np.full((T, S), -1e9, dtype=p.dtype), k=S - T + 1)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)

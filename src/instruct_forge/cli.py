@@ -19,7 +19,8 @@ from .evaluation import ChoiceTask, PerplexityItem, QuestionTemplate, corpus_per
 from .lora import LoraConfig, inject, load_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, load_checkpoint
 from .prompts import VERSIONS
-from .records import convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, save_records
+from .records import (convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, read_jsonl,
+                      save_records)
 from .sampling import GenerationParams, generate
 from .training import MASK_POLICIES, TrainConfig, train
 
@@ -149,9 +150,9 @@ def cmd_build_dataset(args, cfg) -> int:
         for path in sorted(spec.glob("*.jsonl")) if spec.is_dir() else [spec]:
             records.extend(load_records(path)[0])
     if args.typo_pairs:
-        records += [convert_typo_pair(p["wrong"], p["corrected"]) for p in _read_jsonl(args.typo_pairs)]
+        records += read_jsonl(args.typo_pairs, lambda p: convert_typo_pair(p["wrong"], p["corrected"]))
     if args.qa_pairs:
-        records += [convert_qa_pair(p["question"], p["answer"]) for p in _read_jsonl(args.qa_pairs)]
+        records += read_jsonl(args.qa_pairs, lambda p: convert_qa_pair(p["question"], p["answer"]))
     if not records:
         raise ValueError("no records")
     records = filter_by_category(records, set(settings["build.exclude"] or ()))
@@ -201,13 +202,13 @@ def cmd_train(args, cfg) -> int:
 
 
 def _load_tasks(path, version=None):
-    tasks = []
-    for obj in _read_jsonl(path):
+    def task(obj):
         optional = {k: obj[k] for k in ("version", "constraints", "answer_label") if k in obj}
         if version:
             optional["version"] = version
-        tasks.append(ChoiceTask(obj["instruction"], obj["fields"], obj["choices"], obj["gold"], **optional))
-    return tasks
+        return ChoiceTask(obj["instruction"], obj["fields"], obj["choices"], obj["gold"], **optional)
+
+    return read_jsonl(path, task)
 
 
 def cmd_eval(args, cfg) -> int:
@@ -221,8 +222,7 @@ def cmd_eval(args, cfg) -> int:
 
 def cmd_ppl(args, cfg) -> int:
     model = _load_model(args)
-    items = [PerplexityItem(question=o["question"], response=o["response"])
-             for o in _read_jsonl(args.items)]
+    items = read_jsonl(args.items, lambda o: PerplexityItem(question=o["question"], response=o["response"]))
     if not items:
         raise ValueError("no items")
     template = QuestionTemplate(body=Path(args.template).read_text(encoding="utf-8")) \
@@ -250,14 +250,6 @@ def _emit_report(args, report) -> int:
     if args.report:
         Path(args.report).write_text(payload, encoding="utf-8")
     return 0
-
-
-def _read_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 # -- argument parsing --------------------------------------------------------------

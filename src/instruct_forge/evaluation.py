@@ -7,12 +7,15 @@ exponential of the mean negative log-likelihood, computed over response
 tokens only (the question prompt never enters the sum).
 
 Models are consumed through a narrow protocol: ``model.logits(ids)``
-returning a [T, V] array, plus a ``max_seq_len`` attribute.
+returning a [T, V] array, plus a ``max_seq_len`` attribute. Choice
+classification also uses ``new_cache`` and ``logits(ids, cache=...)`` when
+the model has them, to run a shared prompt once for all its choices.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +53,16 @@ class ChoiceTask:
     answer_label: str = "Response"
 
     def __post_init__(self):
+        if not isinstance(self.fields, dict):
+            raise ValueError(f"fields must be an object, got {type(self.fields).__name__}")
+        if not isinstance(self.choices, (list, tuple)):
+            raise ValueError(f"choices must be a list, got {type(self.choices).__name__}")
+        texts = (self.instruction, self.answer_label, *self.fields, *self.fields.values(), *self.choices)
+        if not all(isinstance(t, str) for t in texts) or not isinstance(self.constraints, (str, type(None))):
+            raise ValueError("instruction, constraints, answer_label, field names and values, "
+                             "and choices must be strings")
+        if isinstance(self.gold, bool) or not isinstance(self.gold, numbers.Integral):
+            raise ValueError(f"gold must be an integer index, got {self.gold!r}")
         object.__setattr__(self, "choices", tuple(self.choices))
         if len(self.choices) < 2:
             raise ValueError("a choice task needs at least 2 choices")
@@ -80,6 +93,8 @@ class PerplexityItem:
     response: str
 
     def __post_init__(self):
+        if not isinstance(self.question, str) or not isinstance(self.response, str):
+            raise ValueError("question and response must be strings")
         if not self.response:
             raise ValueError("response must be non-empty")
 
@@ -171,6 +186,19 @@ def _log_softmax(rows: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
+def _continuation_logp(logits, cont: list) -> float:
+    """Summed log-probability of ``cont`` under its predicting logit rows."""
+    logp = _log_softmax(np.asarray(logits, dtype=np.float64)[-len(cont):])
+    return float(logp[np.arange(len(cont)), cont].sum())
+
+
+def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
+    cont = tokenizer.encode(continuation).ids
+    if not cont:
+        raise ValueError("continuation encodes to zero tokens")
+    return cont
+
+
 def score_continuation(model, prompt: str, continuation: str,
                        tokenizer: ByteTokenizer | None = None) -> float:
     """Summed log-likelihood of the continuation tokens given the prompt.
@@ -179,33 +207,49 @@ def score_continuation(model, prompt: str, continuation: str,
     and the whole continuation.
     """
     tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    cont = tokenizer.encode(continuation).ids
-    if not cont:
-        raise ValueError("continuation encodes to zero tokens")
+    cont = _encode_continuation(continuation, tokenizer)
     ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids + cont
     max_len = getattr(model, "max_seq_len", None)
     if max_len is not None and len(ids) > max_len:
         if len(cont) + 1 > max_len:
             raise ValueError(f"continuation of {len(cont)} tokens cannot fit the {max_len}-token context")
         ids = ids[-max_len:]
-    logits = np.asarray(model.logits(ids[:-1]), dtype=np.float64)
-    logp = _log_softmax(logits)
-    rows = logp[-len(cont):]
-    return float(rows[np.arange(len(cont)), cont].sum())
+    return _continuation_logp(model.logits(ids[:-1]), cont)
+
+
+def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
+                  tokenizer: ByteTokenizer | None = None) -> list[float]:
+    """Each choice's summed log-likelihood after the few-shot prompt.
+
+    When the prompt and its longest choice fit the window, the prompt runs
+    once into a K/V cache and each choice runs on its own branch of it.
+    Otherwise each choice is scored by ``score_continuation``, whose left
+    truncation depends on the choice's length.
+    """
+    prompt = assemble_fewshot_prompt(task, spec)
+    tokenizer = tokenizer or _DEFAULT_TOKENIZER
+    conts = [_encode_continuation(c, tokenizer) for c in task.choices]
+    ctx = [tokenizer.bos_id] + tokenizer.encode(prompt).ids
+    max_len = getattr(model, "max_seq_len", None)
+    if not hasattr(model, "new_cache") or (max_len is not None and len(ctx) + max(map(len, conts)) > max_len):
+        return [score_continuation(model, prompt, c, tokenizer) for c in task.choices]
+    cache = model.new_cache()
+    last = model.logits(ctx, cache=cache)[-1:]
+    scores = []
+    for cont in conts:
+        rows = last if len(cont) == 1 else np.concatenate([last, model.logits(cont[:-1], cache=list(cache))])
+        scores.append(_continuation_logp(rows, cont))
+    return scores
 
 
 def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec,
                            tokenizer: ByteTokenizer | None = None,
                            length_normalize: bool = False) -> int:
-    """Argmax over per-choice continuation scores; ties go to the lowest index."""
-    prompt = assemble_fewshot_prompt(task, spec)
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    scores = []
-    for choice in task.choices:
-        s = score_continuation(model, prompt, choice, tokenizer)
-        if length_normalize:
-            s /= len(tokenizer.encode(choice).ids)
-        scores.append(s)
+    """Argmax over ``choice_scores``; ties go to the lowest index."""
+    scores = choice_scores(model, task, spec, tokenizer)
+    if length_normalize:
+        tokenizer = tokenizer or _DEFAULT_TOKENIZER
+        scores = [s / len(tokenizer.encode(c).ids) for s, c in zip(scores, task.choices)]
     return int(np.argmax(scores))
 
 

@@ -124,8 +124,19 @@ class DecoderModel:
             return adapter.forward(x, training=self.training, rng=self.rng)
         return ad.matmul(x, ad.transpose(self.params[name]))
 
-    def forward(self, tokens) -> Tensor:
-        """Causal logits for a [T] sequence or a [B, T] batch of ids."""
+    def new_cache(self) -> list:
+        """An empty K/V cache for ``forward``: one entry per layer."""
+        return [None] * self.config.n_layers
+
+    def forward(self, tokens, cache: list | None = None) -> Tensor:
+        """Causal logits for a [T] sequence or a [B, T] batch of ids.
+
+        With a ``cache`` from ``new_cache``, the ids continue the P positions
+        already in it: each layer attends to the cached keys and values too,
+        and its entry is replaced by one that holds all P + T positions. Entries
+        are replaced, never modified, so ``list(cache)`` branches a cache.
+        Cached keys and values are plain arrays outside the autodiff graph.
+        """
         if isinstance(tokens, TokenSequence):
             tokens = tokens.ids
         ids = np.asarray(tokens, dtype=np.int64)
@@ -134,10 +145,11 @@ class DecoderModel:
             ids = ids[None, :]
         cfg = self.config
         B, T = ids.shape
-        if T > cfg.max_seq_len:
-            raise ContextOverflowError(f"input length {T} exceeds max_seq_len {cfg.max_seq_len}")
+        P = 0 if cache is None or cache[0] is None else cache[0][0].shape[2]
+        if P + T > cfg.max_seq_len:
+            raise ContextOverflowError(f"input length {P + T} exceeds max_seq_len {cfg.max_seq_len}")
         H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
-        cos, sin = self._cos[:T], self._sin[:T]
+        cos, sin = self._cos[P:P + T], self._sin[P:P + T]
 
         h = ad.embedding(self.params["embedding"], ids)
         for i in range(cfg.n_layers):
@@ -158,6 +170,11 @@ class DecoderModel:
             v = ad.transpose(ad.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
             q = ad.rotary(q, cos, sin)
             k = ad.rotary(k, cos, sin)
+            if cache is not None:
+                if cache[i] is not None:
+                    k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
+                    v = Tensor(np.concatenate([cache[i][1], v.data], axis=2))
+                cache[i] = (k.data, v.data)
             scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
             probs = ad.causal_softmax(scores, 1.0 / math.sqrt(hd))
             ctx = ad.matmul(probs, v)
@@ -175,12 +192,12 @@ class DecoderModel:
             logits = ad.reshape(logits, (T, cfg.vocab_size))
         return logits
 
-    def logits(self, ids) -> np.ndarray:
-        """Evaluation-mode logits as a plain [T, V] array."""
+    def logits(self, ids, cache: list | None = None) -> np.ndarray:
+        """Evaluation-mode logits as a plain [T, V] array; ``cache`` as in ``forward``."""
         was_training = self.training
         self.training = False
         try:
-            return self.forward(ids).data
+            return self.forward(ids, cache).data
         finally:
             self.training = was_training
 

@@ -41,6 +41,16 @@ class InstructionRecord:
     source: str = "unknown"
 
     def __post_init__(self):
+        for name in ("instruction", "input", "output", "category", "source"):
+            value = getattr(self, name)
+            if value is None and name == "input":
+                continue
+            if not isinstance(value, str):
+                raise RecordError(f"{name} must be a string, got {type(value).__name__}")
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError:
+                raise RecordError(f"{name} holds a lone surrogate, which UTF-8 cannot encode") from None
         if not self.instruction:
             raise RecordError("instruction must be non-empty")
         if not self.output:
@@ -76,33 +86,46 @@ def dataset_stats(records) -> DatasetManifest:
     return DatasetManifest(total=len(records), by_category=dict(by_cat), by_source=dict(by_src))
 
 
-def load_records(path) -> tuple[list[InstructionRecord], DatasetManifest]:
-    """Parse a JSON Lines file; malformed lines are reported with their number."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def read_jsonl(path, make) -> list:
+    """``make(obj)`` for the JSON object on each non-blank line of a JSON Lines file.
+
+    A line that is not UTF-8, not JSON or not an object, or for which ``make``
+    raises KeyError or ValueError, raises RecordError naming the file and line.
+    """
+    out = []
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            where = f"{path}: line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise RecordError(f"{where}: not UTF-8: {exc}") from exc
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RecordError(f"{path}: line {lineno}: invalid JSON: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise RecordError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(obj, dict):
-                raise RecordError(f"{path}: line {lineno}: expected an object")
-            for key in ("instruction", "output"):
-                if not obj.get(key):
-                    raise RecordError(f"{path}: line {lineno}: missing required field {key!r}")
+                raise RecordError(f"{where}: expected a JSON object, got {type(obj).__name__}")
             try:
-                records.append(InstructionRecord(
-                    instruction=obj["instruction"],
-                    input=obj.get("input"),
-                    output=obj["output"],
-                    category=obj.get("category", "other"),
-                    source=obj.get("source", Path(path).stem),
-                ))
-            except RecordError as exc:
-                raise RecordError(f"{path}: line {lineno}: {exc}") from exc
+                out.append(make(obj))
+            except KeyError as exc:
+                raise RecordError(f"{where}: missing required field {exc}") from exc
+            except ValueError as exc:
+                raise RecordError(f"{where}: {exc}") from exc
+    return out
+
+
+def load_records(path) -> tuple[list[InstructionRecord], DatasetManifest]:
+    """Parse a JSON Lines file of records; a malformed line is reported with its number."""
+    records = read_jsonl(path, lambda obj: InstructionRecord(
+        instruction=obj["instruction"],
+        input=obj.get("input"),
+        output=obj["output"],
+        category=obj.get("category", "other"),
+        source=obj.get("source", Path(path).stem),
+    ))
     return records, dataset_stats(records)
 
 

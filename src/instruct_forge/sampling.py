@@ -38,9 +38,9 @@ def apply_repetition_penalty(logits: np.ndarray, generated_ids, penalty: float) 
     if penalty < 1.0:
         raise ValueError(f"repetition penalty must be >= 1, got {penalty}")
     out = np.array(logits, dtype=np.float64, copy=True)
-    ids = np.unique(np.asarray(list(generated_ids), dtype=np.int64)) if len(generated_ids) else []
-    for i in ids:
-        out[i] = out[i] / penalty if out[i] > 0 else out[i] * penalty
+    ids = np.unique(np.asarray(list(generated_ids), dtype=np.int64))
+    seen = out[ids]
+    out[ids] = np.where(seen > 0, seen / penalty, seen * penalty)
     return out
 
 
@@ -48,14 +48,18 @@ def generate(model, prompt: str, params: GenerationParams,
              tokenizer: ByteTokenizer | None = None, seed: int = 0) -> GenerationResult:
     """Iterative decode; stops at the stop token or max_new_tokens.
 
-    Returns only the decoded continuation. If the context overflows the
-    model window mid-generation, the oldest tokens are dropped and the
-    result is flagged as truncated.
+    Returns only the decoded continuation. A model with ``new_cache`` runs
+    the prompt once and then only each new token against its K/V cache. If
+    the context overflows the model window mid-generation, the oldest tokens
+    are dropped, every later step reruns the whole window (positions shift),
+    and the result is flagged as truncated.
     """
     tokenizer = tokenizer or ByteTokenizer()
     ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids
     rng = np.random.default_rng(seed)
     max_len = getattr(model, "max_seq_len", None)
+    cache = model.new_cache() if hasattr(model, "new_cache") else None
+    cached = 0                        # ids[:cached] are in the cache
     generated: list[int] = []
     truncated = False
     for _ in range(params.max_new_tokens):
@@ -63,7 +67,13 @@ def generate(model, prompt: str, params: GenerationParams,
         if max_len is not None and len(ctx) > max_len:
             ctx = ctx[-max_len:]
             truncated = True
-        row = np.asarray(model.logits(ctx), dtype=np.float64)[-1]
+            cache = None
+        if cache is None:
+            logits = model.logits(ctx)
+        else:
+            logits = model.logits(ids[cached:], cache=cache)
+            cached = len(ids)
+        row = np.asarray(logits, dtype=np.float64)[-1]
         row = apply_repetition_penalty(row, generated, params.repetition_penalty)
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))

@@ -1,6 +1,11 @@
-"""Shared inference-task fixtures: an English NLI-style 3-choice task set."""
+"""Shared inference fixtures: an English NLI-style 3-choice task set, and a
+default-size model with live adapters."""
 
+import numpy as np
+
+from instruct_forge import lora
 from instruct_forge.evaluation import ChoiceTask
+from instruct_forge.model import DecoderModel, ModelConfig
 
 NLI_INSTRUCTION = (
     "Please answer the relationship between the premise and the hypothesis "
@@ -46,3 +51,15 @@ def query(version="v0.2"):
         "There are two children, and bananas and kiwis are placed next to the mixer.",
         "There are children with droppers at the table where the mixer is placed.",
         2, version)
+
+
+def adapted_model(layout="split-qv", seed=4):
+    """Default-size model with unmerged adapters whose B is non-zero, so the
+    adapters change every logit."""
+    model = DecoderModel(ModelConfig(attention_layout=layout, seed=seed))
+    targets = ["query_key_value"] if layout == "fused-qkv" else ["q_proj", "v_proj"]
+    lora.inject(model, lora.LoraConfig(target_names=targets))
+    rng = np.random.default_rng(seed)
+    for adapter in model.adapters.values():
+        adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+    return model

@@ -239,6 +239,35 @@ class TestCausalSoftmax:
         assert np.array_equal(outs[0], outs[1])
         assert np.array_equal(grads[0], grads[1])
 
+    def test_square_scores_keep_the_square_mask(self):
+        # S == T (training, uncached inference): the square mask triu(-1e9, k=1)
+        rng = np.random.default_rng(15)
+        T, s = 5, 0.3
+        x = rand(rng, 2, T, T).astype(np.float32)
+        p = x * s
+        p += np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        assert np.array_equal(ad.causal_softmax(Tensor(x), s).data, p)
+
+    def test_rectangular_scores_are_the_last_rows_of_the_square(self):
+        rng = np.random.default_rng(16)
+        T, S, s = 3, 7, 0.6
+        x = rand(rng, 2, S, S).astype(np.float32)
+        rect = ad.causal_softmax(Tensor(x[:, S - T:]), s).data
+        assert rect.shape == (2, T, S)
+        future = np.triu(np.ones((T, S), dtype=bool), k=S - T + 1)
+        assert np.all(rect[..., future] == 0.0)
+        assert np.all(rect[..., ~future] > 0.0)
+        assert np.array_equal(rect, ad.causal_softmax(Tensor(x), s).data[:, S - T:])
+        w = Tensor(rand(rng, 2, T, S))
+        check_op(lambda t: ad.causal_softmax(t, s), [rand(rng, 2, T, S)], reduce=lambda t: ad.tsum(ad.mul(t, w)))
+
+    def test_fewer_keys_than_queries_rejected(self):
+        with pytest.raises(ValueError, match="keys"):
+            ad.causal_softmax(Tensor(np.zeros((4, 3))), 1.0)
+
 
 class TestDropout:
     def test_eval_mode_is_identity(self):

@@ -453,3 +453,62 @@ class TestBadCheckpoint:
         assert main(["train", "--data", str(data), "--out", str(out), "--init-from", str(garbage)]) == 1
         assert str(garbage) in single_error(capsys)
         assert not out.exists()
+
+
+GOOD_TASK = {"instruction": "pick", "fields": {"Input": "x"}, "choices": ["xx", "yy"], "gold": 0}
+
+
+class TestMalformedRows:
+    """Every JSONL reader: one `error:` line naming the file and line, exit 1, no output."""
+
+    @pytest.mark.parametrize("row, message", [
+        (["not", "an", "object"], "expected a JSON object, got list"),
+        ({**GOOD_TASK, "choices": 5}, "choices must be a list"),
+        ({**GOOD_TASK, "fields": ["a"]}, "fields must be an object"),
+        ({**GOOD_TASK, "gold": "0"}, "gold must be an integer"),
+        ({k: v for k, v in GOOD_TASK.items() if k != "gold"}, "missing required field 'gold'"),
+    ])
+    def test_eval_tasks(self, tmp_path, capsys, base_model, row, message):
+        tasks = tmp_path / "tasks.jsonl"
+        write_jsonl(tasks, [GOOD_TASK, GOOD_TASK, row])
+        report = tmp_path / "report.json"
+        rc = main(["eval", "--model", str(base_model[0]), "--tasks", str(tasks), "--shots", "1",
+                   "--report", str(report)])
+        assert rc == 1
+        assert f"tasks.jsonl: line 3: {message}" in single_error(capsys)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("row, message", [
+        (["q", "r"], "expected a JSON object, got list"),
+        ({"question": "q", "response": 5}, "question and response must be strings"),
+    ])
+    def test_ppl_items(self, tmp_path, capsys, base_model, row, message):
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}, row])
+        rc = main(["ppl", "--model", str(base_model[0]), "--items", str(items)])
+        assert rc == 1
+        assert f"items.jsonl: line 2: {message}" in single_error(capsys)
+
+    @pytest.mark.parametrize("flag, row, message", [
+        ("--qa-pairs", ["q", "a"], "expected a JSON object, got list"),
+        ("--typo-pairs", ["w", "c"], "expected a JSON object, got list"),
+        ("--typo-pairs", {"wrong": 1, "corrected": "x"}, "input must be a string, got int"),
+        ("--qa-pairs", {"question": "q", "answer": None}, "qa pair texts must be non-empty"),
+        ("--qa-pairs", {"question": "q"}, "missing required field 'answer'"),
+    ])
+    def test_build_dataset_pairs(self, tmp_path, capsys, flag, row, message):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [row])
+        out = tmp_path / "out.jsonl"
+        rc = main(["build-dataset", flag, str(pairs), "--output", str(out)])
+        assert rc == 1
+        assert f"pairs.jsonl: line 1: {message}" in single_error(capsys)
+        assert not out.exists()
+
+    def test_records_not_utf8(self, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        data.write_bytes(b'{"instruction": "i", "output": "\xff"}\n')
+        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY])
+        assert rc == 1
+        assert "data.jsonl: line 1: not UTF-8" in single_error(capsys)
+        assert not (tmp_path / "run").exists()

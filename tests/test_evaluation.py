@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fixture_tasks import demos, query
+from fixture_tasks import adapted_model, demos, query
 from instruct_forge import autodiff as ad
 from instruct_forge.evaluation import (
     ChoiceTask,
@@ -13,6 +13,7 @@ from instruct_forge.evaluation import (
     PerplexityItem,
     QuestionTemplate,
     assemble_fewshot_prompt,
+    choice_scores,
     classify_by_likelihood,
     corpus_perplexity,
     response_perplexity,
@@ -68,6 +69,20 @@ class TestTaskValidation:
     def test_bad_version(self):
         with pytest.raises(ValueError):
             ChoiceTask("i", {"F": "v"}, ("a", "b"), gold=0, version="v1.0")
+
+    @pytest.mark.parametrize("bad", [
+        dict(fields=["a"]), dict(fields={"F": 5}), dict(choices=5), dict(choices="ab"), dict(choices=["a", 2]),
+        dict(gold="0"), dict(gold=True), dict(gold=0.0), dict(instruction=None), dict(constraints=3),
+        dict(answer_label=["x"]),
+    ])
+    def test_wrong_field_types(self, bad):
+        with pytest.raises(ValueError):
+            ChoiceTask(**{"instruction": "i", "fields": {"F": "v"}, "choices": ("a", "b"), "gold": 0, **bad})
+
+    @pytest.mark.parametrize("question, response", [(None, "r"), ("q", 5), ("q", ["r"])])
+    def test_item_field_types(self, question, response):
+        with pytest.raises(ValueError, match="strings"):
+            PerplexityItem(question, response)
 
     def test_spec_k_bounded_by_demos(self):
         with pytest.raises(ValueError):
@@ -175,6 +190,34 @@ class TestClassify:
         assert classify_by_likelihood(model, t, FewShotSpec(k=0)) == 0
         assert classify_by_likelihood(model, t, FewShotSpec(k=0),
                                       length_normalize=True) == 1
+
+
+class TestSharedPromptScoring:
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    @pytest.mark.parametrize("version", ["v0.2", "v0.3"])
+    def test_matches_score_continuation(self, layout, version):
+        model = adapted_model(layout)
+        task = ChoiceTask("pick one", {"Input": "which?"}, ("entailment", "b", "neutral"), gold=0, version=version)
+        for k, demo in ((0, ()), (1, demos(version)[:1]), (3, demos(version)), (3, demos(version)[:1] * 3)):
+            spec = FewShotSpec(k=k, demonstrations=demo)
+            got = choice_scores(model, task, spec)
+            expected = [score_continuation(model, assemble_fewshot_prompt(task, spec), c) for c in task.choices]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
+            assert classify_by_likelihood(model, task, spec) == int(np.argmax(expected))
+
+    def test_prompt_runs_once_when_it_fits(self, monkeypatch):
+        model = adapted_model("split-qv")
+        task = ChoiceTask("pick one", {"Input": "which?"}, ("yes", "n", "maybe"), gold=0)
+        prompt_len = 1 + len(assemble_fewshot_prompt(task, FewShotSpec(k=0)).encode())
+        fed = []
+        real = model.logits
+        monkeypatch.setattr(model, "logits", lambda ids, cache=None: fed.append(len(ids)) or real(ids, cache))
+        choice_scores(model, task, FewShotSpec(k=0))
+        assert fed == [prompt_len, 2, 4]           # the one-token choice needs no extra rows
+        fed.clear()
+        model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
+        choice_scores(model, task, FewShotSpec(k=0))
+        assert fed == [prompt_len + 2, prompt_len, prompt_len + 3]
 
 
 class TestPerplexity:

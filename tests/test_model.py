@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fixture_tasks import adapted_model
 from instruct_forge.archive import ArchiveError
 from instruct_forge.model import ContextOverflowError, DecoderModel, ModelConfig, load_checkpoint
 
@@ -164,6 +165,50 @@ def test_forward_matches_reference(layout):
     m = DecoderModel(tiny_config(attention_layout=layout))
     ids = [1, 4, 7, 2, 9]
     np.testing.assert_allclose(m.logits(ids), reference_forward(m, ids), atol=1e-5)
+
+
+class TestCache:
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    @pytest.mark.parametrize("split", [1, 2, 37, 200])
+    def test_cached_logits_match_full_context(self, layout, split):
+        m = adapted_model(layout)
+        ids = np.random.default_rng(split).integers(0, 259, 240).tolist()
+        full = m.logits(ids)
+        cache = m.new_cache()
+        rows = [m.logits(ids[:split], cache=cache)]
+        for i in range(split, split + 6):           # one token at a time
+            rows.append(m.logits(ids[i:i + 1], cache=cache))
+        rows.append(m.logits(ids[split + 6:], cache=cache))   # then the rest in one chunk
+        np.testing.assert_allclose(np.concatenate(rows), full, rtol=0, atol=1e-5)
+        assert all(k.shape[2] == v.shape[2] == len(ids) for k, v in cache)
+
+    def test_overflow_counts_cached_positions(self):
+        m = DecoderModel(tiny_config(max_seq_len=8))
+        cache = m.new_cache()
+        m.logits([1] * 6, cache=cache)
+        m.logits([2, 3], cache=cache)
+        with pytest.raises(ContextOverflowError, match="9 exceeds"):
+            m.logits([4], cache=cache)
+
+    def test_branching_leaves_the_parent_unchanged(self):
+        m = DecoderModel(tiny_config())
+        parent = m.new_cache()
+        m.logits([1, 2, 3], cache=parent)
+        snapshot = [(k.copy(), v.copy()) for k, v in parent]
+        a, b = list(parent), list(parent)
+        from_a = m.logits([4, 5], cache=a)
+        from_b = m.logits([6], cache=b)
+        for (k, v), (k0, v0) in zip(parent, snapshot):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0) and k.shape[2] == 3
+        np.testing.assert_allclose(from_a, m.logits([1, 2, 3, 4, 5])[3:], atol=1e-6)
+        np.testing.assert_allclose(from_b, m.logits([1, 2, 3, 6])[3:], atol=1e-6)
+
+    def test_uncached_forward_is_unchanged_by_caching(self):
+        m = adapted_model("split-qv")
+        ids = list(range(40))
+        before = m.logits(ids)
+        m.logits(ids[:10], cache=m.new_cache())
+        assert np.array_equal(m.logits(ids), before)
 
 
 class TestCheckpoint:

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instruct_forge.records import (
     CATEGORIES,
@@ -46,6 +50,37 @@ class TestLoad:
         p.write_text('{"instruction": "a", "output": "b"}\nnot json\n')
         with pytest.raises(RecordError, match="line 2"):
             load_records(p)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("instruction", 5, "instruction must be a string, got int"),
+        ("input", [1], "input must be a string, got list"),
+        ("output", float("nan"), "output must be a string, got float"),
+        ("category", ["qa"], "category must be a string, got list"),
+        ("source", {}, "source must be a string, got dict"),
+    ])
+    def test_wrong_field_type_names_line(self, tmp_path, field, value, message):
+        p = tmp_path / "d.jsonl"
+        write_jsonl(p, [rec(0), {**rec(1), field: value}])
+        with pytest.raises(RecordError, match=f"line 2: {message}"):
+            load_records(p)
+
+    @pytest.mark.parametrize("line, message", [
+        (b'{"instruction": "i", "output": "\xff"}', "line 2: not UTF-8"),
+        (b"[" * 100_000, "line 2: invalid JSON"),
+        (b'"just a string"', "line 2: expected a JSON object, got str"),
+        (b'{"instruction": "i", "output": "\\ud800"}', "line 2: output holds a lone surrogate"),
+        (b'{"instruction": "i"}', "line 2: missing required field 'output'"),
+    ])
+    def test_malformed_line_is_a_record_error(self, tmp_path, line, message):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(json.dumps(rec(0)).encode() + b"\n" + line + b"\n")
+        with pytest.raises(RecordError, match=message):
+            load_records(p)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_bytes(b"\r\n".join(json.dumps(rec(i)).encode() for i in range(2)) + b"\r\n\r\n")
+        assert len(load_records(p)[0]) == 2
 
     def test_category_counts_match_hand_count(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -145,3 +180,46 @@ class TestStats:
                    for n, c in enumerate(["qa", "qa", "other", "correction"] * 2 + ["qa", "summarization"])]
         m = dataset_stats(records)
         assert sum(m.by_category.values()) == m.total == len(records)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def jsonl_bytes(draw):
+    """Arbitrary bytes, or a valid records file with fields replaced by arbitrary
+    JSON values and then bytes overwritten or cut off."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=200))
+    rows = [rec(i, draw(st.sampled_from(sorted(CATEGORIES)))) for i in range(draw(st.integers(1, 3)))]
+    for row in rows:
+        for key in draw(st.lists(st.sampled_from(sorted(row)), max_size=2)):
+            if draw(st.booleans()):
+                row[key] = draw(JSON_VALUES)
+            else:
+                row.pop(key, None)
+    blob = bytearray("\n".join(json.dumps(r, ensure_ascii=draw(st.booleans())) for r in rows).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob[: draw(st.integers(0, len(blob)))] if draw(st.booleans()) else blob)
+
+
+@settings(max_examples=400, deadline=None)
+@given(blob=jsonl_bytes())
+def test_any_bytes_load_or_raise_record_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.jsonl"
+        path.write_bytes(blob)
+        try:
+            records, manifest = load_records(path)
+        except RecordError:
+            return
+        assert manifest.total == len(records)
+        for r in records:
+            assert all(isinstance(v, str) for v in (r.instruction, r.output, r.category, r.source))
+            assert r.input is None or isinstance(r.input, str)
+        save_records(records, path)
+        assert load_records(path)[0] == records

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from fixture_tasks import adapted_model
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.sampling import (
     GenerationParams,
     apply_repetition_penalty,
     generate,
 )
-from instruct_forge.tokenizer import EOS, VOCAB_SIZE
+from instruct_forge.tokenizer import BOS, EOS, VOCAB_SIZE
 
 
 class ScriptedModel:
@@ -86,6 +87,16 @@ class TestRepetitionPenalty:
         apply_repetition_penalty(logits, [0, 1], 1.5)
         np.testing.assert_array_equal(logits, [2.0, -2.0])
 
+    def test_matches_per_id_rule_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        logits = rng.normal(size=VOCAB_SIZE) * 3
+        logits[:5] = 0.0
+        ids = rng.integers(0, VOCAB_SIZE, 60).tolist() + [0, 1, 2]
+        expected = logits.copy()
+        for i in set(ids):
+            expected[i] = expected[i] / 1.3 if expected[i] > 0 else expected[i] * 1.3
+        assert np.array_equal(apply_repetition_penalty(logits, ids, 1.3), expected)
+
     def test_bad_penalty_rejected(self):
         with pytest.raises(ValueError):
             apply_repetition_penalty(np.array([1.0]), [0], 0.5)
@@ -142,3 +153,40 @@ class TestGenerate:
         out = generate(model, "x" * 20, GenerationParams(max_new_tokens=4))
         assert out.truncated
         assert len(out.token_ids) == 4
+
+def full_context_greedy(model, prompt, n, penalty):
+    """n greedy tokens, with no stop token, rerunning the whole (window-clipped) context every step."""
+    ids, out = [BOS] + list(prompt.encode("utf-8")), []
+    for _ in range(n):
+        row = apply_repetition_penalty(model.logits(ids[-model.max_seq_len:])[-1], out, penalty)
+        nxt = int(np.argmax(row))
+        out.append(nxt)
+        ids.append(nxt)
+    return out
+
+
+class TestCachedGenerate:
+    @pytest.fixture(scope="class")
+    def model(self):
+        return adapted_model(seed=9)
+
+    @pytest.mark.parametrize("prompt_len, n, penalty", [(5, 24, 1.0), (120, 16, 1.05), (500, 20, 1.0)])
+    def test_matches_full_context_greedy(self, model, prompt_len, n, penalty):
+        prompt = ("the cat sat on a mat. " * 30)[:prompt_len]
+        params = GenerationParams(max_new_tokens=n, repetition_penalty=penalty, stop_token=-1)
+        out = generate(model, prompt, params)
+        assert out.token_ids == full_context_greedy(model, prompt, n, penalty)
+        assert out.truncated == (1 + prompt_len + n - 1 > model.max_seq_len)
+
+    def test_feeds_only_the_new_token_until_the_window_fills(self, model, monkeypatch):
+        fed = []
+        real = model.logits
+
+        def spy(ids, cache=None):
+            fed.append((len(ids), cache is not None))
+            return real(ids, cache)
+
+        monkeypatch.setattr(model, "logits", spy)
+        generate(model, "x" * 505, GenerationParams(max_new_tokens=10, stop_token=-1))
+        # 506 prompt tokens in one pass, six single tokens up to 512, then the full window again
+        assert fed == [(506, True)] + [(1, True)] * 6 + [(512, False)] * 3
