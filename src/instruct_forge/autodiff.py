@@ -16,7 +16,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-_FLOAT_DTYPES = (np.float32, np.float64)
+_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
+_FLOAT_DTYPES = (_F32, _F64)
 
 
 class Tensor:
@@ -143,8 +144,11 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _result_dtype(*tensors: Tensor):
-    return np.float64 if any(t.data.dtype == np.float64 for t in tensors) else np.float32
+def _result_dtype(*tensors: Tensor) -> np.dtype:
+    for t in tensors:
+        if t.data.dtype == _F64:
+            return _F64
+    return _F32
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -153,10 +157,17 @@ def _needs_grad(t: Tensor) -> bool:
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    out = Tensor(data)
-    if any(_needs_grad(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    """``Tensor(data)`` without re-checking the float array an op just made;
+    keeps ``backward_fn`` only if a parent needs a gradient."""
+    if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
+        data = Tensor(data).data
+    out = Tensor.__new__(Tensor)
+    out.data, out.grad, out.requires_grad, out.name = data, None, False, None
+    out._parents, out._backward_fn = (), None
+    for p in parents:
+        if p.requires_grad or p._parents:
+            out._parents, out._backward_fn = tuple(parents), backward_fn
+            break
     return out
 
 
@@ -359,31 +370,70 @@ def softmax(x) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def causal_softmax(x, s: float) -> Tensor:
-    """Softmax over the last axis of ``s * x + triu(-1e9, k=S-T+1)`` for [..., T, S] ``x``.
+# Score elements per query-row block of causal_attention: 512 KB of float32
+# scores, so a block's scores and gradients stay in a 2 MB L2 cache. 1 << 16
+# timed the same on 511-token forwards and slower on 8×256 training batches.
+_ATTN_BLOCK = 1 << 17
 
-    Row t holds query position S-T+t and sees keys 0..S-T+t: with S > T the
-    first S-T keys are cached positions. Runs in place on one buffer, in the
-    order of ``softmax(add(scale(x, s), mask))``, so forward and gradient equal
-    that chain bit for bit.
+
+def causal_attention(q, k, v, s: float) -> Tensor:
+    """``softmax(s * q @ kᵀ + triu(-1e9, k=S-T+1)) @ v`` for [..., T, h] ``q``
+    and [..., S, h] ``k``, ``v``.
+
+    Query row t holds position S-T+t and sees keys 0..S-T+t: with S > T the
+    first S-T keys are cached positions. Rows run in blocks of about
+    ``_ATTN_BLOCK`` score elements; block ``[r0, r1)`` reads only keys
+    ``:S-T+r1``, so the masked triangle past it is never computed. With one
+    block the output equals ``matmul(causal softmax of the scores, v)`` bit
+    for bit.
     """
-    x = _as_tensor(x)
-    T, S = x.shape[-2:]
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    T, S = q.shape[-2], k.shape[-2]
+    if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"causal_attention: shapes q {q.shape}, k {k.shape}, v {v.shape} disagree")
     if S < T:
-        raise ValueError(f"causal_softmax: {T} queries but only {S} keys")
-    p = x.data * s
-    p += np.triu(np.full((T, S), -1e9, dtype=p.dtype), k=S - T + 1)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+        raise ValueError(f"causal_attention: {T} queries but only {S} keys")
+    qd, kd, vd = q.data, k.data, v.data
+    grad = _needs_grad(q) or _needs_grad(k) or _needs_grad(v)
+    rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
+    out = np.empty(q.shape[:-1] + v.shape[-1:], _result_dtype(q, k, v))
+    blocks = []
+    for r0 in range(0, T, rows):
+        r1 = min(r0 + rows, T)
+        n = S - T + r1
+        p = qd[..., r0:r1, :] @ kd[..., :n, :].swapaxes(-1, -2)
+        p *= s
+        p[..., n - (r1 - r0):] += np.triu(np.full((r1 - r0, r1 - r0), -1e9, dtype=p.dtype), k=1)
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+        out[..., r0:r1, :] = p @ vd[..., :n, :]
+        if grad:
+            blocks.append((r0, r1, n, p))
 
     def backward_fn(g):
-        dx = g - (g * p).sum(axis=-1, keepdims=True)
-        dx *= p
-        dx *= s
-        _add_grad(x, dx)
+        dq = np.empty_like(qd) if _needs_grad(q) else None
+        dk = np.zeros_like(kd) if _needs_grad(k) else None
+        dv = np.zeros_like(vd) if _needs_grad(v) else None
+        for r0, r1, n, p in blocks:
+            gb = g[..., r0:r1, :]
+            if dv is not None:
+                dv[..., :n, :] += p.swapaxes(-1, -2) @ gb
+            if dq is None and dk is None:
+                continue
+            ds = gb @ vd[..., :n, :].swapaxes(-1, -2)
+            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds *= p
+            ds *= s
+            if dq is not None:
+                dq[..., r0:r1, :] = ds @ kd[..., :n, :]
+            if dk is not None:
+                dk[..., :n, :] += ds.swapaxes(-1, -2) @ qd[..., r0:r1, :]
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                _add_grad(t, d)
 
-    return _node(p, (x,), backward_fn)
+    return _node(out, (q, k, v), backward_fn)
 
 
 def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:

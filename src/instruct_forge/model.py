@@ -175,9 +175,7 @@ class DecoderModel:
                     k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
                     v = Tensor(np.concatenate([cache[i][1], v.data], axis=2))
                 cache[i] = (k.data, v.data)
-            scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
-            probs = ad.causal_softmax(scores, 1.0 / math.sqrt(hd))
-            ctx = ad.matmul(probs, v)
+            ctx = ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd))
             ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.d_model))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")
             h = ad.add(h, self._linear(out_name, ctx))

@@ -90,8 +90,9 @@ def test_01_gradient_fidelity():
         lambda: check_op(ad.gelu, [rand(rng, 3, 4)]),
         lambda: check_op(ad.layer_norm, [rand(rng, 2, 4), rand(rng, 4), rand(rng, 4)]),
         lambda: check_op(ad.softmax, [rand(rng, 3, 5)], reduce=weighted(rand(rng, 3, 5))),
-        lambda: check_op(lambda t: ad.causal_softmax(t, 0.5), [rand(rng, 2, 4, 4)],
-                         reduce=weighted(rand(rng, 2, 4, 4))),
+        lambda: check_op(lambda q, k, v: ad.causal_attention(q, k, v, 0.5),
+                         [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)],
+                         reduce=weighted(rand(rng, 2, 3, 4))),
         lambda: check_op(lambda t: ad.softmax_cross_entropy(t, [0, 1, 2], [True, False, True]),
                          [rand(rng, 3, 6)], reduce=lambda t: t),
         lambda: check_op(lambda t: ad.embedding(t, [1, 1, 3]),

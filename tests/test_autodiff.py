@@ -209,64 +209,108 @@ class TestShapeOps:
             ad.embedding(Tensor(np.ones((4, 3))), [4])
 
 
-class TestCausalSoftmax:
-    def test_gradients_mask_and_normalization(self):
+def unfused_attention(q, k, v, s):
+    """The three-op chain causal_attention replaces, in plain numpy."""
+    T, S = q.shape[-2], k.shape[-2]
+    p = (q @ k.swapaxes(-1, -2)) * s
+    p += np.triu(np.full((T, S), -1e9, dtype=p.dtype), k=S - T + 1)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p @ v
+
+
+class TestCausalAttention:
+    # an element budget of 1 runs one query row per block; 28 runs blocks of
+    # 3 + 1 rows for [2, 4, h] queries and of 2 + 1 rows for [2, 3, h] ones
+    @pytest.mark.parametrize("budget", [None, 1, 28])
+    @pytest.mark.parametrize("T,S", [(4, 4), (3, 7)])
+    def test_gradients(self, monkeypatch, budget, T, S):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
         rng = np.random.default_rng(13)
-        x, w = rand(rng, 2, 4, 4), rand(rng, 2, 4, 4)
-        check_op(lambda t: ad.causal_softmax(t, 0.7), [x],
-                 reduce=lambda t: ad.tsum(ad.mul(t, Tensor(w))))
-        p = ad.causal_softmax(Tensor(x), 0.7).data
-        future = np.triu(np.ones((4, 4), dtype=bool), k=1)
-        assert np.all(p[..., future] == 0.0)
-        assert np.all(p[..., ~future] > 0.0)
-        np.testing.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-12)
+        w = Tensor(rand(rng, 2, T, 4))
+        check_op(lambda q, k, v: ad.causal_attention(q, k, v, 0.7),
+                 [rand(rng, 2, T, 4), rand(rng, 2, S, 4), rand(rng, 2, S, 4)],
+                 reduce=lambda t: ad.tsum(ad.mul(t, w)))
 
-    def test_equals_unfused_chain_bit_for_bit(self):
+    @pytest.mark.parametrize("T,S", [(6, 6), (3, 8)])
+    def test_one_block_equals_unfused_chain_bit_for_bit(self, T, S):
         rng = np.random.default_rng(14)
-        T, s = 6, 1.0 / math.sqrt(8)
-        x_data = rand(rng, 2, 3, T, T).astype(np.float32)
-        w = Tensor(rand(rng, 2, 3, T, T).astype(np.float32))
-        mask = Tensor(np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1))
-        outs, grads = [], []
-        for op in (lambda t: ad.causal_softmax(t, s),
-                   lambda t: ad.softmax(ad.add(ad.scale(t, s), mask))):
-            x = Tensor(x_data.copy(), requires_grad=True)
-            out = op(x)
-            ad.tsum(ad.mul(out, w)).backward()
-            outs.append(out.data)
-            grads.append(x.grad)
-        assert outs[0].dtype == np.float32
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(grads[0], grads[1])
+        s = 1.0 / math.sqrt(8)
+        q, k, v = (rand(rng, 2, 3, n, 8).astype(np.float32) for n in (T, S, S))
+        out = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), s).data
+        assert out.dtype == np.float32
+        assert np.array_equal(out, unfused_attention(q, k, v, s))
 
-    def test_square_scores_keep_the_square_mask(self):
-        # S == T (training, uncached inference): the square mask triu(-1e9, k=1)
+    def test_gradients_match_the_unfused_autodiff_chain(self, monkeypatch):
+        monkeypatch.setattr(ad, "_ATTN_BLOCK", 1)
         rng = np.random.default_rng(15)
-        T, s = 5, 0.3
-        x = rand(rng, 2, T, T).astype(np.float32)
-        p = x * s
-        p += np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1)
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-        assert np.array_equal(ad.causal_softmax(Tensor(x), s).data, p)
+        T, s = 6, 0.3
+        data = [rand(rng, 2, 3, T, 8).astype(np.float32) for _ in range(3)]
+        w = Tensor(rand(rng, 2, 3, T, 8).astype(np.float32))
+        mask = Tensor(np.triu(np.full((T, T), -1e9, dtype=np.float32), k=1))
+        chain = lambda q, k, v: ad.matmul(
+            ad.softmax(ad.add(ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), s), mask)), v)
+        grads = []
+        for op in (lambda q, k, v: ad.causal_attention(q, k, v, s), chain):
+            qkv = [Tensor(x.copy(), requires_grad=True) for x in data]
+            ad.tsum(ad.mul(op(*qkv), w)).backward()
+            grads.append([t.grad for t in qkv])
+        for fused, unfused in zip(*grads):
+            assert fused.dtype == np.float32
+            np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-6 * np.abs(unfused).max())
 
-    def test_rectangular_scores_are_the_last_rows_of_the_square(self):
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    def test_rectangular_rows_are_the_last_rows_of_the_square(self, monkeypatch, budget):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
         rng = np.random.default_rng(16)
         T, S, s = 3, 7, 0.6
-        x = rand(rng, 2, S, S).astype(np.float32)
-        rect = ad.causal_softmax(Tensor(x[:, S - T:]), s).data
-        assert rect.shape == (2, T, S)
-        future = np.triu(np.ones((T, S), dtype=bool), k=S - T + 1)
-        assert np.all(rect[..., future] == 0.0)
-        assert np.all(rect[..., ~future] > 0.0)
-        assert np.array_equal(rect, ad.causal_softmax(Tensor(x), s).data[:, S - T:])
-        w = Tensor(rand(rng, 2, T, S))
-        check_op(lambda t: ad.causal_softmax(t, s), [rand(rng, 2, T, S)], reduce=lambda t: ad.tsum(ad.mul(t, w)))
+        q, k, v = (rand(rng, 2, S, 4).astype(np.float32) for _ in range(3))
+        rect = ad.causal_attention(Tensor(q[:, S - T:]), Tensor(k), Tensor(v), s).data
+        assert rect.shape == (2, T, 4)
+        square = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), s).data
+        np.testing.assert_allclose(rect, square[:, S - T:], rtol=1e-6, atol=1e-7)
+
+    @pytest.mark.parametrize("budget", [None, 1, 40])
+    @pytest.mark.parametrize("T,S", [(5, 5), (3, 7)])
+    def test_future_keys_do_not_reach_a_row(self, monkeypatch, budget, T, S):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
+        rng = np.random.default_rng(17)
+        q, k, v = rand(rng, 2, T, 4), rand(rng, 2, S, 4), rand(rng, 2, S, 4)
+        base = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        for t in range(T - 1):
+            sees = S - T + t + 1           # row t sees keys 0..S-T+t
+            k2, v2 = k.copy(), v.copy()
+            k2[:, sees:] = rand(rng, 2, S - sees, 4) * 100
+            v2[:, sees:] = rand(rng, 2, S - sees, 4) * 100
+            out = ad.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
+            assert np.array_equal(out[:, :t + 1], base[:, :t + 1])
+            assert not np.array_equal(out[:, t + 1:], base[:, t + 1:])
+
+    def test_frozen_inputs_get_no_gradient(self):
+        rng = np.random.default_rng(18)
+        q, k, v = (rand(rng, 2, 5, 4) for _ in range(3))
+        grads = []
+        for trainable in ((True, False, False), (True, True, True)):
+            qkv = [Tensor(x, requires_grad=r) for x, r in zip((q, k, v), trainable)]
+            ad.tsum(ad.causal_attention(*qkv, 0.5)).backward()
+            grads.append([t.grad for t in qkv])
+        assert grads[0][1] is None and grads[0][2] is None
+        assert np.array_equal(grads[0][0], grads[1][0])
 
     def test_fewer_keys_than_queries_rejected(self):
+        x = Tensor(np.zeros((4, 2)))
         with pytest.raises(ValueError, match="keys"):
-            ad.causal_softmax(Tensor(np.zeros((4, 3))), 1.0)
+            ad.causal_attention(x, Tensor(np.zeros((3, 2))), Tensor(np.zeros((3, 2))), 1.0)
+
+    def test_mismatched_shapes_rejected(self):
+        q, k = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 4)))
+        for v in (np.zeros((2, 2, 4)), np.zeros((1, 3, 4))):
+            with pytest.raises(ValueError, match="disagree"):
+                ad.causal_attention(q, k, Tensor(v), 1.0)
 
 
 class TestDropout:

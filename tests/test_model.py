@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fixture_tasks import adapted_model
+from instruct_forge import autodiff as ad
 from instruct_forge.archive import ArchiveError
 from instruct_forge.model import ContextOverflowError, DecoderModel, ModelConfig, load_checkpoint
+from instruct_forge.tokenizer import PAD
 
 
 def tiny_config(**kw):
@@ -209,6 +211,26 @@ class TestCache:
         before = m.logits(ids)
         m.logits(ids[:10], cache=m.new_cache())
         assert np.array_equal(m.logits(ids), before)
+
+
+class TestBlockedAttention:
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_row_blocks_do_not_change_logits_or_adapter_gradients(self, monkeypatch, layout):
+        ids = np.random.default_rng(6).integers(0, 256, (3, 48))
+        mask = np.arange(48) < np.array([[48], [30], [9]])   # right-padded rows
+        ids[~mask] = PAD
+        results = []
+        for budget in (ad._ATTN_BLOCK, 2 * 4 * 48):    # default, then 2-row blocks
+            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
+            m = adapted_model(layout)
+            logits = m.forward(ids)
+            ad.softmax_cross_entropy(logits, np.roll(ids, -1, axis=1), mask).backward()
+            results.append((logits.data, [t.grad for a in m.adapters.values() for t in (a.A, a.B)]))
+        (logits, grads), (blocked_logits, blocked_grads) = results
+        np.testing.assert_allclose(blocked_logits, logits, rtol=0, atol=1e-5)
+        for g, bg in zip(grads, blocked_grads):
+            assert np.abs(g).max() > 0
+            np.testing.assert_allclose(bg, g, rtol=0, atol=1e-5 * np.abs(g).max())
 
 
 class TestCheckpoint:
