@@ -335,10 +335,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ValueError("layer_norm requires d > 0 and eps > 0")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # centre once: ndarray.var would compute the mean a second time
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
     data = xhat * gain.data + bias.data
 
     def backward_fn(g):

@@ -8,6 +8,7 @@ Each setting is one row of ``SETTINGS``; ``resolve`` applies flag > config file
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -197,7 +198,7 @@ def cmd_train(args, cfg) -> int:
     report = train(model, records, train_cfg, out_dir=out_dir)
     model.save_checkpoint(out_dir / "model.ifta")
     for entry in report:
-        print(json.dumps(entry))
+        print(json.dumps(entry, allow_nan=False))
     return 0
 
 
@@ -221,12 +222,12 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_ppl(args, cfg) -> int:
+    template = QuestionTemplate(body=Path(args.template).read_text(encoding="utf-8")) \
+        if args.template else QuestionTemplate()
     model = _load_model(args)
     items = read_jsonl(args.items, lambda o: PerplexityItem(question=o["question"], response=o["response"]))
     if not items:
         raise ValueError("no items")
-    template = QuestionTemplate(body=Path(args.template).read_text(encoding="utf-8")) \
-        if args.template else QuestionTemplate()
     pooled, report = corpus_perplexity(model, items, template)
     _echo_config({"ppl.model": args.model, "ppl.items": args.items, "ppl.count": len(items)})
     return _emit_report(args, report)
@@ -234,8 +235,8 @@ def cmd_ppl(args, cfg) -> int:
 
 def cmd_generate(args, cfg) -> int:
     settings = resolve("generate", args, cfg)
-    model = _load_model(args)
     params = _build(GenerationParams, settings)
+    model = _load_model(args)
     _echo_config({"generate.model": args.model, **settings})
     result = generate(model, args.prompt, params, seed=settings["seed"])
     print(result.text)
@@ -245,7 +246,7 @@ def cmd_generate(args, cfg) -> int:
 
 
 def _emit_report(args, report) -> int:
-    payload = json.dumps(report.to_dict(), indent=2)
+    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
     print(payload)
     if args.report:
         Path(args.report).write_text(payload, encoding="utf-8")
@@ -297,7 +298,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters. An explicit mallopt turns off glibc's dynamic
+# thresholds, so both are set. With the defaults, a train step's multi-MB
+# temporaries are unmapped or trimmed on free and faulted in again by the next
+# step: about 24,000 page faults a step at 8x256.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20   # step-sized arrays come from the heap; the most older glibc takes on 64-bit
+_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above one step's ~100 MB working set
+
+
+def _keep_freed_memory() -> bool:
+    """Make glibc keep freed arrays in the heap; True if both settings took.
+
+    Does nothing without mallopt (not glibc). Only ``main`` calls it, so
+    importing the package leaves a host application's allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle to the process (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # older glibc returns 0 for an out-of-range value and changes nothing; the trim threshold alone faults more
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config_file(args.config) if args.config else {}

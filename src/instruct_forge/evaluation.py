@@ -105,6 +105,10 @@ class QuestionTemplate:
 
     body: str = QUESTION_BODY
 
+    def __post_init__(self):
+        if "{question}" not in self.body:
+            raise ValueError("question template has no {question} slot")
+
     def render(self, question: str) -> str:
         return self.body.replace("{question}", question)
 

@@ -7,6 +7,7 @@ adapter matrices train; every base weight is frozen at injection time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, asdict
 from fnmatch import fnmatch
 
@@ -31,6 +32,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.r < 1:
             raise LoraConfigError(f"rank must be >= 1, got {self.r}")
+        if not math.isfinite(self.alpha):
+            raise LoraConfigError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.dropout < 1.0:
             raise LoraConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not self.target_names:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,10 @@ class GenerationParams:
     stop_token: int = EOS
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.repetition_penalty < 1.0:
-            raise ValueError("repetition_penalty must be >= 1")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
+        if not 1.0 <= self.repetition_penalty < math.inf:
+            raise ValueError(f"repetition_penalty must be finite and >= 1, got {self.repetition_penalty}")
         if self.max_new_tokens < 0:
             raise ValueError("max_new_tokens must be >= 0")
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -33,6 +34,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -186,7 +189,7 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
             losses.append(train_step(model, batch, optimizer))
         entry = {
             "epoch": epoch,
-            "mean_loss": float(np.mean(losses)) if losses else float("nan"),
+            "mean_loss": float(np.mean(losses)) if losses else None,
             "steps": len(losses),
             "dropped": dropped,
             "seconds": time.monotonic() - start,
@@ -195,7 +198,7 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
         if out_dir is not None:
             save_adapters(model, out_dir / f"adapters-epoch{epoch}.ifta")
             with open(out_dir / "train-report.jsonl", "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry) + "\n")
+                fh.write(json.dumps(entry, allow_nan=False) + "\n")
     model.eval_mode()
     return report
 

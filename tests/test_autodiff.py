@@ -97,6 +97,27 @@ class TestLayerNorm:
         rng = np.random.default_rng(4)
         check_op(lambda x, g, b: ad.layer_norm(x, g, b), [rand(rng, 2, 4), rand(rng, 4), rand(rng, 4)])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_identical_to_mean_var_formula(self, dtype):
+        rng = np.random.default_rng(5)
+        x, gain, bias, g = ((rand(rng, *shape) * 3 + 1).astype(dtype)
+                            for shape in [(3, 5, 64), (64,), (64,), (3, 5, 64)])
+        # reference: the two-pass formula with ndarray.var
+        mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(var + 1e-5)
+        xhat = (x - mu) * inv
+        gd = g * gain
+        dx = inv * (gd - gd.mean(axis=-1, keepdims=True) - xhat * (gd * xhat).mean(axis=-1, keepdims=True))
+
+        tx, tgain, tbias = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
+        out = ad.layer_norm(tx, tgain, tbias)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, xhat * gain + bias)
+        assert np.array_equal(tx.grad, dx)
+        assert np.array_equal(tgain.grad, (g * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(tbias.grad, g.sum(axis=(0, 1)))
+
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_is_log_vocab(self):

@@ -1,16 +1,29 @@
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from instruct_forge import cli
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import PerplexityItem, corpus_perplexity
-from instruct_forge.model import load_checkpoint
+from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
 from instruct_forge.records import load_records
 
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+
+
+def strict_json(text: str):
+    """json.loads that rejects NaN and Infinity."""
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def single_error(capsys) -> str:
@@ -197,6 +210,17 @@ class TestTrain:
         assert rc == 1
         assert "seq_len" in capsys.readouterr().err
 
+    def test_epoch_with_every_record_dropped_is_strict_json(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, [{**row, "output": "x" * 100} for row in dataset_rows(4)])  # > --seq-len 64
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]) == 0
+        printed = [strict_json(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
+        written = [strict_json(line) for line in (out / "train-report.jsonl").read_text(encoding="utf-8").splitlines()]
+        for entries in (printed, written):
+            assert [(e["mean_loss"], e["steps"], e["dropped"]) for e in entries] == [(None, 0, 4)] * 2
+
     def test_echoes_effective_config(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
@@ -268,6 +292,19 @@ class TestPpl:
             model, [PerplexityItem(**i) for i in items])
         assert abs(payload["perplexity_pooled"] - pooled) < 1e-9
         assert abs(payload["perplexity_mean"] - lib_report.perplexity_mean) < 1e-9
+
+    def test_template_without_question_slot_fails(self, tmp_path, capsys, base_model):
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        template = tmp_path / "template.txt"
+        template.write_text("### Response:\n", encoding="utf-8")
+        report = tmp_path / "report.json"
+        capsys.readouterr()
+        rc = main(["ppl", "--model", str(base_model[0]), "--items", str(items),
+                   "--template", str(template), "--report", str(report)])
+        assert rc == 1
+        assert "{question}" in single_error(capsys)
+        assert not report.exists()
 
     def test_empty_items_fails(self, tmp_path, capsys, base_model):
         model_path, _ = base_model
@@ -512,3 +549,86 @@ class TestMalformedRows:
         assert rc == 1
         assert "data.jsonl: line 1: not UTF-8" in single_error(capsys)
         assert not (tmp_path / "run").exists()
+
+
+FLOAT_SETTINGS = [s for s in SETTINGS if s.parse is float]
+
+
+@pytest.fixture(scope="module")
+def untrained_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.ifta"
+    DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64)).save_checkpoint(path)
+    return path
+
+
+class TestNonFiniteSettings:
+    """A nan or infinite float setting is rejected by its owning dataclass before any output."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("setting", FLOAT_SETTINGS, ids=[s.key for s in FLOAT_SETTINGS])
+    def test_one_error_line_and_no_output(self, tmp_path, capsys, untrained_model, setting, source, value):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "o"
+        (command,) = setting.commands
+        argv = {"train": ["train", "--data", str(data), "--out", str(out), *TINY],
+                "generate": ["generate", "--model", str(untrained_model), "--prompt", "Once"]}[command]
+        if source == "flag":
+            argv.append(f"{setting.flag}={value}")
+        else:
+            (tmp_path / "cfg").write_text(f"{setting.key} = {value}\n", encoding="utf-8")
+            argv = ["--config", str(tmp_path / "cfg"), *argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and setting.field in lines[0], lines
+        assert captured.out == ""
+        assert not out.exists()
+
+
+# Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
+# faults that took. argv[1] == "main" first runs cli.main (an eval that exits 1).
+FAULT_PROBE = """
+import resource, sys
+import numpy as np
+from instruct_forge import cli
+if sys.argv[1] == "main":
+    assert cli.main(["eval", "--model", "missing.ifta", "--tasks", "missing.jsonl"]) == 1
+arrays = [np.ones(1 << 18) for _ in range(40)]
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    del arrays
+    arrays = [np.ones(1 << 18) for _ in range(40)]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestMemoryPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    def test_main_keeps_freed_arrays_in_the_heap(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH", "")])
+
+        def faults(mode):
+            run = subprocess.run([sys.executable, "-c", FAULT_PROBE, mode], cwd=tmp_path, env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert run.returncode == 0, run.stderr
+            return int(run.stdout)
+
+        kept = faults("main")
+        assert kept < 1_000
+        # under glibc's defaults the same loop faults again: ~100,000 times with 4 KB pages
+        assert faults("library") > 10 * max(kept, 1)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt")
+    def test_both_settings_in_range(self):
+        assert cli._keep_freed_memory()
+
+    def test_without_mallopt_main_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory() is False
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        assert main(["build-dataset", "--input", str(data), "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert len(load_records(tmp_path / "out.jsonl")[0]) == 4
