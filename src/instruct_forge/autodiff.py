@@ -89,7 +89,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = _accum(self.grad, np.ones_like(self.data))
+        self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -130,10 +130,6 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _accum(current: Optional[np.ndarray], g: np.ndarray) -> np.ndarray:
-    return g.copy() if current is None else current + g
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to ``shape`` after trailing-dim broadcasting."""
     while g.ndim > len(shape):
@@ -172,8 +168,22 @@ def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
 
 
 def _add_grad(t: Tensor, g: np.ndarray):
+    """Accumulate ``g`` into ``t.grad``.
+
+    A graph node's first gradient is ``g`` itself, not a copy, so it may
+    alias the upstream gradient of the op that sent it (``add`` sends the
+    same array to both parents; ``reshape`` and ``transpose`` send views).
+    That is sound only while no backward closure writes into its upstream
+    ``g``: every closure must build new arrays from ``g``. A leaf's first
+    gradient is always a fresh array, so no ``.grad`` the optimizer reads
+    aliases another array of the graph.
+    """
     if _needs_grad(t):
-        t.grad = _accum(t.grad, g.astype(t.data.dtype, copy=False))
+        g = g.astype(t.data.dtype, copy=False)
+        if t.grad is not None:
+            t.grad = t.grad + g
+        else:
+            t.grad = g if t._parents else g.copy()
 
 
 # -- elementwise ---------------------------------------------------------
@@ -225,18 +235,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(x) -> Tensor:
-    """Gaussian error linear unit, tanh approximation."""
+    """Gaussian error linear unit, tanh approximation.
+
+    Forward and backward run in place on two buffers each, in the rounding
+    order of ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x³)))`` and its
+    derivative written out term by term.
+    """
     x = _as_tensor(x)
     xd = x.data
     # repeated products: numpy's float32 power has no fast path for cubes
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
+    t = xd * xd
+    t *= xd
+    t *= 0.044715
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    data = xd * 0.5
+    data *= t + 1.0
 
     def backward_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xd * xd))
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t ** 2) * d_inner
-        _add_grad(x, g * dx)
+        # 0.5 * (1 + t) + 0.5 * x * (1 - t²) * c * (1 + 3 * 0.044715 * x²)
+        dx = xd * 0.5
+        tmp = t * t
+        np.subtract(1.0, tmp, out=tmp)
+        dx *= tmp
+        np.multiply(xd, xd, out=tmp)
+        tmp *= 3 * 0.044715
+        tmp += 1.0
+        tmp *= _GELU_C
+        dx *= tmp
+        np.add(t, 1.0, out=tmp)
+        tmp *= 0.5
+        dx += tmp
+        dx *= g
+        _add_grad(x, dx)
 
     return _node(data, (x,), backward_fn)
 
@@ -325,6 +357,28 @@ def matmul(a, b) -> Tensor:
             _add_grad(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
 
     return _node(data, (a, b), backward_fn)
+
+
+def linear(x, w) -> Tensor:
+    """``x @ wᵀ`` for [..., k] ``x`` and a [d, k] weight, as one graph node.
+
+    The forward equals ``matmul(x, transpose(w))`` bit for bit. The weight
+    gradient is one GEMM over all leading positions,
+    ``g.reshape(-1, d)ᵀ @ x.reshape(-1, k)``.
+    """
+    x, w = _as_tensor(x), _as_tensor(w)
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
+        raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
+    d, k = w.shape
+    data = (x.data @ w.data.T).astype(_result_dtype(x, w), copy=False)
+
+    def backward_fn(g):
+        if _needs_grad(x):
+            _add_grad(x, g @ w.data)
+        if _needs_grad(w):
+            _add_grad(w, g.reshape(-1, d).T @ x.data.reshape(-1, k))
+
+    return _node(data, (x, w), backward_fn)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -421,14 +475,16 @@ def causal_attention(q, k, v, s: float) -> Tensor:
                 dv[..., :n, :] += p.swapaxes(-1, -2) @ gb
             if dq is None and dk is None:
                 continue
+            # rowsum(dP * P) = g · out per row (FlashAttention's identity), an [rows, h] pass
             ds = gb @ vd[..., :n, :].swapaxes(-1, -2)
-            ds -= (ds * p).sum(axis=-1, keepdims=True)
+            ds -= (gb * out[..., r0:r1, :]).sum(axis=-1, keepdims=True)
             ds *= p
-            ds *= s
+            # s scales the [rows, h] products, not the [rows, n] ds
             if dq is not None:
                 dq[..., r0:r1, :] = ds @ kd[..., :n, :]
+                dq[..., r0:r1, :] *= s
             if dk is not None:
-                dk[..., :n, :] += ds.swapaxes(-1, -2) @ qd[..., r0:r1, :]
+                dk[..., :n, :] += ds.swapaxes(-1, -2) @ (qd[..., r0:r1, :] * s)
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if d is not None:
                 _add_grad(t, d)
@@ -497,20 +553,30 @@ def rotary(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
     """Rotary position mixing on the last axis (rotate-half convention).
 
     ``x`` is [..., T, h] with even h; ``cos``/``sin`` are [T, h/2] constants.
-    The map is orthogonal per position, so the gradient is the inverse
-    rotation of the upstream gradient.
+    With the halves swapped, ``x' = [x2, x1]``, the output is
+    ``x * [cos, cos] + x' * [-sin, sin]``. The map is orthogonal per
+    position, so the gradient is the inverse rotation
+    ``g * [cos, cos] - g' * [-sin, sin]``. Negation is exact, so each element
+    rounds as in ``x1 * cos - x2 * sin`` and ``x1 * sin + x2 * cos``.
     """
     x = _as_tensor(x)
     h = x.shape[-1]
     if h % 2 != 0:
         raise ValueError(f"rotary requires an even last dimension, got {h}")
     half = h // 2
-    x1, x2 = x.data[..., :half], x.data[..., half:]
-    data = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+    cc = np.concatenate([cos, cos], axis=-1)
+    ss = np.concatenate([-sin, sin], axis=-1)
+
+    def rotate(a, combine):
+        out = np.multiply(a, cc, order="C")
+        swapped = np.concatenate([a[..., half:], a[..., :half]], axis=-1)
+        swapped *= ss
+        return combine(out, swapped, out=out)
+
+    data = rotate(x.data, np.add)
 
     def backward_fn(g):
-        g1, g2 = g[..., :half], g[..., half:]
-        _add_grad(x, np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1))
+        _add_grad(x, rotate(g, np.subtract))
 
     return _node(data, (x,), backward_fn)
 

@@ -8,7 +8,6 @@ Each setting is one row of ``SETTINGS``; ``resolve`` applies flag > config file
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import os
@@ -18,7 +17,7 @@ from typing import Callable
 
 from .evaluation import ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
 from .lora import LoraConfig, inject, load_adapters, trainable_param_count
-from .model import LAYOUTS, DecoderModel, ModelConfig, load_checkpoint
+from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
 from .prompts import VERSIONS
 from .records import (convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, read_jsonl,
                       save_records)
@@ -296,31 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt", required=True)
 
     return parser
-
-
-# glibc mallopt parameters. An explicit mallopt turns off glibc's dynamic
-# thresholds, so both are set. With the defaults, a train step's multi-MB
-# temporaries are unmapped or trimmed on free and faulted in again by the next
-# step: about 24,000 page faults a step at 8x256.
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 32 << 20   # step-sized arrays come from the heap; the most older glibc takes on 64-bit
-_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above one step's ~100 MB working set
-
-
-def _keep_freed_memory() -> bool:
-    """Make glibc keep freed arrays in the heap; True if both settings took.
-
-    Does nothing without mallopt (not glibc). Only ``main`` calls it, so
-    importing the package leaves a host application's allocator alone.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle to the process (Windows)
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # older glibc returns 0 for an out-of-range value and changes nothing; the trim threshold alone faults more
-    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
 
 
 def main(argv=None) -> int:

@@ -76,9 +76,9 @@ class LoraAdapter:
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T."""
-        base = ad.matmul(x, ad.transpose(self.weight))
+        base = ad.linear(x, self.weight)
         path = ad.dropout(x, self.dropout, rng, training)
-        delta = ad.matmul(ad.matmul(path, ad.transpose(self.A)), ad.transpose(self.B))
+        delta = ad.linear(ad.linear(path, self.A), self.B)
         return ad.add(base, ad.scale(delta, self.scaling))
 
     def merge(self) -> Tensor:

@@ -8,6 +8,7 @@ matrices. Pre-norm residual blocks with rotary position encoding.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, asdict
 
@@ -61,10 +62,39 @@ def _rotary_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]
     return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
 
 
+# glibc mallopt parameters. An explicit mallopt turns off glibc's dynamic
+# thresholds, so both are set. With the defaults, a train step's multi-MB
+# temporaries are unmapped or trimmed on free and faulted in again by the next
+# step (about 24,000 page faults a step at 8x256), and the latency of a
+# generated token shifts with the heap layout that earlier requests left.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20   # step-sized arrays come from the heap; the most older glibc takes on 64-bit
+_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above one step's ~100 MB working set
+
+
+def _keep_freed_memory() -> bool:
+    """Make glibc keep freed arrays in the heap; True if both settings took.
+
+    Does nothing without mallopt (not glibc). ``DecoderModel`` calls it when
+    it is built and ``cli.main`` when it starts, so a program that uses a
+    model runs under the same policy as the CLI; importing the package alone
+    leaves the allocator alone.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no handle to the process (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # older glibc returns 0 for an out-of-range value and changes nothing; the trim threshold alone faults more
+    return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
+
+
 class DecoderModel:
     """Causal transformer over byte-level tokens."""
 
     def __init__(self, config: ModelConfig):
+        _keep_freed_memory()
         self.config = config
         self.training = False
         self.adapters: dict = {}
@@ -122,7 +152,7 @@ class DecoderModel:
         adapter = self.adapters.get(name)
         if adapter is not None and not adapter.merged:
             return adapter.forward(x, training=self.training, rng=self.rng)
-        return ad.matmul(x, ad.transpose(self.params[name]))
+        return ad.linear(x, self.params[name])
 
     def new_cache(self) -> list:
         """An empty K/V cache for ``forward``: one entry per layer."""

@@ -36,8 +36,8 @@ class GenerationResult:
 def apply_repetition_penalty(logits: np.ndarray, generated_ids, penalty: float) -> np.ndarray:
     """Discount already-generated tokens: positive logits are divided by the
     penalty, non-positive logits multiplied by it. Other logits untouched."""
-    if penalty < 1.0:
-        raise ValueError(f"repetition penalty must be >= 1, got {penalty}")
+    if not 1.0 <= penalty < math.inf:
+        raise ValueError(f"repetition penalty must be finite and >= 1, got {penalty}")
     out = np.array(logits, dtype=np.float64, copy=True)
     ids = np.unique(np.asarray(list(generated_ids), dtype=np.int64))
     seen = out[ids]

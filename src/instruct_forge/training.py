@@ -143,15 +143,29 @@ def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBa
 
 
 def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
-    """One forward/backward/update over adapter parameters only."""
+    """One forward/backward/update over adapter parameters only.
+
+    Raises ``ValueError`` when the step overflows or its loss or an adapter
+    gradient is not finite, before the update in the latter case. An
+    overflow can leave the loss finite (layer norm maps an infinite row to
+    zeros), so it is caught where numpy raises it.
+    """
     if not model.adapters:
         raise ValueError("train_step requires a model with injected adapters")
     model.train_mode()
-    logits = model.forward(batch.tokens)
-    loss = ad.softmax_cross_entropy(logits, batch.targets, batch.loss_mask)
-    loss.backward()
-    optimizer.step()
-    return loss.item()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            logits = model.forward(batch.tokens)
+            loss = ad.softmax_cross_entropy(logits, batch.targets, batch.loss_mask)
+            loss.backward()
+            value = loss.item()
+            if not math.isfinite(value) or not all(np.isfinite(p.grad).all() for p in optimizer.params
+                                                   if p.grad is not None):
+                raise ValueError(f"training diverged: loss {value} or an adapter gradient is not finite")
+            optimizer.step()
+    except FloatingPointError as exc:
+        raise ValueError(f"training diverged: {exc}") from None
+    return value
 
 
 def train(model, records, config: TrainConfig, template: PromptTemplate | None = None,

@@ -47,6 +47,40 @@ class TestMatmul:
         check_op(ad.matmul, [rand(rng, 2, 3, 4), rand(rng, 4, 2)])
 
 
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_gradients(self, x_shape):
+        rng = np.random.default_rng(11)
+        check_op(ad.linear, [rand(rng, *x_shape), rand(rng, 3, 4)])
+
+    def test_matches_matmul_of_transpose(self):
+        rng = np.random.default_rng(12)
+        x, w, g = (rand(rng, *shape).astype(np.float32) for shape in [(2, 7, 6), (5, 6), (2, 7, 5)])
+        grads = []
+        for op in (ad.linear, lambda a, b: ad.matmul(a, ad.transpose(b))):
+            tx, tw = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = op(tx, tw)
+            ad.tsum(ad.mul(out, Tensor(g))).backward()
+            grads.append((out.data, tx.grad, tw.grad))
+        (out, dx, dw), (ref_out, ref_dx, ref_dw) = grads
+        assert np.array_equal(out, ref_out)
+        assert np.array_equal(dx, ref_dx)
+        # one GEMM over all positions instead of a batched product summed afterwards
+        np.testing.assert_allclose(dw, ref_dw, rtol=1e-6, atol=1e-6)
+
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(13)
+        x, w = Tensor(rand(rng, 2, 3, 4), requires_grad=True), Tensor(rand(rng, 5, 4))
+        ad.tsum(ad.linear(x, w)).backward()
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, np.broadcast_to(w.data.sum(axis=0), (2, 3, 4)))
+
+    @pytest.mark.parametrize("x_shape,w_shape", [((3, 4), (5, 3)), ((3, 4), (4,)), ((3, 4), (2, 5, 4)), ((), (5, 4))])
+    def test_bad_shapes_rejected(self, x_shape, w_shape):
+        with pytest.raises(ValueError, match="linear"):
+            ad.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)))
+
+
 class TestElementwise:
     def test_add_zero_identity(self):
         x = np.array([1.0, -2.0, 3.0])
@@ -72,6 +106,23 @@ class TestElementwise:
         check_op(ad.mul, [rand(rng, 3, 4), rand(rng, 3, 4)])
         check_op(lambda t: ad.scale(t, -2.5), [rand(rng, 5)])
         check_op(ad.gelu, [rand(rng, 3, 4)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_bit_identical_to_formula(self, dtype):
+        rng = np.random.default_rng(14)
+        x, g = (rand(rng, 3, 5, 16).astype(dtype) * 3 for _ in range(2))
+        # reference: the formula written with fresh temporaries
+        c = math.sqrt(2.0 / math.pi)
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
+
+        tx = Tensor(x, requires_grad=True)
+        out = ad.gelu(tx)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
+        assert np.array_equal(tx.grad, g * dx)
 
     def test_no_mutation(self):
         x = np.array([1.0, 2.0])
@@ -215,6 +266,27 @@ class TestShapeOps:
         angles = np.outer(np.arange(T), [1.0, 0.5])
         cos, sin = np.cos(angles), np.sin(angles)
         check_op(lambda x: ad.rotary(x, cos, sin), [rand(rng, 2, T, h)])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rotary_bit_identical_to_formula(self, dtype):
+        rng = np.random.default_rng(15)
+        B, T, H, h = 2, 7, 3, 8
+        # [B, T, H, h] viewed as [B, H, T, h], as the model passes it
+        x = rand(rng, B, T, H, h).astype(dtype).transpose(0, 2, 1, 3)
+        g = rand(rng, B, H, T, h).astype(dtype)
+        angles = np.outer(np.arange(T), 1.0 / 10000.0 ** (np.arange(h // 2) / (h // 2)))
+        cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+        # reference: each half written out
+        x1, x2, g1, g2 = x[..., :h // 2], x[..., h // 2:], g[..., :h // 2], g[..., h // 2:]
+        ref = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
+        ref_dx = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
+
+        tx = Tensor(x, requires_grad=True)
+        out = ad.rotary(tx, cos, sin)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
+        assert np.array_equal(out.data, ref)
+        assert np.array_equal(tx.grad, ref_dx)
 
     def test_embedding_gradient_scatters(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)

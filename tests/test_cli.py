@@ -221,6 +221,20 @@ class TestTrain:
         for entries in (printed, written):
             assert [(e["mean_loss"], e["steps"], e["dropped"]) for e in entries] == [(None, 0, 4)] * 2
 
+    def test_divergence_stops_before_that_epochs_adapters(self, tmp_path, capsys):
+        # the first update makes LoRA B ~1e30; the next forward overflows in layer norm
+        # while the loss stays finite, and the run used to exit 0 and write it all
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(8))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = main(["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *TINY])
+        assert rc == 1
+        assert "diverged" in single_error(capsys)
+        assert (out / "adapters-epoch0.ifta").exists()
+        assert not (out / "adapters-epoch1.ifta").exists()
+        assert not (out / "model.ifta").exists()
+
     def test_echoes_effective_config(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
@@ -593,8 +607,11 @@ FAULT_PROBE = """
 import resource, sys
 import numpy as np
 from instruct_forge import cli
+from instruct_forge.model import DecoderModel, ModelConfig
 if sys.argv[1] == "main":
     assert cli.main(["eval", "--model", "missing.ifta", "--tasks", "missing.jsonl"]) == 1
+elif sys.argv[1] == "model":
+    DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1))
 arrays = [np.ones(1 << 18) for _ in range(40)]
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(5):
@@ -618,6 +635,8 @@ class TestMemoryPolicy:
 
         kept = faults("main")
         assert kept < 1_000
+        # a library caller that builds a model, and never enters main, gets the same policy
+        assert faults("model") < 1_000
         # under glibc's defaults the same loop faults again: ~100,000 times with 4 KB pages
         assert faults("library") > 10 * max(kept, 1)
 
@@ -626,7 +645,7 @@ class TestMemoryPolicy:
         assert cli._keep_freed_memory()
 
     def test_without_mallopt_main_runs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        monkeypatch.setattr("instruct_forge.model.ctypes.CDLL", lambda name: object())
         assert cli._keep_freed_memory() is False
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))

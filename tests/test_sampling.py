@@ -101,6 +101,12 @@ class TestRepetitionPenalty:
         with pytest.raises(ValueError):
             apply_repetition_penalty(np.array([1.0]), [0], 0.5)
 
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        # NaN used to return [nan nan 3.] here and inf [0, -inf, 3]
+        with pytest.raises(ValueError, match="finite"):
+            apply_repetition_penalty(np.array([1.0, -2.0, 3.0]), [0, 1], penalty)
+
 
 class TestGenerate:
     def test_greedy_follows_script(self):

@@ -131,6 +131,24 @@ class TestTrainStep:
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
         assert losses[-1] < 0.1
 
+    def test_nan_loss_stops_before_the_update(self, monkeypatch):
+        real = ad.softmax_cross_entropy
+
+        def nan_loss(*args):
+            loss = real(*args)
+            loss.data = np.full_like(loss.data, np.nan)  # gradients stay finite
+            return loss
+
+        monkeypatch.setattr(ad, "softmax_cross_entropy", nan_loss)
+        model = adapted_model()
+        params = [t for a in model.adapters.values() for t in (a.A, a.B)]
+        before = [p.data.copy() for p in params]
+        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
+        with pytest.raises(ValueError, match="diverged"):
+            train_step(model, batch, AdamW(params, lr=1e-3))
+        for p, b in zip(params, before):
+            assert np.array_equal(p.data, b)
+
     def test_gradient_reaches_every_adapter(self):
         model = adapted_model()
         batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
@@ -169,6 +187,54 @@ def test_frozen_base_weights_get_no_gradient(layout, targets):
     for frozen_g, full_g in zip(*adapter_grads):
         assert np.abs(frozen_g).max() > 0
         assert np.array_equal(frozen_g, full_g)
+
+
+def graph_nodes(root):
+    """Every tensor reachable from ``root``, root first."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            nodes.append(t)
+            stack.extend(t._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
+                                            ("fused-qkv", ["query_key_value"])])
+def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
+    # a node's first gradient is stored without a copy, so it may alias the
+    # upstream gradient of another node; no closure may write into its g
+    model = inject(tiny_model(attention_layout=layout), LoraConfig(target_names=targets, dropout=0.1))
+    rng = np.random.default_rng(6)
+    for adapter in model.adapters.values():
+        adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+    batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
+    model.train_mode()
+    loss = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
+    nodes = graph_nodes(loss)
+    received = []
+
+    def snapshotting(fn):
+        def wrapped(g):
+            received.append((g, g.copy()))
+            fn(g)
+        return wrapped
+
+    for node in nodes:
+        if node._backward_fn is not None:
+            node._backward_fn = snapshotting(node._backward_fn)
+    loss.backward()
+    assert len(received) == sum(node._backward_fn is not None for node in nodes)
+    for g, snapshot in received:
+        assert np.array_equal(g, snapshot)
+
+    leaves = [t for a in model.adapters.values() for t in (a.A, a.B)]
+    arrays = [n.data for n in nodes] + [n.grad for n in nodes if n.grad is not None]
+    for leaf in leaves:
+        others = [a for a in arrays if a is not leaf.grad]
+        assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
 
 
 class TestTrainLoop:
