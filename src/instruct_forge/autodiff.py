@@ -273,14 +273,19 @@ def gelu(x) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
+def dropout_mask(shape: tuple, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
+    """Inverted-scaling keep mask: 0 with probability ``p``, else 1/(1-p)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
 def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted-scaling dropout; identity in evaluation mode or at p=0."""
     x = _as_tensor(x)
     if not training or p == 0.0:
         return x
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    keep = dropout_mask(x.shape, p, rng, x.data.dtype)
     data = x.data * keep
 
     def backward_fn(g):
@@ -311,6 +316,33 @@ def transpose(x, axes=None) -> Tensor:
 
     def backward_fn(g):
         _add_grad(x, g.transpose(np.argsort(axes)))
+
+    return _node(data, (x,), backward_fn)
+
+
+def split_heads(x, H: int) -> Tensor:
+    """[..., T, H·hd] to [..., H, T, hd]: ``reshape`` then ``transpose`` as one node."""
+    x = _as_tensor(x)
+    if x.ndim < 2 or x.shape[-1] % H != 0:
+        raise ValueError(f"split_heads: last dimension of {x.shape} is not a multiple of {H} heads")
+    data = x.data.reshape(x.shape[:-1] + (H, x.shape[-1] // H)).swapaxes(-2, -3)
+
+    def backward_fn(g):
+        _add_grad(x, g.swapaxes(-2, -3).reshape(x.shape))
+
+    return _node(data, (x,), backward_fn)
+
+
+def merge_heads(x) -> Tensor:
+    """[..., H, T, hd] to [..., T, H·hd], the inverse of ``split_heads``, as one node."""
+    x = _as_tensor(x)
+    if x.ndim < 3:
+        raise ValueError(f"merge_heads: expected [..., H, T, hd], got {x.shape}")
+    *lead, H, T, hd = x.shape
+    data = x.data.swapaxes(-2, -3).reshape(*lead, T, H * hd)
+
+    def backward_fn(g):
+        _add_grad(x, g.reshape(*lead, T, H, hd).swapaxes(-2, -3))
 
     return _node(data, (x,), backward_fn)
 
@@ -381,6 +413,50 @@ def linear(x, w) -> Tensor:
     return _node(data, (x, w), backward_fn)
 
 
+def lora_linear(x, w, a, b, s: float, keep: Optional[np.ndarray] = None) -> Tensor:
+    """``x @ wᵀ + s · ((x ∘ keep) @ aᵀ) @ bᵀ`` for a [d, k] ``w``, [r, k] ``a``
+    and [d, r] ``b``, as one graph node; ``keep=None`` means no dropout.
+
+    The forward rounds as the chain ``add(linear(x, w), scale(linear(linear(
+    dropout(x), a), b), s))`` does: the base GEMM, then ``(u @ bᵀ) * s``, then
+    the add. With ``gs = s · g``, the gradients are ``dB = gsᵀ u``,
+    ``dA = (gs B)ᵀ (x ∘ keep)`` and ``dx = g W + (gs B A) ∘ keep``.
+    """
+    x, w, a, b = _as_tensor(x), _as_tensor(w), _as_tensor(a), _as_tensor(b)
+    xd, wd = x.data, w.data
+    ash, bsh = a.data.shape, b.data.shape
+    if (wd.ndim != 2 or len(ash) != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1] or ash[1] != wd.shape[1]
+            or bsh != (wd.shape[0], ash[0]) or (keep is not None and keep.shape != xd.shape)):
+        raise ValueError(f"lora_linear: input {xd.shape} does not fit weight {wd.shape}, A {ash}, B {bsh}")
+    (d, k), r = wd.shape, ash[0]
+    dtype = _result_dtype(x, w, a, b)
+    path = xd if keep is None else xd * keep
+    u = (path @ a.data.T).astype(dtype, copy=False)
+    delta = (u @ b.data.T).astype(dtype, copy=False)
+    delta *= s
+    data = (xd @ wd.T).astype(dtype, copy=False)
+    data += delta
+
+    def backward_fn(g):
+        gs = g * s
+        gsb = gs @ b.data
+        if _needs_grad(b):
+            _add_grad(b, gs.reshape(-1, d).T @ u.reshape(-1, r))
+        if _needs_grad(a):
+            _add_grad(a, gsb.reshape(-1, r).T @ path.reshape(-1, k))
+        if _needs_grad(w):
+            _add_grad(w, g.reshape(-1, d).T @ xd.reshape(-1, k))
+        if _needs_grad(x):
+            dpath = gsb @ a.data
+            if keep is not None:
+                dpath *= keep
+            dx = g @ wd
+            dx += dpath
+            _add_grad(x, dx)
+
+    return _node(data, (x, w, a, b), backward_fn)
+
+
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis, then affine."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
@@ -389,9 +465,10 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ValueError("layer_norm requires d > 0 and eps > 0")
     if gain.shape != (d,) or bias.shape != (d,):
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
-    # centre once: ndarray.var would compute the mean a second time
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)
+    # centre once: ndarray.var would compute the mean a second time. Each mean
+    # is the ufunc reduction ndarray.mean runs, without its Python wrapper.
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
     data = xhat * gain.data + bias.data
 
@@ -403,8 +480,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             _add_grad(bias, g.sum(axis=reduce_axes))
         if _needs_grad(x):
             gd = g * gain.data
-            m1 = gd.mean(axis=-1, keepdims=True)
-            m2 = (gd * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gd, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gd * xhat, axis=-1, keepdims=True) / d
             _add_grad(x, inv * (gd - m1 - xhat * m2))
 
     return _node(data, (x, gain, bias), backward_fn)
@@ -451,16 +528,20 @@ def causal_attention(q, k, v, s: float) -> Tensor:
     grad = _needs_grad(q) or _needs_grad(k) or _needs_grad(v)
     rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
     out = np.empty(q.shape[:-1] + v.shape[-1:], _result_dtype(q, k, v))
+    tri = None  # the first block's mask; later blocks use its top-left corner, one-row blocks none
     blocks = []
     for r0 in range(0, T, rows):
         r1 = min(r0 + rows, T)
         n = S - T + r1
         p = qd[..., r0:r1, :] @ kd[..., :n, :].swapaxes(-1, -2)
         p *= s
-        p[..., n - (r1 - r0):] += np.triu(np.full((r1 - r0, r1 - r0), -1e9, dtype=p.dtype), k=1)
-        p -= p.max(axis=-1, keepdims=True)
+        if r1 - r0 > 1:
+            if tri is None:
+                tri = np.triu(np.full((r1 - r0, r1 - r0), -1e9, dtype=p.dtype), k=1)
+            p[..., n - (r1 - r0):] += tri[:r1 - r0, :r1 - r0]
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        p /= np.add.reduce(p, axis=-1, keepdims=True)
         out[..., r0:r1, :] = p @ vd[..., :n, :]
         if grad:
             blocks.append((r0, r1, n, p))
@@ -477,7 +558,7 @@ def causal_attention(q, k, v, s: float) -> Tensor:
                 continue
             # rowsum(dP * P) = g · out per row (FlashAttention's identity), an [rows, h] pass
             ds = gb @ vd[..., :n, :].swapaxes(-1, -2)
-            ds -= (gb * out[..., r0:r1, :]).sum(axis=-1, keepdims=True)
+            ds -= np.add.reduce(gb * out[..., r0:r1, :], axis=-1, keepdims=True)
             ds *= p
             # s scales the [rows, h] products, not the [rows, n] ds
             if dq is not None:
@@ -492,6 +573,11 @@ def causal_attention(q, k, v, s: float) -> Tensor:
     return _node(out, (q, k, v), backward_fn)
 
 
+def _out_of_range(ids: np.ndarray, n: int) -> bool:
+    """True if an id lies outside [0, n); ufunc reductions, without ndarray.min/max's Python wrapper."""
+    return bool(ids.size and (np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= n))
+
+
 def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
     """Mean negative log-likelihood of ``targets`` over unmasked positions.
 
@@ -503,7 +589,7 @@ def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
     ids = np.asarray(targets, dtype=np.int64)
     if ids.shape != logits.shape[:-1]:
         raise ValueError(f"targets shape {ids.shape} does not match logits {logits.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+    if _out_of_range(ids, vocab):
         raise ValueError(f"target ids must be in [0, {vocab})")
     if loss_mask is None:
         mask = np.ones(ids.shape, dtype=bool)
@@ -537,7 +623,7 @@ def embedding(table, ids) -> Tensor:
     """Row lookup ``table[ids]`` with scatter-add gradient."""
     table = _as_tensor(table)
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    if _out_of_range(idx, table.shape[0]):
         raise ValueError(f"embedding ids must be in [0, {table.shape[0]})")
     data = table.data[idx]
 

@@ -182,6 +182,8 @@ def cmd_train(args, cfg) -> int:
     if not records:
         raise ValueError("no records")
     inject(model, lora_cfg)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # after the --init-from checks, before any output
     _echo_config({
         "seed": settings["seed"],
         **{f"model.{k}": v for k, v in model.config.to_dict().items()},
@@ -192,8 +194,6 @@ def cmd_train(args, cfg) -> int:
         "trainable_params": trainable_param_count(model),
         "adapters": len(model.adapters),
     })
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = train(model, records, train_cfg, out_dir=out_dir)
     model.save_checkpoint(out_dir / "model.ifta")
     for entry in report:
@@ -216,8 +216,7 @@ def cmd_eval(args, cfg) -> int:
     model = _load_model(args)
     tasks = _load_tasks(args.tasks, settings["eval.prompt_version"])
     report = run_choice_eval(model, tasks, settings["eval.shots"], tuning_seq_len=settings["eval.seq_len"])
-    _echo_config({"eval.model": args.model, "eval.tasks": args.tasks, **settings})
-    return _emit_report(args, report)
+    return _emit_report(args, report, {"eval.model": args.model, "eval.tasks": args.tasks, **settings})
 
 
 def cmd_ppl(args, cfg) -> int:
@@ -228,14 +227,14 @@ def cmd_ppl(args, cfg) -> int:
     if not items:
         raise ValueError("no items")
     pooled, report = corpus_perplexity(model, items, template)
-    _echo_config({"ppl.model": args.model, "ppl.items": args.items, "ppl.count": len(items)})
-    return _emit_report(args, report)
+    return _emit_report(args, report, {"ppl.model": args.model, "ppl.items": args.items, "ppl.count": len(items)})
 
 
 def cmd_generate(args, cfg) -> int:
     settings = resolve("generate", args, cfg)
     params = _build(GenerationParams, settings)
     model = _load_model(args)
+    args.prompt.encode("utf-8")  # a lone surrogate (undecodable argv bytes) fails here, before any output
     _echo_config({"generate.model": args.model, **settings})
     result = generate(model, args.prompt, params, seed=settings["seed"])
     print(result.text)
@@ -244,11 +243,13 @@ def cmd_generate(args, cfg) -> int:
     return 0
 
 
-def _emit_report(args, report) -> int:
+def _emit_report(args, report, config: dict) -> int:
+    """Write ``--report`` first, so a bad path fails before anything reaches stdout."""
     payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
-    print(payload)
     if args.report:
         Path(args.report).write_text(payload, encoding="utf-8")
+    _echo_config(config)
+    print(payload)
     return 0
 
 

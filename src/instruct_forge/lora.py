@@ -75,11 +75,14 @@ class LoraAdapter:
         return self.scaling * (self.B.data @ self.A.data)
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T."""
-        base = ad.linear(x, self.weight)
-        path = ad.dropout(x, self.dropout, rng, training)
-        delta = ad.linear(ad.linear(path, self.A), self.B)
-        return ad.add(base, ad.scale(delta, self.scaling))
+        """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T, as one ``ad.lora_linear`` node.
+
+        The dropout mask comes from ``ad.dropout_mask``, as in ``ad.dropout``.
+        """
+        keep = None
+        if training and self.dropout != 0.0:
+            keep = ad.dropout_mask(x.shape, self.dropout, rng, x.data.dtype)
+        return ad.lora_linear(x, self.weight, self.A, self.B, self.scaling, keep)
 
     def merge(self) -> Tensor:
         """Fold the delta into the base weight; returns the plain weight."""

@@ -174,7 +174,7 @@ class DecoderModel:
         if single:
             ids = ids[None, :]
         cfg = self.config
-        B, T = ids.shape
+        T = ids.shape[1]
         P = 0 if cache is None or cache[0] is None else cache[0][0].shape[2]
         if P + T > cfg.max_seq_len:
             raise ContextOverflowError(f"input length {P + T} exceeds max_seq_len {cfg.max_seq_len}")
@@ -195,18 +195,15 @@ class DecoderModel:
                 k = self._linear(p + "attn.k_proj", x)
                 v = self._linear(p + "attn.v_proj", x)
             # [B, T, d] -> [B, H, T, hd]
-            q = ad.transpose(ad.reshape(q, (B, T, H, hd)), (0, 2, 1, 3))
-            k = ad.transpose(ad.reshape(k, (B, T, H, hd)), (0, 2, 1, 3))
-            v = ad.transpose(ad.reshape(v, (B, T, H, hd)), (0, 2, 1, 3))
-            q = ad.rotary(q, cos, sin)
-            k = ad.rotary(k, cos, sin)
+            q = ad.rotary(ad.split_heads(q, H), cos, sin)
+            k = ad.rotary(ad.split_heads(k, H), cos, sin)
+            v = ad.split_heads(v, H)
             if cache is not None:
                 if cache[i] is not None:
                     k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
                     v = Tensor(np.concatenate([cache[i][1], v.data], axis=2))
                 cache[i] = (k.data, v.data)
-            ctx = ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd))
-            ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (B, T, cfg.d_model))
+            ctx = ad.merge_heads(ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd)))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")
             h = ad.add(h, self._linear(out_name, ctx))
 

@@ -81,6 +81,106 @@ class TestLinear:
             ad.linear(Tensor(np.ones(x_shape)), Tensor(np.ones(w_shape)))
 
 
+def lora_chain(x, w, a, b, s, keep=None):
+    """The five-op chain lora_linear replaces: base, dropout, down, up, scale, add."""
+    path = x if keep is None else ad.mul(x, Tensor(keep))
+    return ad.add(ad.linear(x, w), ad.scale(ad.linear(ad.linear(path, a), b), s))
+
+
+class TestLoraLinear:
+    def operands(self, rng, x_shape, d=5, r=2, dtype=np.float64):
+        k = x_shape[-1]
+        return [rand(rng, *shape).astype(dtype) for shape in (x_shape, (d, k), (r, k), (d, r))]
+
+    def keep(self, rng, shape, p=0.4, dtype=np.float64):
+        return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+    @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_gradients(self, x_shape, dropout):
+        rng = np.random.default_rng(31)
+        keep = self.keep(rng, x_shape) if dropout else None
+        check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, keep), self.operands(rng, x_shape))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_forward_equals_the_chain_bit_for_bit(self, dtype, dropout):
+        rng = np.random.default_rng(32)
+        x, w, a, b = (Tensor(v) for v in self.operands(rng, (2, 7, 6), d=9, r=3, dtype=dtype))
+        keep = self.keep(rng, x.shape, dtype=dtype) if dropout else None
+        out = ad.lora_linear(x, w, a, b, 4.0, keep)
+        assert out.data.dtype == dtype
+        assert np.array_equal(out.data, lora_chain(x, w, a, b, 4.0, keep).data)
+
+    def test_gradients_match_the_chain(self):
+        rng = np.random.default_rng(33)
+        arrays = self.operands(rng, (2, 7, 6), d=9, r=3, dtype=np.float32)
+        keep = self.keep(rng, (2, 7, 6), dtype=np.float32)
+        g = rand(rng, 2, 7, 9).astype(np.float32)
+        grads = []
+        for op in (ad.lora_linear, lora_chain):
+            tensors = [Tensor(v, requires_grad=True) for v in arrays]
+            ad.tsum(ad.mul(op(*tensors, 4.0, keep), Tensor(g))).backward()
+            grads.append([t.grad for t in tensors])
+        for got, ref in zip(*grads):
+            # dx sums the base and adapter paths in one order, the chain in another
+            np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    def test_frozen_weight_gets_no_gradient(self):
+        rng = np.random.default_rng(34)
+        x, w, a, b = self.operands(rng, (2, 3, 4))
+        tx, tw, ta, tb = Tensor(x, requires_grad=True), Tensor(w), Tensor(a, requires_grad=True), Tensor(b)
+        ad.tsum(ad.lora_linear(tx, tw, ta, tb, 2.0)).backward()
+        assert tw.grad is None and tb.grad is None
+        assert ta.grad.shape == a.shape and tx.grad.shape == x.shape
+
+    @pytest.mark.parametrize("x_shape,w_shape,a_shape,b_shape,keep_shape", [
+        ((3, 4), (5, 3), (2, 4), (5, 2), None),     # x does not fit w
+        ((3, 4), (5, 4), (2, 3), (5, 2), None),     # a does not fit x
+        ((3, 4), (5, 4), (2, 4), (2, 5), None),     # b transposed
+        ((3, 4), (5, 4), (2, 4), (5, 3), None),     # b's rank differs from a's
+        ((3, 4), (5, 4), (4,), (5, 2), None),       # a not 2-D
+        ((3, 4), (5, 4), (2, 4), (5, 2), (4, 3)),   # keep does not match x
+    ])
+    def test_bad_shapes_rejected(self, x_shape, w_shape, a_shape, b_shape, keep_shape):
+        operands = [Tensor(np.ones(shape)) for shape in (x_shape, w_shape, a_shape, b_shape)]
+        keep = None if keep_shape is None else np.ones(keep_shape)
+        with pytest.raises(ValueError, match="lora_linear"):
+            ad.lora_linear(*operands, 1.0, keep)
+
+
+class TestHeads:
+    @pytest.mark.parametrize("shape", [(6, 12), (2, 5, 12)])
+    def test_gradients(self, shape):
+        rng = np.random.default_rng(35)
+        check_op(lambda x: ad.split_heads(x, 3), [rand(rng, *shape)])
+        check_op(ad.merge_heads, [rand(rng, *shape[:-2], 3, shape[-2], 4)])
+
+    def test_equal_reshape_then_transpose(self):
+        rng = np.random.default_rng(36)
+        B, T, H, hd = 2, 5, 3, 4
+        x, g = rand(rng, B, T, H * hd), rand(rng, B, H, T, hd)
+        grads, outs = [], []
+        for split in (lambda t: ad.split_heads(t, H),
+                      lambda t: ad.transpose(ad.reshape(t, (B, T, H, hd)), (0, 2, 1, 3))):
+            tx = Tensor(x, requires_grad=True)
+            heads = split(tx)
+            merged = ad.merge_heads(heads)
+            ad.tsum(ad.mul(heads, Tensor(g))).backward()
+            outs.append(heads.data)
+            grads.append(tx.grad)
+            assert np.array_equal(merged.data, x)
+        assert np.array_equal(outs[0], outs[1])
+        assert np.array_equal(grads[0], grads[1])
+        ref = ad.reshape(ad.transpose(Tensor(g), (0, 2, 1, 3)), (B, T, H * hd)).data
+        assert np.array_equal(ad.merge_heads(Tensor(g)).data, ref)
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(ValueError, match="split_heads"):
+            ad.split_heads(Tensor(np.ones((2, 3, 10))), 4)
+        with pytest.raises(ValueError, match="merge_heads"):
+            ad.merge_heads(Tensor(np.ones((3, 4))))
+
 class TestElementwise:
     def test_add_zero_identity(self):
         x = np.array([1.0, -2.0, 3.0])

@@ -601,6 +601,38 @@ class TestNonFiniteSettings:
         assert not out.exists()
 
 
+
+class TestFailsBeforeOutput:
+    """A bad output path or prompt: one `error:` line, exit 1, nothing on stdout."""
+
+    def assert_failed_silently(self, capsys, argv, named):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "ppl"])
+    def test_report_in_missing_directory(self, tmp_path, capsys, untrained_model, command):
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        inputs = {"eval": ["--tasks", str(TestEval().tasks_file(tmp_path, n=1)), "--shots", "0"],
+                  "ppl": ["--items", str(items)]}[command]
+        report = tmp_path / "missing_dir" / "r.json"
+        argv = [command, "--model", str(untrained_model), *inputs, "--report", str(report)]
+        self.assert_failed_silently(capsys, argv, "No such file or directory")
+
+    def test_prompt_that_is_not_utf8(self, capsys, untrained_model):
+        # Linux hands undecodable argv bytes to Python as lone surrogates
+        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi \udcff", "--max-new-tokens", "1"]
+        self.assert_failed_silently(capsys, argv, "surrogates not allowed")
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        self.assert_failed_silently(capsys, ["train", "--data", str(data), "--out", str(data / "run"), *TINY],
+                                    "Not a directory")
+
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
 # faults that took. argv[1] == "main" first runs cli.main (an eval that exits 1).
 FAULT_PROBE = """

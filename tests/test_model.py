@@ -212,6 +212,19 @@ class TestCache:
         m.logits(ids[:10], cache=m.new_cache())
         assert np.array_equal(m.logits(ids), before)
 
+    # one node per op at the default size (4 layers): 18 a layer on split-qv,
+    # 19 on fused-qkv (its three slices), plus embedding, final norm, lm_head
+    # and the [1, 1, V] -> [1, V] reshape
+    @pytest.mark.parametrize("layout,bound", [("split-qv", 76), ("fused-qkv", 80)])
+    def test_graph_nodes_per_cached_token(self, monkeypatch, layout, bound):
+        m = adapted_model(layout)
+        cache = m.new_cache()
+        m.logits(list(range(20)), cache=cache)
+        nodes = []
+        node = ad._node
+        monkeypatch.setattr(ad, "_node", lambda *args: nodes.append(1) or node(*args))
+        m.logits([20], cache=cache)
+        assert 0 < len(nodes) <= bound
 
 class TestBlockedAttention:
     @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
