@@ -360,6 +360,22 @@ def slice_last(x, start: int, stop: int) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
+def last_rows(x, n: int) -> Tensor:
+    """The last ``n`` rows, ``x[..., -n:, :]``, of an [..., T, h] tensor."""
+    x = _as_tensor(x)
+    T = x.shape[-2] if x.ndim >= 2 else 0
+    if not 1 <= n <= T:
+        raise ValueError(f"last_rows: cannot take {n} rows of a tensor of shape {x.shape}")
+    data = x.data[..., T - n:, :]
+
+    def backward_fn(g):
+        full = np.zeros_like(x.data)
+        full[..., T - n:, :] = g
+        _add_grad(x, full)
+
+    return _node(data, (x,), backward_fn)
+
+
 def tsum(x) -> Tensor:
     """Sum all elements to a scalar."""
     x = _as_tensor(x)

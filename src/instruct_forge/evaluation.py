@@ -7,9 +7,10 @@ exponential of the mean negative log-likelihood, computed over response
 tokens only (the question prompt never enters the sum).
 
 Models are consumed through a narrow protocol: ``model.logits(ids)``
-returning a [T, V] array, plus a ``max_seq_len`` attribute. Choice
-classification also uses ``new_cache`` and ``logits(ids, cache=...)`` when
-the model has them, to run a shared prompt once for all its choices.
+returning a [T, V] array, plus a ``max_seq_len`` attribute. A model with
+``new_cache`` also takes ``logits(ids, cache=..., last=...)``: choice
+classification then runs a shared prompt once for all its choices, and
+scoring computes only the logit rows that predict the continuation.
 """
 
 from __future__ import annotations
@@ -203,6 +204,18 @@ def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
     return cont
 
 
+def _score(model, prompt: str, cont: list, tokenizer: ByteTokenizer) -> float:
+    """``score_continuation`` for an already encoded continuation."""
+    ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids + cont
+    max_len = getattr(model, "max_seq_len", None)
+    if max_len is not None and len(ids) > max_len:
+        if len(cont) + 1 > max_len:
+            raise ValueError(f"continuation of {len(cont)} tokens cannot fit the {max_len}-token context")
+        ids = ids[-max_len:]
+    rows = {"last": len(cont)} if hasattr(model, "new_cache") else {}
+    return _continuation_logp(model.logits(ids[:-1], **rows), cont)
+
+
 def score_continuation(model, prompt: str, continuation: str,
                        tokenizer: ByteTokenizer | None = None) -> float:
     """Summed log-likelihood of the continuation tokens given the prompt.
@@ -211,14 +224,7 @@ def score_continuation(model, prompt: str, continuation: str,
     and the whole continuation.
     """
     tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    cont = _encode_continuation(continuation, tokenizer)
-    ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids + cont
-    max_len = getattr(model, "max_seq_len", None)
-    if max_len is not None and len(ids) > max_len:
-        if len(cont) + 1 > max_len:
-            raise ValueError(f"continuation of {len(cont)} tokens cannot fit the {max_len}-token context")
-        ids = ids[-max_len:]
-    return _continuation_logp(model.logits(ids[:-1]), cont)
+    return _score(model, prompt, _encode_continuation(continuation, tokenizer), tokenizer)
 
 
 def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
@@ -238,7 +244,7 @@ def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
     if not hasattr(model, "new_cache") or (max_len is not None and len(ctx) + max(map(len, conts)) > max_len):
         return [score_continuation(model, prompt, c, tokenizer) for c in task.choices]
     cache = model.new_cache()
-    last = model.logits(ctx, cache=cache)[-1:]
+    last = model.logits(ctx, cache=cache, last=1)
     scores = []
     for cont in conts:
         rows = last if len(cont) == 1 else np.concatenate([last, model.logits(cont[:-1], cache=list(cache))])
@@ -260,16 +266,19 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec,
 # -- perplexity ---------------------------------------------------------------
 
 
+def _item_nll(model, item: PerplexityItem, template: QuestionTemplate,
+              tokenizer: ByteTokenizer) -> tuple[float, int]:
+    """Negative log-likelihood of the item's response and its token count."""
+    cont = _encode_continuation(item.response, tokenizer)
+    return -_score(model, template.render(item.question), cont, tokenizer), len(cont)
+
+
 def response_perplexity(model, item: PerplexityItem,
                         prompt_template: QuestionTemplate | None = None,
                         tokenizer: ByteTokenizer | None = None) -> float:
     """exp of the mean negative log-likelihood over response tokens only."""
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    template = prompt_template or QuestionTemplate()
-    prompt = template.render(item.question)
-    n = len(tokenizer.encode(item.response).ids)
-    total_logp = score_continuation(model, prompt, item.response, tokenizer)
-    return math.exp(-total_logp / n)
+    nll, n = _item_nll(model, item, prompt_template or QuestionTemplate(), tokenizer or _DEFAULT_TOKENIZER)
+    return math.exp(nll / n)
 
 
 def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None,
@@ -283,12 +292,10 @@ def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = N
     total_tokens = 0
     per_item = []
     for item in items:
-        prompt = template.render(item.question)
-        n = len(tokenizer.encode(item.response).ids)
-        logp = score_continuation(model, prompt, item.response, tokenizer)
-        total_nll += -logp
+        nll, n = _item_nll(model, item, template, tokenizer)
+        total_nll += nll
         total_tokens += n
-        per_item.append(math.exp(-logp / n))
+        per_item.append(math.exp(nll / n))
     pooled = math.exp(total_nll / total_tokens)
     report = EvalReport(
         perplexity_pooled=pooled,

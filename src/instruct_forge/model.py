@@ -158,7 +158,7 @@ class DecoderModel:
         """An empty K/V cache for ``forward``: one entry per layer."""
         return [None] * self.config.n_layers
 
-    def forward(self, tokens, cache: list | None = None) -> Tensor:
+    def forward(self, tokens, cache: list | None = None, last: int | None = None) -> Tensor:
         """Causal logits for a [T] sequence or a [B, T] batch of ids.
 
         With a ``cache`` from ``new_cache``, the ids continue the P positions
@@ -166,6 +166,11 @@ class DecoderModel:
         and its entry is replaced by one that holds all P + T positions. Entries
         are replaced, never modified, so ``list(cache)`` branches a cache.
         Cached keys and values are plain arrays outside the autodiff graph.
+
+        With ``last=n`` only the logits of the last n positions are computed,
+        [n, V] or [B, n, V]; ``last >= T`` gives all T. Every layer still builds
+        keys and values for all positions, but the final layer's queries,
+        attention output, MLP, the final norm and the LM head run on n rows.
         """
         if isinstance(tokens, TokenSequence):
             tokens = tokens.ids
@@ -175,6 +180,9 @@ class DecoderModel:
             ids = ids[None, :]
         cfg = self.config
         T = ids.shape[1]
+        if last is not None and last < 1:
+            raise ValueError(f"last must be >= 1, got {last}")
+        n = T if last is None else min(last, T)
         P = 0 if cache is None or cache[0] is None else cache[0][0].shape[2]
         if P + T > cfg.max_seq_len:
             raise ContextOverflowError(f"input length {P + T} exceeds max_seq_len {cfg.max_seq_len}")
@@ -184,20 +192,26 @@ class DecoderModel:
         h = ad.embedding(self.params["embedding"], ids)
         for i in range(cfg.n_layers):
             p = f"layers.{i}."
+            # past the final layer's keys and values, only the last n rows go on
+            cut = n < T and i == cfg.n_layers - 1
             x = ad.layer_norm(h, self.params[p + "ln1.gain"], self.params[p + "ln1.bias"])
             if cfg.attention_layout == "fused-qkv":
                 qkv = self._linear(p + "attn.query_key_value", x)
                 q = ad.slice_last(qkv, 0, cfg.d_model)
                 k = ad.slice_last(qkv, cfg.d_model, 2 * cfg.d_model)
                 v = ad.slice_last(qkv, 2 * cfg.d_model, 3 * cfg.d_model)
+                if cut:
+                    q = ad.last_rows(q, n)
             else:
-                q = self._linear(p + "attn.q_proj", x)
+                q = self._linear(p + "attn.q_proj", ad.last_rows(x, n) if cut else x)
                 k = self._linear(p + "attn.k_proj", x)
                 v = self._linear(p + "attn.v_proj", x)
             # [B, T, d] -> [B, H, T, hd]
-            q = ad.rotary(ad.split_heads(q, H), cos, sin)
             k = ad.rotary(ad.split_heads(k, H), cos, sin)
             v = ad.split_heads(v, H)
+            if cut:   # the kept query rows keep their absolute positions
+                h, cos, sin = ad.last_rows(h, n), cos[T - n:], sin[T - n:]
+            q = ad.rotary(ad.split_heads(q, H), cos, sin)
             if cache is not None:
                 if cache[i] is not None:
                     k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
@@ -214,15 +228,16 @@ class DecoderModel:
         h = ad.layer_norm(h, self.params["final_norm.gain"], self.params["final_norm.bias"])
         logits = self._linear("lm_head", h)
         if single:
-            logits = ad.reshape(logits, (T, cfg.vocab_size))
+            logits = ad.reshape(logits, (n, cfg.vocab_size))
         return logits
 
-    def logits(self, ids, cache: list | None = None) -> np.ndarray:
-        """Evaluation-mode logits as a plain [T, V] array; ``cache`` as in ``forward``."""
+    def logits(self, ids, cache: list | None = None, last: int | None = None) -> np.ndarray:
+        """Evaluation-mode logits as a plain [T, V] array, [n, V] with ``last=n``;
+        ``cache`` and ``last`` as in ``forward``."""
         was_training = self.training
         self.training = False
         try:
-            return self.forward(ids, cache).data
+            return self.forward(ids, cache, last).data
         finally:
             self.training = was_training
 

@@ -60,6 +60,7 @@ def generate(model, prompt: str, params: GenerationParams,
     rng = np.random.default_rng(seed)
     max_len = getattr(model, "max_seq_len", None)
     cache = model.new_cache() if hasattr(model, "new_cache") else None
+    rows = {} if cache is None else {"last": 1}   # only the next-token row is read
     cached = 0                        # ids[:cached] are in the cache
     generated: list[int] = []
     truncated = False
@@ -70,11 +71,11 @@ def generate(model, prompt: str, params: GenerationParams,
             truncated = True
             cache = None
         if cache is None:
-            logits = model.logits(ctx)
+            logits = model.logits(ctx, **rows)
         else:
-            logits = model.logits(ids[cached:], cache=cache)
+            logits = model.logits(ids[cached:], cache=cache, **rows)
             cached = len(ids)
-        row = np.asarray(logits, dtype=np.float64)[-1]
+        row = np.asarray(logits[-1], dtype=np.float64)
         row = apply_repetition_penalty(row, generated, params.repetition_penalty)
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))

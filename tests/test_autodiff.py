@@ -181,6 +181,30 @@ class TestHeads:
         with pytest.raises(ValueError, match="merge_heads"):
             ad.merge_heads(Tensor(np.ones((3, 4))))
 
+
+class TestLastRows:
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_gradient(self, shape, n):
+        rng = np.random.default_rng(37)
+        w = Tensor(rand(rng, *shape[:-2], n, shape[-1]))   # weighted, so each kept element's gradient differs
+        check_op(lambda x: ad.last_rows(x, n), [rand(rng, *shape)], reduce=lambda t: ad.tsum(ad.mul(t, w)))
+
+    def test_forward_and_gradient_are_the_row_slice(self):
+        rng = np.random.default_rng(38)
+        x = Tensor(rand(rng, 2, 6, 4), requires_grad=True)
+        g = rand(rng, 2, 2, 4)
+        out = ad.last_rows(x, 2)
+        ad.tsum(ad.mul(out, Tensor(g))).backward()
+        assert np.array_equal(out.data, x.data[:, -2:])
+        assert np.array_equal(x.grad[:, -2:], g) and not x.grad[:, :-2].any()
+
+    @pytest.mark.parametrize("shape,n", [((4, 3), 0), ((4, 3), 5), ((4,), 1)])
+    def test_bad_row_counts_rejected(self, shape, n):
+        with pytest.raises(ValueError, match="last_rows"):
+            ad.last_rows(Tensor(np.ones(shape)), n)
+
+
 class TestElementwise:
     def test_add_zero_identity(self):
         x = np.array([1.0, -2.0, 3.0])

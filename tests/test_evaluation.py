@@ -211,13 +211,15 @@ class TestSharedPromptScoring:
         prompt_len = 1 + len(assemble_fewshot_prompt(task, FewShotSpec(k=0)).encode())
         fed = []
         real = model.logits
-        monkeypatch.setattr(model, "logits", lambda ids, cache=None: fed.append(len(ids)) or real(ids, cache))
+        monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
+                            fed.append((len(ids), last)) or real(ids, cache, last))
         choice_scores(model, task, FewShotSpec(k=0))
-        assert fed == [prompt_len, 2, 4]           # the one-token choice needs no extra rows
+        # the prompt's last row only; the one-token choice needs no extra rows
+        assert fed == [(prompt_len, 1), (2, None), (4, None)]
         fed.clear()
         model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
         choice_scores(model, task, FewShotSpec(k=0))
-        assert fed == [prompt_len + 2, prompt_len, prompt_len + 3]
+        assert fed == [(prompt_len + 2, 3), (prompt_len, 1), (prompt_len + 3, 5)]   # each choice's rows only
 
 
 class TestPerplexity:

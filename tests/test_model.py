@@ -226,6 +226,74 @@ class TestCache:
         m.logits([20], cache=cache)
         assert 0 < len(nodes) <= bound
 
+
+class TestLastRows:
+    """``last=n``: the final layer's queries, MLP, final norm and head run on n rows."""
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_rows_match_the_full_forward(self, layout, cached):
+        m = adapted_model(layout)
+        ids = np.random.default_rng(7).integers(0, 259, 60).tolist()
+        prefix, ids = (ids[:20], ids[20:]) if cached else ([], ids)
+        caches = []
+
+        def run(last=None):
+            cache = m.new_cache() if cached else None
+            if cached:
+                m.logits(prefix, cache=cache)
+                caches.append(cache)
+            return m.logits(ids, cache=cache, last=last)
+
+        full = run()
+        T, atol = len(ids), 1e-6 * np.abs(full).max()
+        for n in (1, 7, T):
+            got = run(last=n)
+            assert got.shape == (n, full.shape[1])
+            np.testing.assert_allclose(got, full[-n:], rtol=0, atol=atol)
+        assert np.array_equal(run(last=T + 5), full)
+        for cache in caches[1:]:   # keys and values of every position, as without last=
+            for (k, v), (k0, v0) in zip(cache, caches[0]):
+                assert np.array_equal(k, k0) and np.array_equal(v, v0) and k.shape[2] == 20 + T
+
+    def test_batch_keeps_its_leading_axis(self):
+        m = adapted_model("split-qv")
+        ids = np.random.default_rng(8).integers(0, 259, (3, 25))
+        full = m.forward(ids).data
+        got = m.forward(ids, last=4).data
+        assert got.shape == (3, 4, full.shape[-1])
+        np.testing.assert_allclose(got, full[:, -4:], rtol=0, atol=1e-6 * np.abs(full).max())
+
+    @pytest.mark.parametrize("last", [0, -1])
+    def test_fewer_than_one_row_rejected(self, last):
+        with pytest.raises(ValueError, match="last"):
+            DecoderModel(tiny_config()).logits([1, 2, 3], last=last)
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_final_mlp_and_head_see_only_the_kept_rows(self, monkeypatch, layout):
+        m = adapted_model(layout)
+        gelu_rows, head_rows = [], []
+        gelu, linear, head = ad.gelu, ad.linear, m.params["lm_head"]
+        monkeypatch.setattr(ad, "gelu", lambda x: gelu_rows.append(x.shape[-2]) or gelu(x))
+        monkeypatch.setattr(ad, "linear", lambda x, w: (w is head and head_rows.append(x.shape[-2])) or linear(x, w))
+        m.logits(list(range(30)), last=3)
+        assert gelu_rows == [30, 30, 30, 3] and head_rows == [3]
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_adapter_gradients_match_the_full_forward_rows(self, n):
+        ids = np.random.default_rng(9).integers(0, 259, 40)
+        targets = np.roll(ids, -1)[-n:]
+        grads = []
+        for cut in (True, False):
+            m = adapted_model("split-qv")
+            logits = m.forward(ids, last=n) if cut else ad.last_rows(m.forward(ids), n)
+            ad.softmax_cross_entropy(logits, targets).backward()
+            grads.append([t.grad for a in m.adapters.values() for t in (a.A, a.B)])
+        assert len(grads[0]) == 2 * 2 * 4     # q and v adapters of all 4 layers, A and B
+        for g, full in zip(*grads):
+            assert np.abs(full).max() > 0
+            np.testing.assert_allclose(g, full, rtol=0, atol=1e-5 * np.abs(full).max())
+
 class TestBlockedAttention:
     @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
     def test_row_blocks_do_not_change_logits_or_adapter_gradients(self, monkeypatch, layout):
