@@ -555,10 +555,11 @@ def causal_attention(q, k, v, s: float) -> Tensor:
             if tri is None:
                 tri = np.triu(np.full((r1 - r0, r1 - r0), -1e9, dtype=p.dtype), k=1)
             p[..., n - (r1 - r0):] += tri[:r1 - r0, :r1 - r0]
-        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+        # fmax skips maximum's NaN propagation; a NaN in a row still reaches the whole row through the sum
+        p -= np.fmax.reduce(p, axis=-1, keepdims=True)
         np.exp(p, out=p)
         p /= np.add.reduce(p, axis=-1, keepdims=True)
-        out[..., r0:r1, :] = p @ vd[..., :n, :]
+        np.matmul(p, vd[..., :n, :], out=out[..., r0:r1, :])
         if grad:
             blocks.append((r0, r1, n, p))
 
@@ -566,22 +567,25 @@ def causal_attention(q, k, v, s: float) -> Tensor:
         dq = np.empty_like(qd) if _needs_grad(q) else None
         dk = np.zeros_like(kd) if _needs_grad(k) else None
         dv = np.zeros_like(vd) if _needs_grad(v) else None
+        if dq is not None or dk is not None:
+            # rowsum(dP * P) = g · out per row (FlashAttention's identity), one [T, h] pass per call
+            rowdot = np.add.reduce(g * out, axis=-1, keepdims=True)
+            # s scales the [rows, h] products, not the [rows, n] ds
+            qs = qd * s if dk is not None else None
         for r0, r1, n, p in blocks:
             gb = g[..., r0:r1, :]
             if dv is not None:
                 dv[..., :n, :] += p.swapaxes(-1, -2) @ gb
             if dq is None and dk is None:
                 continue
-            # rowsum(dP * P) = g · out per row (FlashAttention's identity), an [rows, h] pass
             ds = gb @ vd[..., :n, :].swapaxes(-1, -2)
-            ds -= np.add.reduce(gb * out[..., r0:r1, :], axis=-1, keepdims=True)
+            ds -= rowdot[..., r0:r1, :]
             ds *= p
-            # s scales the [rows, h] products, not the [rows, n] ds
             if dq is not None:
                 dq[..., r0:r1, :] = ds @ kd[..., :n, :]
                 dq[..., r0:r1, :] *= s
             if dk is not None:
-                dk[..., :n, :] += ds.swapaxes(-1, -2) @ (qd[..., r0:r1, :] * s)
+                dk[..., :n, :] += ds.swapaxes(-1, -2) @ qs[..., r0:r1, :]
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if d is not None:
                 _add_grad(t, d)
@@ -651,23 +655,24 @@ def embedding(table, ids) -> Tensor:
     return _node(data, (table,), backward_fn)
 
 
-def rotary(x, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+def rotary(x, cc: np.ndarray, ss: np.ndarray) -> Tensor:
     """Rotary position mixing on the last axis (rotate-half convention).
 
-    ``x`` is [..., T, h] with even h; ``cos``/``sin`` are [T, h/2] constants.
-    With the halves swapped, ``x' = [x2, x1]``, the output is
-    ``x * [cos, cos] + x' * [-sin, sin]``. The map is orthogonal per
-    position, so the gradient is the inverse rotation
-    ``g * [cos, cos] - g' * [-sin, sin]``. Negation is exact, so each element
-    rounds as in ``x1 * cos - x2 * sin`` and ``x1 * sin + x2 * cos``.
+    ``x`` is [..., T, h] with even h; ``cc`` and ``ss`` are the [T, h]
+    full-width constants ``[cos, cos]`` and ``[-sin, sin]``, built once by
+    the caller. With the halves swapped, ``x' = [x2, x1]``, the output is
+    ``x * cc + x' * ss``. The map is orthogonal per position, so the
+    gradient is the inverse rotation ``g * cc - g' * ss``. Negation is
+    exact, so each element rounds as in ``x1 * cos - x2 * sin`` and
+    ``x1 * sin + x2 * cos``.
     """
     x = _as_tensor(x)
     h = x.shape[-1]
     if h % 2 != 0:
         raise ValueError(f"rotary requires an even last dimension, got {h}")
+    if cc.shape[-1] != h or ss.shape[-1] != h:
+        raise ValueError(f"rotary tables must be {h} wide, got {cc.shape[-1]} and {ss.shape[-1]}")
     half = h // 2
-    cc = np.concatenate([cos, cos], axis=-1)
-    ss = np.concatenate([-sin, sin], axis=-1)
 
     def rotate(a, combine):
         out = np.multiply(a, cc, order="C")

@@ -204,9 +204,14 @@ def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
     return cont
 
 
-def _score(model, prompt: str, cont: list, tokenizer: ByteTokenizer) -> float:
-    """``score_continuation`` for an already encoded continuation."""
-    ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids + cont
+def _context(prompt: str, tokenizer: ByteTokenizer) -> list:
+    """BOS and the prompt's ids."""
+    return [tokenizer.bos_id] + tokenizer.encode(prompt).ids
+
+
+def _score(model, ctx: list, cont: list) -> float:
+    """``score_continuation`` for an encoded context (BOS and prompt) and continuation."""
+    ids = ctx + cont
     max_len = getattr(model, "max_seq_len", None)
     if max_len is not None and len(ids) > max_len:
         if len(cont) + 1 > max_len:
@@ -224,7 +229,27 @@ def score_continuation(model, prompt: str, continuation: str,
     and the whole continuation.
     """
     tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    return _score(model, prompt, _encode_continuation(continuation, tokenizer), tokenizer)
+    return _score(model, _context(prompt, tokenizer), _encode_continuation(continuation, tokenizer))
+
+
+def _encode_task(task: ChoiceTask, spec: FewShotSpec, tokenizer: ByteTokenizer) -> tuple[list, list]:
+    """The few-shot prompt's context ids and each choice's ids."""
+    conts = [_encode_continuation(c, tokenizer) for c in task.choices]
+    return _context(assemble_fewshot_prompt(task, spec), tokenizer), conts
+
+
+def _choice_scores(model, ctx: list, conts: list) -> list[float]:
+    """``choice_scores`` for an encoded context and choices."""
+    max_len = getattr(model, "max_seq_len", None)
+    if not hasattr(model, "new_cache") or (max_len is not None and len(ctx) + max(map(len, conts)) > max_len):
+        return [_score(model, ctx, cont) for cont in conts]
+    cache = model.new_cache()
+    last = model.logits(ctx, cache=cache, last=1)
+    scores = []
+    for cont in conts:
+        rows = last if len(cont) == 1 else np.concatenate([last, model.logits(cont[:-1], cache=list(cache))])
+        scores.append(_continuation_logp(rows, cont))
+    return scores
 
 
 def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
@@ -233,23 +258,10 @@ def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
 
     When the prompt and its longest choice fit the window, the prompt runs
     once into a K/V cache and each choice runs on its own branch of it.
-    Otherwise each choice is scored by ``score_continuation``, whose left
+    Otherwise each choice is scored as by ``score_continuation``, whose left
     truncation depends on the choice's length.
     """
-    prompt = assemble_fewshot_prompt(task, spec)
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    conts = [_encode_continuation(c, tokenizer) for c in task.choices]
-    ctx = [tokenizer.bos_id] + tokenizer.encode(prompt).ids
-    max_len = getattr(model, "max_seq_len", None)
-    if not hasattr(model, "new_cache") or (max_len is not None and len(ctx) + max(map(len, conts)) > max_len):
-        return [score_continuation(model, prompt, c, tokenizer) for c in task.choices]
-    cache = model.new_cache()
-    last = model.logits(ctx, cache=cache, last=1)
-    scores = []
-    for cont in conts:
-        rows = last if len(cont) == 1 else np.concatenate([last, model.logits(cont[:-1], cache=list(cache))])
-        scores.append(_continuation_logp(rows, cont))
-    return scores
+    return _choice_scores(model, *_encode_task(task, spec, tokenizer or _DEFAULT_TOKENIZER))
 
 
 def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec,
@@ -270,7 +282,7 @@ def _item_nll(model, item: PerplexityItem, template: QuestionTemplate,
               tokenizer: ByteTokenizer) -> tuple[float, int]:
     """Negative log-likelihood of the item's response and its token count."""
     cont = _encode_continuation(item.response, tokenizer)
-    return -_score(model, template.render(item.question), cont, tokenizer), len(cont)
+    return -_score(model, _context(template.render(item.question), tokenizer), cont), len(cont)
 
 
 def response_perplexity(model, item: PerplexityItem,
@@ -329,13 +341,13 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
         spec = FewShotSpec(k=k, demonstrations=demos[:k])
         correct = 0
         for task in queries:
-            prompt_len = 1 + len(tokenizer.encode(assemble_fewshot_prompt(task, spec)).ids)
-            longest = max(len(tokenizer.encode(c).ids) for c in task.choices)
-            if tuning_seq_len is not None and prompt_len + longest > tuning_seq_len:
+            ctx, conts = _encode_task(task, spec, tokenizer)
+            needed = len(ctx) + max(map(len, conts))
+            if tuning_seq_len is not None and needed > tuning_seq_len:
                 report.tuning_overflows += 1
-            if max_len is not None and prompt_len + longest > max_len:
+            if max_len is not None and needed > max_len:
                 report.model_overflows += 1
-            if classify_by_likelihood(model, task, spec, tokenizer) == task.gold:
+            if int(np.argmax(_choice_scores(model, ctx, conts))) == task.gold:
                 correct += 1
         report.accuracy[k] = correct / len(queries)
     return report

@@ -56,10 +56,12 @@ class ModelConfig:
 
 
 def _rotary_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [max_len, head_dim] tables ``[cos, cos]`` and ``[-sin, sin]`` that ``ad.rotary`` takes."""
     half = head_dim // 2
     inv_freq = 1.0 / (10000.0 ** (np.arange(half) / half))
     angles = np.outer(np.arange(max_len), inv_freq)
-    return np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    return np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
 
 # glibc mallopt parameters. An explicit mallopt turns off glibc's dynamic
@@ -99,7 +101,7 @@ class DecoderModel:
         self.training = False
         self.adapters: dict = {}
         self.rng = np.random.default_rng(config.seed + 1)
-        self._cos, self._sin = _rotary_tables(config.max_seq_len, config.d_model // config.n_heads)
+        self._cc, self._ss = _rotary_tables(config.max_seq_len, config.d_model // config.n_heads)
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(config.seed))
 
@@ -187,7 +189,7 @@ class DecoderModel:
         if P + T > cfg.max_seq_len:
             raise ContextOverflowError(f"input length {P + T} exceeds max_seq_len {cfg.max_seq_len}")
         H, hd = cfg.n_heads, cfg.d_model // cfg.n_heads
-        cos, sin = self._cos[P:P + T], self._sin[P:P + T]
+        cc, ss = self._cc[P:P + T], self._ss[P:P + T]
 
         h = ad.embedding(self.params["embedding"], ids)
         for i in range(cfg.n_layers):
@@ -207,11 +209,11 @@ class DecoderModel:
                 k = self._linear(p + "attn.k_proj", x)
                 v = self._linear(p + "attn.v_proj", x)
             # [B, T, d] -> [B, H, T, hd]
-            k = ad.rotary(ad.split_heads(k, H), cos, sin)
+            k = ad.rotary(ad.split_heads(k, H), cc, ss)
             v = ad.split_heads(v, H)
             if cut:   # the kept query rows keep their absolute positions
-                h, cos, sin = ad.last_rows(h, n), cos[T - n:], sin[T - n:]
-            q = ad.rotary(ad.split_heads(q, H), cos, sin)
+                h, cc, ss = ad.last_rows(h, n), cc[T - n:], ss[T - n:]
+            q = ad.rotary(ad.split_heads(q, H), cc, ss)
             if cache is not None:
                 if cache[i] is not None:
                     k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))

@@ -145,6 +145,11 @@ def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBa
 def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     """One forward/backward/update over adapter parameters only.
 
+    The model is asked only for the supervised tail: the rows from the first
+    column where any row's loss mask is set. Columns before it carry no loss,
+    so the final layer's queries and MLP, the final norm, the LM head and the
+    loss skip them (with ``full-sequence`` masks that is every column).
+
     Raises ``ValueError`` when the step overflows or its loss or an adapter
     gradient is not finite, before the update in the latter case. An
     overflow can leave the loss finite (layer norm maps an infinite row to
@@ -155,8 +160,9 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     model.train_mode()
     try:
         with np.errstate(over="raise", invalid="raise"):
-            logits = model.forward(batch.tokens)
-            loss = ad.softmax_cross_entropy(logits, batch.targets, batch.loss_mask)
+            n = batch.loss_mask.shape[-1] - int(np.argmax(batch.loss_mask.any(axis=0)))
+            logits = model.forward(batch.tokens, last=n)
+            loss = ad.softmax_cross_entropy(logits, batch.targets[:, -n:], batch.loss_mask[:, -n:])
             loss.backward()
             value = loss.item()
             if not math.isfinite(value) or not all(np.isfinite(p.grad).all() for p in optimizer.params

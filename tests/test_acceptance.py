@@ -77,6 +77,7 @@ def test_01_gradient_fidelity():
     T, h = 3, 4
     angles = np.outer(np.arange(T), [1.0, 0.5])
     cos, sin = np.cos(angles), np.sin(angles)
+    cc, ss = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
 
     def weighted(w):
         return lambda t: ad.tsum(ad.mul(t, Tensor(w)))
@@ -97,7 +98,7 @@ def test_01_gradient_fidelity():
                          [rand(rng, 3, 6)], reduce=lambda t: t),
         lambda: check_op(lambda t: ad.embedding(t, [1, 1, 3]),
                          [rand(rng, 4, 3)]),
-        lambda: check_op(lambda x: ad.rotary(x, cos, sin), [rand(rng, 2, T, h)]),
+        lambda: check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)]),
         lambda: check_op(lambda x: ad.reshape(x, (4, 3)), [rand(rng, 3, 4)]),
         lambda: check_op(lambda x: ad.transpose(x, (1, 0, 2)), [rand(rng, 2, 3, 4)]),
         lambda: check_op(lambda x: ad.slice_last(x, 1, 3), [rand(rng, 2, 5)]),

@@ -389,7 +389,10 @@ class TestShapeOps:
         T, h = 3, 4
         angles = np.outer(np.arange(T), [1.0, 0.5])
         cos, sin = np.cos(angles), np.sin(angles)
-        check_op(lambda x: ad.rotary(x, cos, sin), [rand(rng, 2, T, h)])
+        cc, ss = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
+        check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)])
+        with pytest.raises(ValueError, match="wide"):   # half-width tables
+            ad.rotary(rand(rng, 2, T, h), cos, sin)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rotary_bit_identical_to_formula(self, dtype):
@@ -406,7 +409,7 @@ class TestShapeOps:
         ref_dx = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
 
         tx = Tensor(x, requires_grad=True)
-        out = ad.rotary(tx, cos, sin)
+        out = ad.rotary(tx, np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1))
         ad.tsum(ad.mul(out, Tensor(g))).backward()
         assert out.data.dtype == dtype and out.data.flags.c_contiguous
         assert np.array_equal(out.data, ref)
@@ -517,6 +520,20 @@ class TestCausalAttention:
             grads.append([t.grad for t in qkv])
         assert grads[0][1] is None and grads[0][2] is None
         assert np.array_equal(grads[0][0], grads[1][0])
+
+    @pytest.mark.parametrize("budget", [None, 1, 28])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_query_spoils_only_its_own_row(self, monkeypatch, budget, bad):
+        if budget is not None:
+            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
+        rng = np.random.default_rng(19)
+        q, k, v = (rand(rng, 2, 4, 4).astype(np.float32) for _ in range(3))
+        q[0, 2, 1] = bad
+        with np.errstate(invalid="ignore"):
+            out = ad.causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
+        assert np.isnan(out[0, 2]).all()
+        out[0, 2] = 0.0
+        assert np.isfinite(out).all()
 
     def test_fewer_keys_than_queries_rejected(self):
         x = Tensor(np.zeros((4, 2)))

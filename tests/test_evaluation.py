@@ -308,6 +308,23 @@ class TestRunChoiceEval:
         report = run_choice_eval(model, self.tasks(2), shots=[0])
         assert report.model_overflows == 2
 
+    @pytest.mark.parametrize("max_seq_len", [4096, 16])   # every prompt fits; every prompt overflows
+    def test_encodes_each_prompt_and_choice_once(self, max_seq_len):
+        texts = []
+
+        class CountingTokenizer(ByteTokenizer):
+            def encode(self, text, add_bos=False, add_eos=False):
+                texts.append(text)
+                return super().encode(text, add_bos, add_eos)
+
+        model = favored_byte_model("x")
+        model.max_seq_len = max_seq_len
+        # 7 tasks, max shot 1 -> 6 queries at 2 shot levels, each 1 prompt and 3 choices
+        report = run_choice_eval(model, self.tasks(7), shots=[0, 1], tokenizer=CountingTokenizer())
+        assert len(texts) == 2 * 6 * 4
+        assert report.model_overflows == (12 if max_seq_len == 16 else 0)
+        assert report.accuracy == {0: 1.0, 1: 1.0}
+
     def test_report_serializes(self):
         report = EvalReport(accuracy={0: 0.5}, perplexity_pooled=2.0,
                             perplexity_mean=2.5)

@@ -237,6 +237,82 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
         assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
 
 
+# "Q:a\nA:\n" is 7 bytes, so the short row's response starts at column 7 of its
+# 9 inputs; "Q:" + 20 a's + "\nA:\n" is 26 bytes, so the long row's starts at 26 of 29
+MIXED = [InstructionRecord("a", "b", category="other"),
+         InstructionRecord("a" * 20, "bb", category="other")]
+
+
+class GradRecorder:
+    """Optimizer stand-in that keeps the adapter gradients of the step."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.grads = None
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.params]
+        for p in self.params:
+            p.grad = None
+
+
+def spy_forward(model, monkeypatch):
+    """Record the ``last`` of every ``model.forward`` call."""
+    seen, real = [], model.forward
+
+    def forward(tokens, cache=None, last=None):
+        seen.append(last)
+        return real(tokens, cache, last)
+
+    monkeypatch.setattr(model, "forward", forward)
+    return seen
+
+
+class TestSupervisedTail:
+    @pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
+                                                ("fused-qkv", ["query_key_value"])])
+    def test_loss_and_gradients_match_the_full_forward(self, layout, targets):
+        model = adapted_model(attention_layout=layout, targets=targets)
+        rng = np.random.default_rng(7)
+        for adapter in model.adapters.values():
+            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        params = [t for a in model.adapters.values() for t in (a.A, a.B)]
+        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
+        model.train_mode()
+        full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
+        full.backward()
+        full_grads = [p.grad for p in params]
+        for p in params:
+            p.grad = None
+        opt = GradRecorder(params)
+        loss = train_step(model, batch, opt)
+        assert abs(loss - full.item()) <= 1e-6 * abs(full.item())
+        for g, ref in zip(opt.grads, full_grads):
+            assert np.abs(ref).max() > 0
+            np.testing.assert_allclose(g, ref, rtol=0, atol=1e-5 * np.abs(ref).max())
+
+    def test_asks_for_the_rows_from_the_earliest_response(self, monkeypatch):
+        model = adapted_model()
+        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
+        # the short row is right-padded and its response starts first
+        assert batch.tokens.shape == (2, 29) and (batch.tokens[0, 9:] == PAD).all()
+        assert batch.loss_mask[0, 7] and not batch.loss_mask[0, :7].any()
+        assert batch.loss_mask[1, 26] and not batch.loss_mask[1, :26].any()
+        seen = spy_forward(model, monkeypatch)
+        train_step(model, batch, AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3))
+        assert seen == [29 - 7]
+
+    def test_full_sequence_asks_for_every_row(self, monkeypatch):
+        model = adapted_model()
+        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64, mask_policy="full-sequence"))
+        model.train_mode()
+        full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask).item()
+        seen = spy_forward(model, monkeypatch)
+        loss = train_step(model, batch, AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3))
+        assert seen == [batch.tokens.shape[1]]
+        assert loss == full
+
+
 class TestTrainLoop:
     def test_steps_per_epoch(self):
         model = adapted_model()
