@@ -4,8 +4,8 @@ Byte-level data pipeline, a small decoder-only transformer with reverse-mode
 autodiff, low-rank adapter tuning, and likelihood/perplexity evaluation.
 """
 
-from .autodiff import Tensor, backward
-from .tokenizer import ByteTokenizer, TokenSequence, BOS, EOS, PAD, VOCAB_SIZE
+from .autodiff import Tensor
+from .tokenizer import ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE
 from .records import (
     InstructionRecord,
     DatasetManifest,
@@ -20,7 +20,7 @@ from .records import (
 from .prompts import PromptTemplate, render_prompt, template_for
 from .model import ModelConfig, DecoderModel, ContextOverflowError, load_checkpoint
 from .lora import LoraConfig, LoraAdapter, inject, trainable_param_count, merge_all, unmerge_all
-from .training import TrainConfig, TrainingBatch, AdamW, build_batch, train_step, train, pretrain
+from .training import TrainConfig, TrainingBatch, AdamW, build_batch, train_step, train
 from .evaluation import (
     ChoiceTask,
     FewShotSpec,

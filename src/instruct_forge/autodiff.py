@@ -12,7 +12,7 @@ covers everything the decoder model needs.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class Tensor:
 
     # -- graph ----------------------------------------------------------
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         """Accumulate gradients of this scalar into every reachable tensor."""
         if self.data.size != 1:
@@ -93,37 +90,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    # -- operator sugar --------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def _as_tensor(x) -> Tensor:
@@ -598,6 +564,14 @@ def _out_of_range(ids: np.ndarray, n: int) -> bool:
     return bool(ids.size and (np.minimum.reduce(ids, axis=None) < 0 or np.maximum.reduce(ids, axis=None) >= n))
 
 
+def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Log-probabilities over the last axis of a plain array, ``z - log(sum(exp(z)))``
+    with ``z = x - max(x)``; not a graph op."""
+    z = x - x.max(axis=-1, keepdims=True)
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z
+
+
 def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
     """Mean negative log-likelihood of ``targets`` over unmasked positions.
 
@@ -621,12 +595,9 @@ def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
     if n == 0:
         raise ValueError("softmax_cross_entropy: every position is masked out")
 
-    flat_logits = logits.data.reshape(-1, vocab)
     flat_ids = ids.reshape(-1)
     flat_mask = mask.reshape(-1)
-    z = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = log_softmax(logits.data.reshape(-1, vocab))
     nll = -logp[np.arange(flat_ids.size), flat_ids]
     data = np.asarray((nll * flat_mask).sum() / n, dtype=logits.data.dtype)
 
@@ -686,17 +657,3 @@ def rotary(x, cc: np.ndarray, ss: np.ndarray) -> Tensor:
         _add_grad(x, rotate(g, np.subtract))
 
     return _node(data, (x,), backward_fn)
-
-
-# -- gradient collection ----------------------------------------------------
-
-
-def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> dict:
-    """Run a backward pass and return a gradient map keyed by tensor identity.
-
-    Parameters not reachable from ``loss`` map to zeros of their shape.
-    """
-    loss.backward()
-    if params is None:
-        return {}
-    return {p: (p.grad if p.grad is not None else np.zeros_like(p.data)) for p in params}

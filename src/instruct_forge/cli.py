@@ -15,10 +15,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .evaluation import ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
+from .evaluation import VERSIONS, ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
 from .lora import LoraConfig, inject, load_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
-from .prompts import VERSIONS
 from .records import (convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, read_jsonl,
                       save_records)
 from .sampling import GenerationParams, generate

@@ -6,11 +6,12 @@ log-likelihood under the model and predicts the argmax. Perplexity is the
 exponential of the mean negative log-likelihood, computed over response
 tokens only (the question prompt never enters the sum).
 
-Models are consumed through a narrow protocol: ``model.logits(ids)``
-returning a [T, V] array, plus a ``max_seq_len`` attribute. A model with
-``new_cache`` also takes ``logits(ids, cache=..., last=...)``: choice
-classification then runs a shared prompt once for all its choices, and
-scoring computes only the logit rows that predict the continuation.
+Models are consumed through one protocol, the one ``DecoderModel`` has:
+``logits(ids, cache=None, last=None)`` returning the [T, V] array of logit
+rows, or only the last n with ``last=n``; ``new_cache()``, an empty cache
+that ``logits(ids, cache=...)`` extends in place; and ``max_seq_len``.
+Scoring asks only for the logit rows that predict the continuation, and
+choice classification runs a shared prompt once for all its choices.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .prompts import VERSIONS
+from .autodiff import log_softmax
 from .tokenizer import ByteTokenizer
 
 _DEFAULT_TOKENIZER = ByteTokenizer()
+
+VERSIONS = ("v0.2", "v0.3")   # the few-shot prompt layouts of ``assemble_fewshot_prompt``
 
 FEWSHOT_HEADER_V03 = (
     "Below is a combination of instructions explaining the task and contextual "
@@ -186,19 +189,14 @@ def assemble_fewshot_prompt(task: ChoiceTask, spec: FewShotSpec,
 # -- likelihood scoring --------------------------------------------------------
 
 
-def _log_softmax(rows: np.ndarray) -> np.ndarray:
-    z = rows - rows.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 def _continuation_logp(logits, cont: list) -> float:
     """Summed log-probability of ``cont`` under its predicting logit rows."""
-    logp = _log_softmax(np.asarray(logits, dtype=np.float64)[-len(cont):])
+    logp = log_softmax(np.asarray(logits, dtype=np.float64)[-len(cont):])
     return float(logp[np.arange(len(cont)), cont].sum())
 
 
 def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
-    cont = tokenizer.encode(continuation).ids
+    cont = tokenizer.encode(continuation)
     if not cont:
         raise ValueError("continuation encodes to zero tokens")
     return cont
@@ -206,19 +204,18 @@ def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
 
 def _context(prompt: str, tokenizer: ByteTokenizer) -> list:
     """BOS and the prompt's ids."""
-    return [tokenizer.bos_id] + tokenizer.encode(prompt).ids
+    return [tokenizer.bos_id] + tokenizer.encode(prompt)
 
 
 def _score(model, ctx: list, cont: list) -> float:
     """``score_continuation`` for an encoded context (BOS and prompt) and continuation."""
     ids = ctx + cont
-    max_len = getattr(model, "max_seq_len", None)
-    if max_len is not None and len(ids) > max_len:
+    max_len = model.max_seq_len
+    if len(ids) > max_len:
         if len(cont) + 1 > max_len:
             raise ValueError(f"continuation of {len(cont)} tokens cannot fit the {max_len}-token context")
         ids = ids[-max_len:]
-    rows = {"last": len(cont)} if hasattr(model, "new_cache") else {}
-    return _continuation_logp(model.logits(ids[:-1], **rows), cont)
+    return _continuation_logp(model.logits(ids[:-1], last=len(cont)), cont)
 
 
 def score_continuation(model, prompt: str, continuation: str,
@@ -240,8 +237,7 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec, tokenizer: ByteTokenizer) 
 
 def _choice_scores(model, ctx: list, conts: list) -> list[float]:
     """``choice_scores`` for an encoded context and choices."""
-    max_len = getattr(model, "max_seq_len", None)
-    if not hasattr(model, "new_cache") or (max_len is not None and len(ctx) + max(map(len, conts)) > max_len):
+    if len(ctx) + max(map(len, conts)) > model.max_seq_len:
         return [_score(model, ctx, cont) for cont in conts]
     cache = model.new_cache()
     last = model.logits(ctx, cache=cache, last=1)
@@ -265,14 +261,9 @@ def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
 
 
 def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec,
-                           tokenizer: ByteTokenizer | None = None,
-                           length_normalize: bool = False) -> int:
+                           tokenizer: ByteTokenizer | None = None) -> int:
     """Argmax over ``choice_scores``; ties go to the lowest index."""
-    scores = choice_scores(model, task, spec, tokenizer)
-    if length_normalize:
-        tokenizer = tokenizer or _DEFAULT_TOKENIZER
-        scores = [s / len(tokenizer.encode(c).ids) for s, c in zip(scores, task.choices)]
-    return int(np.argmax(scores))
+    return int(np.argmax(choice_scores(model, task, spec, tokenizer)))
 
 
 # -- perplexity ---------------------------------------------------------------
@@ -328,6 +319,8 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
     from scoring. Overflow counters mirror inputs that exceeded the tuning
     length or the model context length before truncation.
     """
+    if tuning_seq_len is not None and tuning_seq_len < 1:
+        raise ValueError(f"tuning_seq_len must be >= 1, got {tuning_seq_len}")
     tokenizer = tokenizer or _DEFAULT_TOKENIZER
     shots = sorted(set(shots))
     max_k = max(shots)
@@ -336,7 +329,6 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
     demos = tuple(tasks[:max_k])
     queries = tasks[max_k:]
     report = EvalReport()
-    max_len = getattr(model, "max_seq_len", None)
     for k in shots:
         spec = FewShotSpec(k=k, demonstrations=demos[:k])
         correct = 0
@@ -345,7 +337,7 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
             needed = len(ctx) + max(map(len, conts))
             if tuning_seq_len is not None and needed > tuning_seq_len:
                 report.tuning_overflows += 1
-            if max_len is not None and needed > max_len:
+            if needed > model.max_seq_len:
                 report.model_overflows += 1
             if int(np.argmax(_choice_scores(model, ctx, conts))) == task.gold:
                 correct += 1

@@ -53,7 +53,6 @@ class LoraAdapter:
         self.name = name
         self.weight = weight
         self.r = config.r
-        self.alpha = config.alpha
         self.dropout = config.dropout
         self.scaling = config.alpha / config.r
         self.A = Tensor(rng.normal(0.0, 1.0 / config.r, (config.r, k)).astype(np.float32),
@@ -62,10 +61,6 @@ class LoraAdapter:
                         requires_grad=True, name=name + ".lora_B")
         self.merged = False
         self._premerge_weight: np.ndarray | None = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.weight.shape
 
     def trainable_count(self) -> int:
         d, k = self.weight.shape

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .archive import ArchiveError, load_archive, save_archive
 from .autodiff import Tensor
-from .tokenizer import VOCAB_SIZE, TokenSequence
+from .tokenizer import VOCAB_SIZE
 
 LAYOUTS = ("fused-qkv", "split-qv")
 
@@ -174,8 +174,6 @@ class DecoderModel:
         keys and values for all positions, but the final layer's queries,
         attention output, MLP, the final norm and the LM head run on n rows.
         """
-        if isinstance(tokens, TokenSequence):
-            tokens = tokens.ids
         ids = np.asarray(tokens, dtype=np.int64)
         single = ids.ndim == 1
         if single:

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
-VERSIONS = ("v0.2", "v0.3")
 _SLOT = re.compile(r"\{(instruction|input)\}")
 
 WITH_INPUT_BODY = (
@@ -39,31 +37,23 @@ NO_INPUT_BODY = (
 class PromptTemplate:
     """A prompt layout; rendering is a pure function of (template, record).
 
-    ``kind`` is "with-input" or "no-input"; ``version`` tags the template
-    lineage ("v0.2" or "v0.3") and is carried through to few-shot assembly.
-    The body must end with the ``{response}`` slot so inference renders can
-    stop right after the response header.
+    ``kind`` is "with-input" or "no-input". The body must end with the
+    ``{response}`` slot so inference renders can stop right after the
+    response header.
     """
 
     kind: str = "with-input"
-    version: str = "v0.3"
     body: str | None = None
 
     def __post_init__(self):
         if self.kind not in ("with-input", "no-input"):
             raise ValueError(f"unknown template kind {self.kind!r}")
-        if self.version not in VERSIONS:
-            raise ValueError(f"unknown template version {self.version!r}")
         if self.body is None:
             object.__setattr__(self, "body", WITH_INPUT_BODY if self.kind == "with-input" else NO_INPUT_BODY)
         if not self.body.endswith("{response}"):
             raise ValueError("template body must end with the {response} slot")
         if self.kind == "with-input" and "{input}" not in self.body:
             raise ValueError("with-input template body must contain the {input} slot")
-
-    @classmethod
-    def from_file(cls, path, kind: str = "with-input", version: str = "v0.3") -> "PromptTemplate":
-        return cls(kind=kind, version=version, body=Path(path).read_text(encoding="utf-8"))
 
 
 def render_prompt(record, template: PromptTemplate, include_response: bool = True) -> str:
@@ -80,6 +70,6 @@ def render_prompt(record, template: PromptTemplate, include_response: bool = Tru
     return prefix
 
 
-def template_for(record, version: str = "v0.3") -> PromptTemplate:
+def template_for(record) -> PromptTemplate:
     """Pick the with-input or no-input template based on the record."""
-    return PromptTemplate(kind="with-input" if record.input else "no-input", version=version)
+    return PromptTemplate(kind="with-input" if record.input else "no-input")

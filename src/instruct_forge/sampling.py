@@ -1,4 +1,8 @@
-"""Decode-time generation: repetition penalty, temperature, greedy argmax."""
+"""Decode-time generation: repetition penalty, temperature, greedy argmax.
+
+Models are consumed through the one protocol of ``evaluation``:
+``logits(ids, cache=None, last=None)``, ``new_cache()`` and ``max_seq_len``.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .autodiff import log_softmax
 from .tokenizer import ByteTokenizer, EOS
 
 
@@ -49,41 +54,38 @@ def generate(model, prompt: str, params: GenerationParams,
              tokenizer: ByteTokenizer | None = None, seed: int = 0) -> GenerationResult:
     """Iterative decode; stops at the stop token or max_new_tokens.
 
-    Returns only the decoded continuation. A model with ``new_cache`` runs
-    the prompt once and then only each new token against its K/V cache. If
-    the context overflows the model window mid-generation, the oldest tokens
-    are dropped, every later step reruns the whole window (positions shift),
-    and the result is flagged as truncated.
+    Returns only the decoded continuation. The prompt runs once, then only
+    each new token against the model's K/V cache; every call asks for the
+    next-token row only. If the context overflows the model window
+    mid-generation, the oldest tokens are dropped, every later step reruns
+    the whole window (positions shift), and the result is flagged as
+    truncated.
     """
     tokenizer = tokenizer or ByteTokenizer()
-    ids = [tokenizer.bos_id] + tokenizer.encode(prompt).ids
+    ids = [tokenizer.bos_id] + tokenizer.encode(prompt)
     rng = np.random.default_rng(seed)
-    max_len = getattr(model, "max_seq_len", None)
-    cache = model.new_cache() if hasattr(model, "new_cache") else None
-    rows = {} if cache is None else {"last": 1}   # only the next-token row is read
+    max_len = model.max_seq_len
+    cache = model.new_cache()
     cached = 0                        # ids[:cached] are in the cache
     generated: list[int] = []
     truncated = False
     for _ in range(params.max_new_tokens):
         ctx = ids
-        if max_len is not None and len(ctx) > max_len:
+        if len(ctx) > max_len:
             ctx = ctx[-max_len:]
             truncated = True
             cache = None
         if cache is None:
-            logits = model.logits(ctx, **rows)
+            logits = model.logits(ctx, last=1)
         else:
-            logits = model.logits(ids[cached:], cache=cache, **rows)
+            logits = model.logits(ids[cached:], cache=cache, last=1)
             cached = len(ids)
         row = np.asarray(logits[-1], dtype=np.float64)
         row = apply_repetition_penalty(row, generated, params.repetition_penalty)
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))
         else:
-            z = row / params.temperature
-            z -= z.max()
-            p = np.exp(z)
-            p /= p.sum()
+            p = np.exp(log_softmax(row / params.temperature))
             nxt = int(rng.choice(len(p), p=p))
         if nxt == params.stop_token:
             break

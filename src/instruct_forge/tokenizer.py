@@ -2,25 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 BOS = 256
 EOS = 257
 PAD = 258
 VOCAB_SIZE = 259
-
-
-@dataclass
-class TokenSequence:
-    """A list of token ids, all below the vocabulary size."""
-
-    ids: list[int] = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.ids)
 
 
 class ByteTokenizer:
@@ -31,18 +16,12 @@ class ByteTokenizer:
     eos_id = EOS
     pad_id = PAD
 
-    def encode(self, text: str, add_bos: bool = False, add_eos: bool = False) -> TokenSequence:
-        ids = list(text.encode("utf-8"))
-        if add_bos:
-            ids.insert(0, BOS)
-        if add_eos:
-            ids.append(EOS)
-        return TokenSequence(ids)
+    def encode(self, text: str) -> list[int]:
+        return list(text.encode("utf-8"))
 
     def decode(self, tokens) -> str:
-        ids = tokens.ids if isinstance(tokens, TokenSequence) else list(tokens)
         payload = []
-        for t in ids:
+        for t in tokens:
             if not 0 <= t < VOCAB_SIZE:
                 raise ValueError(f"token id {t} out of range [0, {VOCAB_SIZE})")
             if t < 256:

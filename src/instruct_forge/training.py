@@ -1,6 +1,5 @@
 """Instruction tuning loop: batch assembly with response masking, loss,
-and adapter-only optimizer steps. Also provides a full-parameter language
-model pretraining helper for building toy base models.
+and adapter-only optimizer steps.
 """
 
 from __future__ import annotations
@@ -94,8 +93,8 @@ def _encode_example(record, template, tokenizer, config):
     tpl = template if template is not None else template_for(record)
     full_text = render_prompt(record, tpl, include_response=True)
     prompt_text = render_prompt(record, tpl, include_response=False)
-    full = [tokenizer.bos_id] + tokenizer.encode(full_text).ids + [tokenizer.eos_id]
-    prompt_len = 1 + len(tokenizer.encode(prompt_text).ids)
+    full = [tokenizer.bos_id] + tokenizer.encode(full_text) + [tokenizer.eos_id]
+    prompt_len = 1 + len(tokenizer.encode(prompt_text))
     response_len = len(full) - prompt_len
     if response_len > config.train_seq_len:
         logger.warning("dropping record: response (%d tokens) exceeds train_seq_len %d",
@@ -222,47 +221,3 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
     model.eval_mode()
     return report
 
-
-def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None = None) -> list[dict]:
-    """Full-parameter next-token pretraining on plain texts.
-
-    Used to build the toy base model before instruction tuning; packs the
-    corpus into fixed-length windows and trains every model weight.
-    """
-    if not texts:
-        raise ValueError("pretrain requires a non-empty corpus")
-    tokenizer = tokenizer or ByteTokenizer()
-    stream: list[int] = []
-    for text in texts:
-        stream.extend([tokenizer.bos_id] + tokenizer.encode(text).ids + [tokenizer.eos_id])
-    L = config.train_seq_len
-    windows = [stream[i : i + L + 1] for i in range(0, len(stream) - L, L)]
-    if not windows:
-        raise ValueError("corpus shorter than one training window")
-    for p in model.params.values():
-        p.requires_grad = True
-    optimizer = AdamW(model.params.values(), lr=config.learning_rate)
-    report = []
-    model.train_mode()
-    for epoch in range(config.epochs):
-        rng = np.random.default_rng(config.seed + 101 + epoch)
-        order = rng.permutation(len(windows))
-        losses = []
-        start = time.monotonic()
-        for lo in range(0, len(windows), config.batch_size):
-            rows = [windows[i] for i in order[lo : lo + config.batch_size]]
-            W = min(len(r) for r in rows) - 1
-            arr = np.asarray([r[: W + 1] for r in rows], dtype=np.int64)
-            logits = model.forward(arr[:, :-1])
-            loss = ad.softmax_cross_entropy(logits, arr[:, 1:])
-            loss.backward()
-            optimizer.step()
-            losses.append(loss.item())
-        report.append({
-            "epoch": epoch,
-            "mean_loss": float(np.mean(losses)),
-            "dropped": 0,
-            "seconds": time.monotonic() - start,
-        })
-    model.eval_mode()
-    return report

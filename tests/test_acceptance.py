@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from fixture_pretrain import pretrain
 from fixture_tasks import demos, query
 from gradcheck import check_op
 from instruct_forge import autodiff as ad
@@ -32,7 +33,7 @@ from instruct_forge.prompts import PromptTemplate, render_prompt
 from instruct_forge.records import InstructionRecord, load_records, save_records
 from instruct_forge.sampling import GenerationParams, apply_repetition_penalty, generate
 from instruct_forge.tokenizer import VOCAB_SIZE, ByteTokenizer
-from instruct_forge.training import AdamW, TrainConfig, build_batch, pretrain, train, train_step
+from instruct_forge.training import AdamW, TrainConfig, build_batch, train, train_step
 from test_evaluation import RowModel, two_byte_model, uniform_model
 from test_prompts import no_input_record, with_input_record
 from test_sampling import LoopingModel
@@ -175,11 +176,9 @@ def test_06_prompt_byte_exactness():
     ok = True
     for version in ("v0.2", "v0.3"):
         golden = (FIXTURES / "prompt_with_input.txt").read_text(encoding="utf-8")
-        ok = ok and render_prompt(with_input_record(),
-                                  PromptTemplate(kind="with-input", version=version)) == golden
+        ok = ok and render_prompt(with_input_record(), PromptTemplate(kind="with-input")) == golden
         golden = (FIXTURES / "prompt_no_input.txt").read_text(encoding="utf-8")
-        ok = ok and render_prompt(no_input_record(),
-                                  PromptTemplate(kind="no-input", version=version)) == golden
+        ok = ok and render_prompt(no_input_record(), PromptTemplate(kind="no-input")) == golden
         for k in (1, 2, 3):
             golden = (FIXTURES / f"fewshot_{version}_k{k}.txt").read_text(encoding="utf-8")
             built = assemble_fewshot_prompt(query(version),

@@ -1,0 +1,29 @@
+"""The benchmark's tracer (``perfbench/tracer.py``) looks up program names at
+start-up: autodiff ops, public functions and methods. A name it reads that is
+renamed or deleted must fail here, with that name, and not only in a
+benchmark run."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracer")
+
+
+def test_tracer_installs_and_removes_every_wrapper(tracer):
+    instrumentation = tracer.Instrumentation(tracer.Recorder())
+    sites = instrumentation._wrappers   # (owner, attribute, original, wrapper)
+    assert {attr for _, attr, _, _ in sites} >= set(tracer.OPS) | {"mul", "tsum", "forward", "encode"}
+    instrumentation.install()
+    try:
+        assert all(getattr(owner, attr) is wrapper for owner, attr, _, wrapper in sites)
+    finally:
+        instrumentation.remove()
+    assert all(getattr(owner, attr) is original for owner, attr, original, _ in sites)

@@ -603,7 +603,7 @@ class TestNonFiniteSettings:
 
 
 class TestFailsBeforeOutput:
-    """A bad output path or prompt: one `error:` line, exit 1, nothing on stdout."""
+    """A bad output path, prompt or setting: one `error:` line, exit 1, nothing on stdout."""
 
     def assert_failed_silently(self, capsys, argv, named):
         assert main(argv) == 1
@@ -621,6 +621,15 @@ class TestFailsBeforeOutput:
         report = tmp_path / "missing_dir" / "r.json"
         argv = [command, "--model", str(untrained_model), *inputs, "--report", str(report)]
         self.assert_failed_silently(capsys, argv, "No such file or directory")
+
+    @pytest.mark.parametrize("seq_len", ["0", "-7"])
+    def test_eval_seq_len_below_one(self, tmp_path, capsys, untrained_model, seq_len):
+        # both used to exit 0 and count 3 of 3 queries as tuning overflows
+        report = tmp_path / "r.json"
+        argv = ["eval", "--model", str(untrained_model), "--tasks", str(TestEval().tasks_file(tmp_path, n=4)),
+                "--shots", "1", f"--seq-len={seq_len}", "--report", str(report)]
+        self.assert_failed_silently(capsys, argv, "tuning_seq_len must be >= 1")
+        assert not report.exists()
 
     def test_prompt_that_is_not_utf8(self, capsys, untrained_model):
         # Linux hands undecodable argv bytes to Python as lone surrogates

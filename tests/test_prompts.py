@@ -17,16 +17,14 @@ def no_input_record():
 
 
 class TestGoldenRenders:
-    @pytest.mark.parametrize("version", ["v0.2", "v0.3"])
-    def test_with_input_matches_golden(self, version):
+    def test_with_input_matches_golden(self):
         golden = (FIXTURES / "prompt_with_input.txt").read_text(encoding="utf-8")
-        tpl = PromptTemplate(kind="with-input", version=version)
+        tpl = PromptTemplate(kind="with-input")
         assert render_prompt(with_input_record(), tpl) == golden
 
-    @pytest.mark.parametrize("version", ["v0.2", "v0.3"])
-    def test_no_input_matches_golden(self, version):
+    def test_no_input_matches_golden(self):
         golden = (FIXTURES / "prompt_no_input.txt").read_text(encoding="utf-8")
-        tpl = PromptTemplate(kind="no-input", version=version)
+        tpl = PromptTemplate(kind="no-input")
         assert render_prompt(no_input_record(), tpl) == golden
 
     def test_no_input_has_no_input_section(self):
@@ -71,20 +69,9 @@ class TestTemplateConfig:
         with pytest.raises(ValueError):
             PromptTemplate(kind="both")
 
-    def test_unknown_version_rejected(self):
-        with pytest.raises(ValueError):
-            PromptTemplate(version="v9.9")
-
     def test_body_must_end_with_response_slot(self):
         with pytest.raises(ValueError, match="response"):
             PromptTemplate(kind="no-input", body="{instruction} then {response} then more")
-
-    def test_from_file(self, tmp_path):
-        p = tmp_path / "tpl.txt"
-        p.write_text("Do this:\n{instruction}\nAnswer:\n{response}", encoding="utf-8")
-        tpl = PromptTemplate.from_file(p, kind="no-input")
-        rec = no_input_record()
-        assert render_prompt(rec, tpl) == "Do this:\nSay hi.\nAnswer:\nhi"
 
     def test_template_for_picks_kind(self):
         assert template_for(with_input_record()).kind == "with-input"

@@ -9,6 +9,7 @@ from instruct_forge.sampling import (
     generate,
 )
 from instruct_forge.tokenizer import BOS, EOS, VOCAB_SIZE
+from test_evaluation import RowModel
 
 
 class ScriptedModel:
@@ -20,12 +21,17 @@ class ScriptedModel:
         self.script = [ord(c) for c in script]
         self.strength = strength
 
-    def logits(self, ids):
-        rows = np.zeros((len(ids), VOCAB_SIZE))
+    def new_cache(self):
+        return [0]   # positions seen
+
+    def logits(self, ids, cache=None, last=None):
+        rows = np.zeros((min(last or len(ids), len(ids)), VOCAB_SIZE))
         # position in the script = number of generated tokens so far;
         # the prompt is replayed so key off total length modulo script
-        step = (len(ids) - 1) % len(self.script)
-        rows[-1, self.script[step]] = self.strength
+        total = len(ids) + (cache[0] if cache else 0)
+        if cache is not None:
+            cache[0] = total
+        rows[-1, self.script[(total - 1) % len(self.script)]] = self.strength
         return rows
 
 
@@ -39,8 +45,11 @@ class LoopingModel:
         self.top = top
         self.eos = eos
 
-    def logits(self, ids):
-        rows = np.zeros((len(ids), VOCAB_SIZE))
+    def new_cache(self):
+        return []
+
+    def logits(self, ids, cache=None, last=None):
+        rows = np.zeros((min(last or len(ids), len(ids)), VOCAB_SIZE))
         rows[-1, self.byte] = self.top
         rows[-1, EOS] = self.eos
         return rows
@@ -152,6 +161,14 @@ class TestGenerate:
         c = generate(model, "Once", params, seed=6)
         assert a.token_ids == b.token_ids
         assert a.token_ids != c.token_ids
+
+    def test_temperature_never_samples_masked_tokens(self):
+        row = np.full(VOCAB_SIZE, -1e9)   # EOS too, so every request runs its whole budget
+        allowed = [ord(c) for c in "abc"]
+        row[allowed] = [0.0, 1.0, 2.0]
+        for seed in range(10):
+            out = generate(RowModel(row), "p", GenerationParams(temperature=1.0, max_new_tokens=32), seed=seed)
+            assert len(out.token_ids) == 32 and set(out.token_ids) <= set(allowed)
 
     def test_truncation_flagged_on_overflow(self):
         model = ScriptedModel("ab")

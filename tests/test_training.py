@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
 from instruct_forge.lora import LoraConfig, inject
 from instruct_forge.model import DecoderModel, ModelConfig
@@ -11,7 +12,6 @@ from instruct_forge.training import (
     AdamW,
     TrainConfig,
     build_batch,
-    pretrain,
     train,
     train_step,
 )
