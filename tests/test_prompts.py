@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from instruct_forge.evaluation import VERSIONS
 from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord
 
@@ -17,12 +18,16 @@ def no_input_record():
 
 
 class TestGoldenRenders:
-    def test_with_input_matches_golden(self):
+    # The tuning render carries no few-shot layout: one golden serves every
+    # evaluation prompt version.
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_with_input_matches_golden(self, version):
         golden = (FIXTURES / "prompt_with_input.txt").read_text(encoding="utf-8")
         tpl = PromptTemplate(kind="with-input")
         assert render_prompt(with_input_record(), tpl) == golden
 
-    def test_no_input_matches_golden(self):
+    @pytest.mark.parametrize("version", VERSIONS)
+    def test_no_input_matches_golden(self, version):
         golden = (FIXTURES / "prompt_no_input.txt").read_text(encoding="utf-8")
         tpl = PromptTemplate(kind="no-input")
         assert render_prompt(no_input_record(), tpl) == golden
