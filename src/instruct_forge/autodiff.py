@@ -2,8 +2,10 @@
 
 Small numpy-backed engine: each op builds a node holding its parents and a
 closure that routes the upstream gradient to them. ``Tensor.backward`` walks
-the graph once in reverse topological order. float32 is the working
-precision; pass float64 data for gradient-check fidelity.
+the graph once in reverse topological order; inside ``no_grad()`` ops build
+no graph, so inference keeps no parents, closures or saved activations.
+float32 is the working precision; pass float64 data for gradient-check
+fidelity.
 
 Broadcasting follows the trailing-dimension rule only (numpy's rule), which
 covers everything the decoder model needs.
@@ -11,6 +13,7 @@ covers everything the decoder model needs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Optional, Sequence
 
@@ -18,6 +21,7 @@ import numpy as np
 
 _F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
 _FLOAT_DTYPES = (_F32, _F64)
+_record = True  # False inside no_grad(): _node keeps no parents or backward closure
 
 
 class Tensor:
@@ -118,18 +122,33 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or bool(t._parents)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without building a graph: every output is a leaf with no
+    parents and no backward closure, whatever its inputs. Blocks nest, and
+    the previous state returns on exit, also when the block raises."""
+    global _record
+    prev, _record = _record, False
+    try:
+        yield
+    finally:
+        _record = prev
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     """``Tensor(data)`` without re-checking the float array an op just made;
-    keeps ``backward_fn`` only if a parent needs a gradient."""
+    keeps ``backward_fn`` only outside ``no_grad`` and if a parent needs a
+    gradient."""
     if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
         data = Tensor(data).data
     out = Tensor.__new__(Tensor)
     out.data, out.grad, out.requires_grad, out.name = data, None, False, None
     out._parents, out._backward_fn = (), None
-    for p in parents:
-        if p.requires_grad or p._parents:
-            out._parents, out._backward_fn = tuple(parents), backward_fn
-            break
+    if _record:
+        for p in parents:
+            if p.requires_grad or p._parents:
+                out._parents, out._backward_fn = tuple(parents), backward_fn
+                break
     return out
 
 

@@ -323,6 +323,8 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
         raise ValueError(f"tuning_seq_len must be >= 1, got {tuning_seq_len}")
     tokenizer = tokenizer or _DEFAULT_TOKENIZER
     shots = sorted(set(shots))
+    if not shots or shots[0] < 0:
+        raise ValueError(f"shots must be one or more counts >= 0, got {shots}")
     max_k = max(shots)
     if len(tasks) <= max_k:
         raise ValueError(f"need more than {max_k} tasks to run {max_k}-shot evaluation")

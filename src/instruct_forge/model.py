@@ -233,11 +233,13 @@ class DecoderModel:
 
     def logits(self, ids, cache: list | None = None, last: int | None = None) -> np.ndarray:
         """Evaluation-mode logits as a plain [T, V] array, [n, V] with ``last=n``;
-        ``cache`` and ``last`` as in ``forward``."""
+        ``cache`` and ``last`` as in ``forward``. Runs under ``ad.no_grad()``,
+        so no autodiff graph is kept."""
         was_training = self.training
         self.training = False
         try:
-            return self.forward(ids, cache, last).data
+            with ad.no_grad():
+                return self.forward(ids, cache, last).data
         finally:
             self.training = was_training
 

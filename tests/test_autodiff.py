@@ -586,3 +586,56 @@ class TestDropout:
         out = ad.dropout(x, 0.5, np.random.default_rng(12), training=True)
         ad.tsum(out).backward()
         np.testing.assert_array_equal(x.grad, out.data)
+
+
+class TestNoGrad:
+    @staticmethod
+    def ops():
+        """``linear``, ``lora_linear`` and ``causal_attention`` on fresh
+        ``requires_grad`` leaves, and the leaves."""
+        rng = np.random.default_rng(21)
+        x, w, a, b, q, k, v = (Tensor(rand(rng, *shape), requires_grad=True) for shape in
+                               [(2, 5, 4), (3, 4), (2, 4), (3, 2), (2, 5, 3), (2, 5, 3), (2, 5, 3)])
+        outs = [ad.linear(x, w), ad.lora_linear(x, w, a, b, 0.5), ad.causal_attention(q, k, v, 0.7)]
+        return outs, [x, w, a, b, q, k, v]
+
+    def grads(self):
+        outs, leaves = self.ops()
+        for out in outs:
+            ad.tsum(out).backward()
+        return [t.grad for t in leaves]
+
+    def builds_graph(self):
+        outs, _ = self.ops()
+        return all(out._parents and out._backward_fn is not None for out in outs)
+
+    def test_ops_keep_no_parents_or_closure_inside_the_block(self):
+        ref, _ = self.ops()
+        with ad.no_grad():
+            outs, _ = self.ops()
+        for out, r in zip(outs, ref):
+            assert out._parents == () and out._backward_fn is None
+            assert np.array_equal(out.data, r.data)
+
+    def test_graph_and_gradients_return_after_the_block(self):
+        before = self.grads()
+        with ad.no_grad():
+            self.ops()
+        assert self.builds_graph()
+        after = self.grads()
+        assert len(after) == 7 and all(g is not None for g in after)
+        for g0, g1 in zip(before, after):
+            assert np.array_equal(g0, g1)
+
+    def test_restored_when_the_block_raises(self):
+        with pytest.raises(RuntimeError, match="inside"):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert self.builds_graph()
+
+    def test_nested_blocks(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not self.builds_graph()
+            assert not self.builds_graph()
+        assert self.builds_graph()

@@ -631,6 +631,13 @@ class TestFailsBeforeOutput:
         self.assert_failed_silently(capsys, argv, "tuning_seq_len must be >= 1")
         assert not report.exists()
 
+    @pytest.mark.parametrize("shots", [",", "-1", "0,-2"])
+    def test_eval_shots_empty_or_negative(self, tmp_path, capsys, untrained_model, shots):
+        # used to fail with "max() arg is an empty sequence" or "k must be >= 0"
+        argv = ["eval", "--model", str(untrained_model), "--tasks", str(TestEval().tasks_file(tmp_path, n=4)),
+                f"--shots={shots}"]
+        self.assert_failed_silently(capsys, argv, "shots")
+
     def test_prompt_that_is_not_utf8(self, capsys, untrained_model):
         # Linux hands undecodable argv bytes to Python as lone surrogates
         argv = ["generate", "--model", str(untrained_model), "--prompt", "hi \udcff", "--max-new-tokens", "1"]

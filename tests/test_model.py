@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from instruct_forge import autodiff as ad
 from instruct_forge.archive import ArchiveError
 from instruct_forge.model import ContextOverflowError, DecoderModel, ModelConfig, load_checkpoint
 from instruct_forge.tokenizer import PAD
+from instruct_forge.training import AdamW, TrainingBatch, train_step
 
 
 def tiny_config(**kw):
@@ -312,6 +314,61 @@ class TestBlockedAttention:
         for g, bg in zip(grads, blocked_grads):
             assert np.abs(g).max() > 0
             np.testing.assert_allclose(bg, g, rtol=0, atol=1e-5 * np.abs(g).max())
+
+
+class TestGraphFreeLogits:
+    """``logits()`` runs under ``ad.no_grad()``: same numbers, no graph, no leaked state."""
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    @pytest.mark.parametrize("cached", [False, True])
+    @pytest.mark.parametrize("last", [None, 5])
+    def test_logits_equal_forward(self, layout, cached, last):
+        m = adapted_model(layout)
+        ids = np.random.default_rng(10).integers(0, 259, 50).tolist()
+        if cached:
+            ours, theirs = m.new_cache(), m.new_cache()
+            m.logits(ids[:20], cache=ours)
+            m.forward(ids[:20], theirs)
+            ids = ids[20:]
+        else:
+            ours = theirs = None
+        got = m.logits(ids, cache=ours, last=last)
+        assert np.array_equal(got, m.forward(ids, theirs, last).data)
+        for (k, v), (k0, v0) in zip(ours or [], theirs or []):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0)
+
+    def test_train_step_after_an_overflowing_call_matches_a_fresh_model(self):
+        class Recording(AdamW):
+            def step(self):
+                self.grads = [p.grad.copy() for p in self.params]
+                super().step()
+
+        ids = np.random.default_rng(11).integers(0, 256, (2, 24))
+        batch = TrainingBatch(ids, np.roll(ids, -1, axis=1), np.arange(24) >= np.array([[8], [16]]))
+        results = []
+        for overflow_first in (False, True):
+            m = adapted_model("split-qv")
+            if overflow_first:
+                with pytest.raises(ContextOverflowError):
+                    m.logits(list(range(m.max_seq_len + 1)))
+            opt = Recording([t for a in m.adapters.values() for t in (a.A, a.B)], lr=1e-3)
+            results.append((train_step(m, batch, opt), opt.grads))
+        (loss, grads), (loss_after, grads_after) = results
+        assert loss_after == loss and len(grads_after) == len(grads) == 16
+        for g, g_after in zip(grads, grads_after):
+            assert np.array_equal(g_after, g)
+
+    def test_peak_memory_of_a_full_window_call(self):
+        # about 24 MB while logits() kept the autodiff graph, about 3 MB without it
+        m = adapted_model("split-qv")
+        ids = np.random.default_rng(12).integers(0, 259, 511).tolist()
+        tracemalloc.start()
+        try:
+            m.logits(ids)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestCheckpoint:
