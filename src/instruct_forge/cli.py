@@ -126,10 +126,15 @@ def _build(owner, settings: dict, **extra):
     return owner(**fields, **extra)
 
 
-def _echo_config(settings: dict):
+def _echo_config(settings: dict, notes: dict):
+    """The resolved ``settings`` as ``--config`` lines (lists comma-joined, unset
+    values left out), then ``notes`` (paths and counts) as comments."""
     print("# effective-config")
     for key, value in settings.items():
-        print(f"{key} = {value}")
+        if value is not None:
+            print(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}")
+    for key, value in notes.items():
+        print(f"# {key} = {value}")
 
 
 def _load_model(args) -> DecoderModel:
@@ -159,7 +164,7 @@ def cmd_build_dataset(args, cfg) -> int:
         raise ValueError("no records left after filtering")
     save_records(records, args.output)
     manifest = dataset_stats(records)
-    _echo_config({**settings, "build.output": args.output})
+    _echo_config(settings, {"output": args.output})
     print(json.dumps(manifest.to_dict(), indent=2))
     return 0
 
@@ -183,16 +188,8 @@ def cmd_train(args, cfg) -> int:
     inject(model, lora_cfg)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # after the --init-from checks, before any output
-    _echo_config({
-        "seed": settings["seed"],
-        **{f"model.{k}": v for k, v in model.config.to_dict().items()},
-        **{f"train.{k}": v for k, v in dataclasses.asdict(train_cfg).items()},
-        **{f"lora.{k}": v for k, v in lora_cfg.to_dict().items()},
-        "data": args.data,
-        "out": args.out,
-        "trainable_params": trainable_param_count(model),
-        "adapters": len(model.adapters),
-    })
+    _echo_config(settings, {"data": args.data, "out": args.out,
+                            "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)})
     report = train(model, records, train_cfg, out_dir=out_dir)
     model.save_checkpoint(out_dir / "model.ifta")
     for entry in report:
@@ -215,7 +212,7 @@ def cmd_eval(args, cfg) -> int:
     model = _load_model(args)
     tasks = _load_tasks(args.tasks, settings["eval.prompt_version"])
     report = run_choice_eval(model, tasks, settings["eval.shots"], tuning_seq_len=settings["eval.seq_len"])
-    return _emit_report(args, report, {"eval.model": args.model, "eval.tasks": args.tasks, **settings})
+    return _emit_report(args, report, settings, {"model": args.model, "tasks": args.tasks})
 
 
 def cmd_ppl(args, cfg) -> int:
@@ -226,7 +223,7 @@ def cmd_ppl(args, cfg) -> int:
     if not items:
         raise ValueError("no items")
     pooled, report = corpus_perplexity(model, items, template)
-    return _emit_report(args, report, {"ppl.model": args.model, "ppl.items": args.items, "ppl.count": len(items)})
+    return _emit_report(args, report, {}, {"model": args.model, "items": args.items, "count": len(items)})
 
 
 def cmd_generate(args, cfg) -> int:
@@ -234,7 +231,7 @@ def cmd_generate(args, cfg) -> int:
     params = _build(GenerationParams, settings)
     model = _load_model(args)
     args.prompt.encode("utf-8")  # a lone surrogate (undecodable argv bytes) fails here, before any output
-    _echo_config({"generate.model": args.model, **settings})
+    _echo_config(settings, {"model": args.model})
     result = generate(model, args.prompt, params, seed=settings["seed"])
     print(result.text)
     if result.truncated:
@@ -242,12 +239,12 @@ def cmd_generate(args, cfg) -> int:
     return 0
 
 
-def _emit_report(args, report, config: dict) -> int:
+def _emit_report(args, report, settings: dict, notes: dict) -> int:
     """Write ``--report`` first, so a bad path fails before anything reaches stdout."""
     payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
     if args.report:
         Path(args.report).write_text(payload, encoding="utf-8")
-    _echo_config(config)
+    _echo_config(settings, notes)
     print(payload)
     return 0
 

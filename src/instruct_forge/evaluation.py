@@ -23,9 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import log_softmax
-from .tokenizer import ByteTokenizer
-
-_DEFAULT_TOKENIZER = ByteTokenizer()
+from .tokenizer import BOS, TOKENIZER
 
 VERSIONS = ("v0.2", "v0.3")   # the few-shot prompt layouts of ``assemble_fewshot_prompt``
 
@@ -163,13 +161,11 @@ def _v03_block(task: ChoiceTask, answer: str | None) -> str:
     return block + answer if answer is not None else block
 
 
-def assemble_fewshot_prompt(task: ChoiceTask, spec: FewShotSpec,
-                            template_version: str | None = None) -> str:
-    """v0.2: instruction + constraints + solved demos + open query.
-    v0.3: repeated Instructions/Input/Response blocks, final response empty."""
-    version = template_version or task.version
+def assemble_fewshot_prompt(task: ChoiceTask, spec: FewShotSpec) -> str:
+    """In the task's version. v0.2: instruction + constraints + solved demos +
+    open query. v0.3: repeated Instructions/Input/Response blocks, final response empty."""
     demos = spec.demonstrations[: spec.k]
-    if version == "v0.2":
+    if task.version == "v0.2":
         parts = [task.instruction]
         if task.constraints:
             parts.append(task.constraints)
@@ -177,13 +173,11 @@ def assemble_fewshot_prompt(task: ChoiceTask, spec: FewShotSpec,
             parts.append(_v02_block(demo, demo.choices[demo.gold]))
         parts.append(_v02_block(task, None))
         return "\n\n".join(parts)
-    if version == "v0.3":
-        parts = [FEWSHOT_HEADER_V03]
-        for demo in demos:
-            parts.append(_v03_block(demo, demo.choices[demo.gold]))
-        parts.append(_v03_block(task, None))
-        return "\n\n".join(parts)
-    raise ValueError(f"unknown prompt version {version!r}")
+    parts = [FEWSHOT_HEADER_V03]
+    for demo in demos:
+        parts.append(_v03_block(demo, demo.choices[demo.gold]))
+    parts.append(_v03_block(task, None))
+    return "\n\n".join(parts)
 
 
 # -- likelihood scoring --------------------------------------------------------
@@ -195,16 +189,16 @@ def _continuation_logp(logits, cont: list) -> float:
     return float(logp[np.arange(len(cont)), cont].sum())
 
 
-def _encode_continuation(continuation: str, tokenizer: ByteTokenizer) -> list:
-    cont = tokenizer.encode(continuation)
+def _encode_continuation(continuation: str) -> list:
+    cont = TOKENIZER.encode(continuation)
     if not cont:
         raise ValueError("continuation encodes to zero tokens")
     return cont
 
 
-def _context(prompt: str, tokenizer: ByteTokenizer) -> list:
+def _context(prompt: str) -> list:
     """BOS and the prompt's ids."""
-    return [tokenizer.bos_id] + tokenizer.encode(prompt)
+    return [BOS] + TOKENIZER.encode(prompt)
 
 
 def _score(model, ctx: list, cont: list) -> float:
@@ -218,21 +212,19 @@ def _score(model, ctx: list, cont: list) -> float:
     return _continuation_logp(model.logits(ids[:-1], last=len(cont)), cont)
 
 
-def score_continuation(model, prompt: str, continuation: str,
-                       tokenizer: ByteTokenizer | None = None) -> float:
+def score_continuation(model, prompt: str, continuation: str) -> float:
     """Summed log-likelihood of the continuation tokens given the prompt.
 
     Overlong inputs are left-truncated, preserving the end of the prompt
     and the whole continuation.
     """
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
-    return _score(model, _context(prompt, tokenizer), _encode_continuation(continuation, tokenizer))
+    return _score(model, _context(prompt), _encode_continuation(continuation))
 
 
-def _encode_task(task: ChoiceTask, spec: FewShotSpec, tokenizer: ByteTokenizer) -> tuple[list, list]:
+def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
     """The few-shot prompt's context ids and each choice's ids."""
-    conts = [_encode_continuation(c, tokenizer) for c in task.choices]
-    return _context(assemble_fewshot_prompt(task, spec), tokenizer), conts
+    conts = [_encode_continuation(c) for c in task.choices]
+    return _context(assemble_fewshot_prompt(task, spec)), conts
 
 
 def _choice_scores(model, ctx: list, conts: list) -> list[float]:
@@ -248,8 +240,7 @@ def _choice_scores(model, ctx: list, conts: list) -> list[float]:
     return scores
 
 
-def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
-                  tokenizer: ByteTokenizer | None = None) -> list[float]:
+def choice_scores(model, task: ChoiceTask, spec: FewShotSpec) -> list[float]:
     """Each choice's summed log-likelihood after the few-shot prompt.
 
     When the prompt and its longest choice fit the window, the prompt runs
@@ -257,45 +248,40 @@ def choice_scores(model, task: ChoiceTask, spec: FewShotSpec,
     Otherwise each choice is scored as by ``score_continuation``, whose left
     truncation depends on the choice's length.
     """
-    return _choice_scores(model, *_encode_task(task, spec, tokenizer or _DEFAULT_TOKENIZER))
+    return _choice_scores(model, *_encode_task(task, spec))
 
 
-def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec,
-                           tokenizer: ByteTokenizer | None = None) -> int:
+def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
     """Argmax over ``choice_scores``; ties go to the lowest index."""
-    return int(np.argmax(choice_scores(model, task, spec, tokenizer)))
+    return int(np.argmax(choice_scores(model, task, spec)))
 
 
 # -- perplexity ---------------------------------------------------------------
 
 
-def _item_nll(model, item: PerplexityItem, template: QuestionTemplate,
-              tokenizer: ByteTokenizer) -> tuple[float, int]:
+def _item_nll(model, item: PerplexityItem, template: QuestionTemplate) -> tuple[float, int]:
     """Negative log-likelihood of the item's response and its token count."""
-    cont = _encode_continuation(item.response, tokenizer)
-    return -_score(model, _context(template.render(item.question), tokenizer), cont), len(cont)
+    cont = _encode_continuation(item.response)
+    return -_score(model, _context(template.render(item.question)), cont), len(cont)
 
 
 def response_perplexity(model, item: PerplexityItem,
-                        prompt_template: QuestionTemplate | None = None,
-                        tokenizer: ByteTokenizer | None = None) -> float:
+                        prompt_template: QuestionTemplate | None = None) -> float:
     """exp of the mean negative log-likelihood over response tokens only."""
-    nll, n = _item_nll(model, item, prompt_template or QuestionTemplate(), tokenizer or _DEFAULT_TOKENIZER)
+    nll, n = _item_nll(model, item, prompt_template or QuestionTemplate())
     return math.exp(nll / n)
 
 
-def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None,
-                      tokenizer: ByteTokenizer | None = None) -> tuple[float, EvalReport]:
+def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None) -> tuple[float, EvalReport]:
     """Pooled aggregate exp(total response NLL / total response tokens)."""
     if not items:
         raise ValueError("corpus_perplexity requires at least one item")
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
     template = prompt_template or QuestionTemplate()
     total_nll = 0.0
     total_tokens = 0
     per_item = []
     for item in items:
-        nll, n = _item_nll(model, item, template, tokenizer)
+        nll, n = _item_nll(model, item, template)
         total_nll += nll
         total_tokens += n
         per_item.append(math.exp(nll / n))
@@ -311,8 +297,7 @@ def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = N
 # -- batch choice evaluation ----------------------------------------------------
 
 
-def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
-                    tuning_seq_len: int | None = None) -> EvalReport:
+def run_choice_eval(model, tasks, shots, tuning_seq_len: int | None = None) -> EvalReport:
     """Evaluate k-shot accuracy for each k in ``shots``.
 
     The first max(shots) tasks serve as demonstrations and are excluded
@@ -321,7 +306,6 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
     """
     if tuning_seq_len is not None and tuning_seq_len < 1:
         raise ValueError(f"tuning_seq_len must be >= 1, got {tuning_seq_len}")
-    tokenizer = tokenizer or _DEFAULT_TOKENIZER
     shots = sorted(set(shots))
     if not shots or shots[0] < 0:
         raise ValueError(f"shots must be one or more counts >= 0, got {shots}")
@@ -335,7 +319,7 @@ def run_choice_eval(model, tasks, shots, tokenizer: ByteTokenizer | None = None,
         spec = FewShotSpec(k=k, demonstrations=demos[:k])
         correct = 0
         for task in queries:
-            ctx, conts = _encode_task(task, spec, tokenizer)
+            ctx, conts = _encode_task(task, spec)
             needed = len(ctx) + max(map(len, conts))
             if tuning_seq_len is not None and needed > tuning_seq_len:
                 report.tuning_overflows += 1

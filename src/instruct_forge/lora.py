@@ -69,13 +69,14 @@ class LoraAdapter:
     def delta(self) -> np.ndarray:
         return self.scaling * (self.B.data @ self.A.data)
 
-    def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
+    def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T, as one ``ad.lora_linear`` node.
 
-        The dropout mask comes from ``ad.dropout_mask``, as in ``ad.dropout``.
+        Dropout applies only with ``rng``; its mask comes from ``ad.dropout_mask``,
+        drawn from ``rng`` as in ``ad.dropout``.
         """
         keep = None
-        if training and self.dropout != 0.0:
+        if rng is not None and self.dropout != 0.0:
             keep = ad.dropout_mask(x.shape, self.dropout, rng, x.data.dtype)
         return ad.lora_linear(x, self.weight, self.A, self.B, self.scaling, keep)
 

@@ -98,7 +98,6 @@ class DecoderModel:
     def __init__(self, config: ModelConfig):
         _keep_freed_memory()
         self.config = config
-        self.training = False
         self.adapters: dict = {}
         self.rng = np.random.default_rng(config.seed + 1)
         self._cc, self._ss = _rotary_tables(config.max_seq_len, config.d_model // config.n_heads)
@@ -130,19 +129,9 @@ class DecoderModel:
         self._param("final_norm.bias", np.zeros(cfg.d_model))
         self._param("lm_head", rng.normal(0.0, std, (cfg.vocab_size, cfg.d_model)))
 
-    # -- modes ------------------------------------------------------------
-
     @property
     def max_seq_len(self) -> int:
         return self.config.max_seq_len
-
-    def train_mode(self):
-        self.training = True
-        return self
-
-    def eval_mode(self):
-        self.training = False
-        return self
 
     def named_parameters(self) -> dict[str, Tensor]:
         """Stable, insertion-ordered name -> tensor map."""
@@ -150,17 +139,18 @@ class DecoderModel:
 
     # -- forward ------------------------------------------------------------
 
-    def _linear(self, name: str, x: Tensor) -> Tensor:
+    def _linear(self, name: str, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         adapter = self.adapters.get(name)
         if adapter is not None and not adapter.merged:
-            return adapter.forward(x, training=self.training, rng=self.rng)
+            return adapter.forward(x, rng)
         return ad.linear(x, self.params[name])
 
     def new_cache(self) -> list:
         """An empty K/V cache for ``forward``: one entry per layer."""
         return [None] * self.config.n_layers
 
-    def forward(self, tokens, cache: list | None = None, last: int | None = None) -> Tensor:
+    def forward(self, tokens, cache: list | None = None, last: int | None = None,
+                rng: np.random.Generator | None = None) -> Tensor:
         """Causal logits for a [T] sequence or a [B, T] batch of ids.
 
         With a ``cache`` from ``new_cache``, the ids continue the P positions
@@ -173,6 +163,9 @@ class DecoderModel:
         [n, V] or [B, n, V]; ``last >= T`` gives all T. Every layer still builds
         keys and values for all positions, but the final layer's queries,
         attention output, MLP, the final norm and the LM head run on n rows.
+
+        Adapter dropout applies only when ``rng``, the stream its masks are
+        drawn from, is given; a training step passes ``self.rng``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
         single = ids.ndim == 1
@@ -196,16 +189,16 @@ class DecoderModel:
             cut = n < T and i == cfg.n_layers - 1
             x = ad.layer_norm(h, self.params[p + "ln1.gain"], self.params[p + "ln1.bias"])
             if cfg.attention_layout == "fused-qkv":
-                qkv = self._linear(p + "attn.query_key_value", x)
+                qkv = self._linear(p + "attn.query_key_value", x, rng)
                 q = ad.slice_last(qkv, 0, cfg.d_model)
                 k = ad.slice_last(qkv, cfg.d_model, 2 * cfg.d_model)
                 v = ad.slice_last(qkv, 2 * cfg.d_model, 3 * cfg.d_model)
                 if cut:
                     q = ad.last_rows(q, n)
             else:
-                q = self._linear(p + "attn.q_proj", ad.last_rows(x, n) if cut else x)
-                k = self._linear(p + "attn.k_proj", x)
-                v = self._linear(p + "attn.v_proj", x)
+                q = self._linear(p + "attn.q_proj", ad.last_rows(x, n) if cut else x, rng)
+                k = self._linear(p + "attn.k_proj", x, rng)
+                v = self._linear(p + "attn.v_proj", x, rng)
             # [B, T, d] -> [B, H, T, hd]
             k = ad.rotary(ad.split_heads(k, H), cc, ss)
             v = ad.split_heads(v, H)
@@ -219,29 +212,24 @@ class DecoderModel:
                 cache[i] = (k.data, v.data)
             ctx = ad.merge_heads(ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd)))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")
-            h = ad.add(h, self._linear(out_name, ctx))
+            h = ad.add(h, self._linear(out_name, ctx, rng))
 
             x = ad.layer_norm(h, self.params[p + "ln2.gain"], self.params[p + "ln2.bias"])
-            x = ad.gelu(self._linear(p + "mlp.up_proj", x))
-            h = ad.add(h, self._linear(p + "mlp.down_proj", x))
+            x = ad.gelu(self._linear(p + "mlp.up_proj", x, rng))
+            h = ad.add(h, self._linear(p + "mlp.down_proj", x, rng))
 
         h = ad.layer_norm(h, self.params["final_norm.gain"], self.params["final_norm.bias"])
-        logits = self._linear("lm_head", h)
+        logits = self._linear("lm_head", h, rng)
         if single:
             logits = ad.reshape(logits, (n, cfg.vocab_size))
         return logits
 
     def logits(self, ids, cache: list | None = None, last: int | None = None) -> np.ndarray:
-        """Evaluation-mode logits as a plain [T, V] array, [n, V] with ``last=n``;
+        """Logits without dropout as a plain [T, V] array, [n, V] with ``last=n``;
         ``cache`` and ``last`` as in ``forward``. Runs under ``ad.no_grad()``,
         so no autodiff graph is kept."""
-        was_training = self.training
-        self.training = False
-        try:
-            with ad.no_grad():
-                return self.forward(ids, cache, last).data
-        finally:
-            self.training = was_training
+        with ad.no_grad():
+            return self.forward(ids, cache, last).data
 
     # -- checkpointing --------------------------------------------------------
 
@@ -250,7 +238,7 @@ class DecoderModel:
         save_archive(path, arrays, meta={"kind": "decoder-model", "config": self.config.to_dict()})
 
 
-def load_checkpoint(path, expect_layout: str | None = None) -> DecoderModel:
+def load_checkpoint(path) -> DecoderModel:
     arrays, meta = load_archive(path)
     if meta.get("kind") != "decoder-model":
         raise ArchiveError(f"{path}: not a model checkpoint")
@@ -258,9 +246,6 @@ def load_checkpoint(path, expect_layout: str | None = None) -> DecoderModel:
         config = ModelConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}: bad model config: {exc}") from exc
-    if expect_layout is not None and config.attention_layout != expect_layout:
-        raise ArchiveError(
-            f"{path}: checkpoint layout {config.attention_layout!r} does not match expected {expect_layout!r}")
     model = DecoderModel(config)
     if set(arrays) != set(model.params):
         missing = set(model.params) - set(arrays)

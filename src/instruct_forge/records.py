@@ -22,8 +22,8 @@ CATEGORIES = frozenset({
     "other",
 })
 
-DEFAULT_TYPO_INSTRUCTION = "Correct the typos in the following text."
-DEFAULT_QA_INSTRUCTION = "Answer the following question."
+TYPO_INSTRUCTION = "Correct the typos in the following text."
+QA_INSTRUCTION = "Answer the following question."
 
 
 class RecordError(ValueError):
@@ -141,19 +141,15 @@ def filter_by_category(records, excluded) -> list[InstructionRecord]:
     return [r for r in records if r.category not in excluded]
 
 
-def convert_typo_pair(wrong_text: str, corrected_text: str,
-                      instruction: str = DEFAULT_TYPO_INSTRUCTION,
-                      source: str = "typo-pairs") -> InstructionRecord:
+def convert_typo_pair(wrong_text: str, corrected_text: str) -> InstructionRecord:
     if not wrong_text or not corrected_text:
         raise RecordError("typo pair texts must be non-empty")
-    return InstructionRecord(instruction=instruction, input=wrong_text,
-                             output=corrected_text, category="correction", source=source)
+    return InstructionRecord(instruction=TYPO_INSTRUCTION, input=wrong_text,
+                             output=corrected_text, category="correction", source="typo-pairs")
 
 
-def convert_qa_pair(question: str, answer: str,
-                    instruction: str = DEFAULT_QA_INSTRUCTION,
-                    source: str = "qa-pairs") -> InstructionRecord:
+def convert_qa_pair(question: str, answer: str) -> InstructionRecord:
     if not question or not answer:
         raise RecordError("qa pair texts must be non-empty")
-    return InstructionRecord(instruction=instruction, input=question,
-                             output=answer, category="qa", source=source)
+    return InstructionRecord(instruction=QA_INSTRUCTION, input=question,
+                             output=answer, category="qa", source="qa-pairs")

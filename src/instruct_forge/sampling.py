@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import log_softmax
-from .tokenizer import ByteTokenizer, EOS
+from .tokenizer import BOS, EOS, TOKENIZER
 
 
 @dataclass
@@ -50,8 +50,7 @@ def apply_repetition_penalty(logits: np.ndarray, generated_ids, penalty: float) 
     return out
 
 
-def generate(model, prompt: str, params: GenerationParams,
-             tokenizer: ByteTokenizer | None = None, seed: int = 0) -> GenerationResult:
+def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> GenerationResult:
     """Iterative decode; stops at the stop token or max_new_tokens.
 
     Returns only the decoded continuation. The prompt runs once, then only
@@ -61,8 +60,7 @@ def generate(model, prompt: str, params: GenerationParams,
     the whole window (positions shift), and the result is flagged as
     truncated.
     """
-    tokenizer = tokenizer or ByteTokenizer()
-    ids = [tokenizer.bos_id] + tokenizer.encode(prompt)
+    ids = [BOS] + TOKENIZER.encode(prompt)
     rng = np.random.default_rng(seed)
     max_len = model.max_seq_len
     cache = model.new_cache()
@@ -91,4 +89,4 @@ def generate(model, prompt: str, params: GenerationParams,
             break
         generated.append(nxt)
         ids.append(nxt)
-    return GenerationResult(text=tokenizer.decode(generated), token_ids=generated, truncated=truncated)
+    return GenerationResult(text=TOKENIZER.decode(generated), token_ids=generated, truncated=truncated)

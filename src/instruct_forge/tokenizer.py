@@ -27,3 +27,6 @@ class ByteTokenizer:
             if t < 256:
                 payload.append(t)
         return bytes(payload).decode("utf-8", errors="replace")
+
+
+TOKENIZER = ByteTokenizer()   # the one tokenizer of the pipeline; it holds no state

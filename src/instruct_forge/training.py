@@ -8,7 +8,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .lora import adapter_parameters, save_adapters
 from .prompts import PromptTemplate, render_prompt, template_for
-from .tokenizer import ByteTokenizer, PAD
+from .tokenizer import PAD, TOKENIZER
 
 logger = logging.getLogger(__name__)
 
@@ -53,33 +53,34 @@ class TrainingBatch:
     dropped: int = 0
 
 
-class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+class DroppedBatchError(ValueError):
+    """Every record of a batch was dropped."""
 
-    def __init__(self, params, lr: float, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.0):
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # AdamW's moment decays and denominator floor
+
+
+class AdamW:
+    """Adaptive moments (Adam) over the given parameters; no weight decay."""
+
+    def __init__(self, params, lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            update = (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
+            self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
+            update = (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + EPS)
             p.data = p.data - self.lr * update
         self.zero_grad()
 
@@ -116,7 +117,10 @@ def _encode_example(record, template, tokenizer, config):
 
 
 def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBatch:
-    """Render, encode, truncate (keeping the tail), pad, shift, and mask."""
+    """Render, encode, truncate (keeping the tail), pad, shift, and mask.
+
+    Raises ``DroppedBatchError`` when every record is dropped.
+    """
     if not records:
         raise ValueError("build_batch requires at least one record")
     rows = []
@@ -128,7 +132,7 @@ def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBa
         else:
             rows.append(row)
     if not rows:
-        raise ValueError("every record in the batch was dropped")
+        raise DroppedBatchError("every record in the batch was dropped")
     L = max(len(r[0]) for r in rows)
     B = len(rows)
     tokens = np.full((B, L), PAD, dtype=np.int64)
@@ -156,11 +160,10 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     """
     if not model.adapters:
         raise ValueError("train_step requires a model with injected adapters")
-    model.train_mode()
     try:
         with np.errstate(over="raise", invalid="raise"):
             n = batch.loss_mask.shape[-1] - int(np.argmax(batch.loss_mask.any(axis=0)))
-            logits = model.forward(batch.tokens, last=n)
+            logits = model.forward(batch.tokens, last=n, rng=model.rng)
             loss = ad.softmax_cross_entropy(logits, batch.targets[:, -n:], batch.loss_mask[:, -n:])
             loss.backward()
             value = loss.item()
@@ -174,17 +177,17 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
 
 
 def train(model, records, config: TrainConfig, template: PromptTemplate | None = None,
-          tokenizer: ByteTokenizer | None = None, out_dir=None) -> list[dict]:
+          out_dir=None) -> list[dict]:
     """Epochs of shuffled mini-batches; one report dict per epoch.
 
-    Writes an adapter checkpoint per epoch (and a JSONL report) when
-    ``out_dir`` is given.
+    A batch whose every record is dropped counts as dropped; any other error
+    of a batch reaches the caller. Writes an adapter checkpoint per epoch
+    (and a JSONL report) when ``out_dir`` is given.
     """
     if not records:
         raise ValueError("train requires a non-empty dataset")
     if not model.adapters:
         raise ValueError("train requires a model with injected adapters")
-    tokenizer = tokenizer or ByteTokenizer()
     model.rng = np.random.default_rng(config.seed + 13)
     optimizer = AdamW(adapter_parameters(model), lr=config.learning_rate)
     report = []
@@ -200,8 +203,8 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
         for lo in range(0, len(records), config.batch_size):
             chunk = [records[i] for i in order[lo : lo + config.batch_size]]
             try:
-                batch = build_batch(chunk, template, tokenizer, config)
-            except ValueError:
+                batch = build_batch(chunk, template, TOKENIZER, config)
+            except DroppedBatchError:
                 dropped += len(chunk)
                 continue
             dropped += batch.dropped
@@ -218,6 +221,5 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
             save_adapters(model, out_dir / f"adapters-epoch{epoch}.ifta")
             with open(out_dir / "train-report.jsonl", "a", encoding="utf-8") as fh:
                 fh.write(json.dumps(entry, allow_nan=False) + "\n")
-    model.eval_mode()
     return report
 

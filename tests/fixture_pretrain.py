@@ -6,11 +6,11 @@ import time
 import numpy as np
 
 from instruct_forge import autodiff as ad
-from instruct_forge.tokenizer import ByteTokenizer
+from instruct_forge.tokenizer import BOS, EOS, TOKENIZER
 from instruct_forge.training import AdamW, TrainConfig
 
 
-def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None = None) -> list[dict]:
+def pretrain(model, texts, config: TrainConfig) -> list[dict]:
     """Full-parameter next-token pretraining on plain texts.
 
     Used to build the toy base model before instruction tuning; packs the
@@ -18,10 +18,9 @@ def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None 
     """
     if not texts:
         raise ValueError("pretrain requires a non-empty corpus")
-    tokenizer = tokenizer or ByteTokenizer()
     stream: list[int] = []
     for text in texts:
-        stream.extend([tokenizer.bos_id] + tokenizer.encode(text) + [tokenizer.eos_id])
+        stream.extend([BOS] + TOKENIZER.encode(text) + [EOS])
     L = config.train_seq_len
     windows = [stream[i : i + L + 1] for i in range(0, len(stream) - L, L)]
     if not windows:
@@ -30,7 +29,6 @@ def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None 
         p.requires_grad = True
     optimizer = AdamW(model.params.values(), lr=config.learning_rate)
     report = []
-    model.train_mode()
     for epoch in range(config.epochs):
         rng = np.random.default_rng(config.seed + 101 + epoch)
         order = rng.permutation(len(windows))
@@ -40,7 +38,7 @@ def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None 
             rows = [windows[i] for i in order[lo : lo + config.batch_size]]
             W = min(len(r) for r in rows) - 1
             arr = np.asarray([r[: W + 1] for r in rows], dtype=np.int64)
-            logits = model.forward(arr[:, :-1])
+            logits = model.forward(arr[:, :-1], rng=model.rng)
             loss = ad.softmax_cross_entropy(logits, arr[:, 1:])
             loss.backward()
             optimizer.step()
@@ -51,5 +49,4 @@ def pretrain(model, texts, config: TrainConfig, tokenizer: ByteTokenizer | None 
             "dropped": 0,
             "seconds": time.monotonic() - start,
         })
-    model.eval_mode()
     return report

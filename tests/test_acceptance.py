@@ -137,7 +137,6 @@ def test_03_merge_equivalence_after_training():
     opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=3e-3)
     for _ in range(100):
         train_step(model, batch, opt)
-    model.eval_mode()
     ids = list(range(1, 17))
     adapted = model.logits(ids)
     merge_all(model)

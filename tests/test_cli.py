@@ -90,7 +90,7 @@ class TestConfigFile:
                    "--d-model", "16", "--n-heads", "2", "--n-layers", "1",
                    "--max-seq-len", "64", "--seq-len", "64"])
         assert rc == 0
-        assert "lora.r = 2" in capsys.readouterr().out
+        assert "lora.rank = 2" in capsys.readouterr().out
 
     def test_env_seed_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("INSTRUCT_FORGE_SEED", "42")
@@ -244,7 +244,7 @@ class TestTrain:
         assert rc == 0
         out = capsys.readouterr().out
         assert "# effective-config" in out
-        assert "lora.r = 2" in out
+        assert "lora.rank = 2" in out
         assert "trainable_params" in out
 
 
@@ -438,6 +438,52 @@ class TestSettingsTable:
         assert len(results[-1].token_ids) <= 3
         assert main(argv + ["--max-new-tokens", "5"]) == 0
         assert "generate.max_new_tokens = 5\n" in capsys.readouterr().out
+
+
+def echo_block(out: str) -> list[str]:
+    """The ``# effective-config`` lines at the top of a command's stdout."""
+    lines = out.splitlines()
+    assert lines[0] == "# effective-config"
+    end = next(i for i, line in enumerate(lines) if not line.startswith("#") and " = " not in line)
+    return lines[:end]
+
+
+class TestEchoIsAConfig:
+    """Each subcommand's effective-config block, fed back through --config, reproduces itself."""
+
+    def argv(self, command, tmp_path, base_model):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        model = ["--model", str(base_model[0]), "--adapters", str(base_model[1])]
+        return {
+            "build-dataset": (["--input", str(data), "--output", str(tmp_path / "out.jsonl")],
+                              ["--exclude", "translation,qa"]),
+            "train": (["--data", str(data), "--out", str(tmp_path / "run")],
+                      [*TINY, "--rank", "2", "--targets", "q_proj,o_proj", "--lr", "0.01", "--dropout", "0.1",
+                       "--mask-policy", "full-sequence", "--seed", "3", "--epochs", "1", "--batch", "4"]),
+            "eval": ([*model, "--tasks", str(TestEval().tasks_file(tmp_path))],
+                     ["--shots", "0,2", "--prompt-version", "v0.3", "--seq-len", "40"]),
+            "ppl": ([*model, "--items", str(items)], []),
+            "generate": ([*model, "--prompt", "Once"],
+                         ["--temperature", "0.5", "--repetition-penalty", "1.25", "--max-new-tokens", "0",
+                          "--seed", "9"]),
+        }[command]
+
+    @pytest.mark.parametrize("command", ["build-dataset", "train", "eval", "ppl", "generate"])
+    def test_block_round_trips(self, command, tmp_path, capsys, monkeypatch, base_model):
+        monkeypatch.delenv("INSTRUCT_FORGE_SEED", raising=False)
+        paths, flags = self.argv(command, tmp_path, base_model)
+        capsys.readouterr()
+        assert main([command, *paths, *flags]) == 0
+        block = echo_block(capsys.readouterr().out)
+        settings = [line for line in block if not line.startswith("#")]
+        assert len(settings) == sum(command in s.commands for s in SETTINGS)   # every row is set here
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("\n".join(block) + "\n", encoding="utf-8")
+        assert main(["--config", str(cfg), command, *paths]) == 0
+        assert echo_block(capsys.readouterr().out) == block
 
 
 class TestInitFrom:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -139,7 +140,7 @@ class TestGoldenPrompts:
 
     def test_version_override(self):
         spec = FewShotSpec(k=1, demonstrations=demos("v0.2"))
-        forced = assemble_fewshot_prompt(query("v0.2"), spec, template_version="v0.3")
+        forced = assemble_fewshot_prompt(dataclasses.replace(query("v0.2"), version="v0.3"), spec)
         assert forced.startswith("Below is a combination")
 
 
@@ -302,18 +303,18 @@ class TestRunChoiceEval:
         assert report.model_overflows == 2
 
     @pytest.mark.parametrize("max_seq_len", [4096, 16])   # every prompt fits; every prompt overflows
-    def test_encodes_each_prompt_and_choice_once(self, max_seq_len):
-        texts = []
+    def test_encodes_each_prompt_and_choice_once(self, max_seq_len, monkeypatch):
+        texts, encode = [], ByteTokenizer.encode
 
-        class CountingTokenizer(ByteTokenizer):
-            def encode(self, text):
-                texts.append(text)
-                return super().encode(text)
+        def counting_encode(self, text):
+            texts.append(text)
+            return encode(self, text)
 
+        monkeypatch.setattr(ByteTokenizer, "encode", counting_encode)
         model = favored_byte_model("x")
         model.max_seq_len = max_seq_len
         # 7 tasks, max shot 1 -> 6 queries at 2 shot levels, each 1 prompt and 3 choices
-        report = run_choice_eval(model, self.tasks(7), shots=[0, 1], tokenizer=CountingTokenizer())
+        report = run_choice_eval(model, self.tasks(7), shots=[0, 1])
         assert len(texts) == 2 * 6 * 4
         assert report.model_overflows == (12 if max_seq_len == 16 else 0)
         assert report.accuracy == {0: 1.0, 1: 1.0}

@@ -92,9 +92,8 @@ class TestAdaptedForward:
         adapter = LoraAdapter("w", w, LoraConfig(r=2, dropout=0.0), rng)
         adapter.B.data = rng.normal(size=adapter.B.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(2, 4)).astype(np.float32))
-        np.testing.assert_array_equal(
-            adapter.forward(x, training=False).data,
-            adapter.forward(x, training=True, rng=np.random.default_rng(0)).data)
+        np.testing.assert_array_equal(adapter.forward(x).data,
+                                      adapter.forward(x, rng=np.random.default_rng(0)).data)
 
     def test_dropout_draws_the_masks_of_ad_dropout(self):
         rng = np.random.default_rng(5)
@@ -102,7 +101,7 @@ class TestAdaptedForward:
         adapter = LoraAdapter("w", w, LoraConfig(r=2, dropout=0.3), rng)
         adapter.B.data = rng.normal(size=adapter.B.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(2, 3, 6)).astype(np.float32))
-        out = adapter.forward(x, training=True, rng=np.random.default_rng(7))
+        out = adapter.forward(x, rng=np.random.default_rng(7))
         path = ad.dropout(x, 0.3, np.random.default_rng(7), training=True)
         delta = ad.scale(ad.linear(ad.linear(path, adapter.A), adapter.B), adapter.scaling)
         assert np.array_equal(out.data, ad.add(ad.linear(x, w), delta).data)

@@ -389,13 +389,6 @@ class TestCheckpoint:
         with pytest.raises(ArchiveError):
             load_checkpoint(path)
 
-    def test_layout_mismatch_rejected(self, tmp_path):
-        m = DecoderModel(tiny_config(attention_layout="fused-qkv"))
-        path = tmp_path / "m.ifta"
-        m.save_checkpoint(path)
-        with pytest.raises(ArchiveError, match="layout"):
-            load_checkpoint(path, expect_layout="split-qv")
-
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "m.ifta"
         path.write_bytes(b"not an archive at all")

@@ -149,12 +149,33 @@ class TestTrainStep:
         for p, b in zip(params, before):
             assert np.array_equal(p.data, b)
 
+    def test_failed_train_leaves_forward_deterministic(self, monkeypatch):
+        # the model used to keep a train-mode flag that a raising train left on,
+        # so every later plain forward drew fresh adapter dropout masks
+        real = ad.softmax_cross_entropy
+
+        def nan_loss(*args):
+            loss = real(*args)
+            loss.data = np.full_like(loss.data, np.nan)
+            return loss
+
+        model = adapted_model(dropout=0.3)
+        rng = np.random.default_rng(8)
+        for adapter in model.adapters.values():
+            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        monkeypatch.setattr(ad, "softmax_cross_entropy", nan_loss)
+        with pytest.raises(ValueError, match="diverged"):
+            train(model, records(8), TrainConfig(batch_size=4), template=TINY_TEMPLATE)
+        ids = np.arange(1, 17)
+        first = model.forward(ids).data
+        assert np.array_equal(first, model.forward(ids).data)
+        assert np.array_equal(first, model.logits(ids))
+
     def test_gradient_reaches_every_adapter(self):
         model = adapted_model()
         batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
         opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3)
         train_step(model, batch, opt)  # B leaves zero so A can receive gradient
-        model.train_mode()
         loss = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
         loss.backward()
         for adapter in model.adapters.values():
@@ -176,7 +197,6 @@ def test_frozen_base_weights_get_no_gradient(layout, targets):
             adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
         for p in model.params.values():
             p.requires_grad = not frozen
-        model.train_mode()
         ad.softmax_cross_entropy(model.forward(ids), np.roll(ids, -1, axis=1)).backward()
         adapter_grads.append([t.grad for a in model.adapters.values() for t in (a.A, a.B)])
         base_grads = [p.grad for p in model.params.values()]
@@ -211,8 +231,7 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
     for adapter in model.adapters.values():
         adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
     batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
-    model.train_mode()
-    loss = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
+    loss = ad.softmax_cross_entropy(model.forward(batch.tokens, rng=model.rng), batch.targets, batch.loss_mask)
     nodes = graph_nodes(loss)
     received = []
 
@@ -260,9 +279,9 @@ def spy_forward(model, monkeypatch):
     """Record the ``last`` of every ``model.forward`` call."""
     seen, real = [], model.forward
 
-    def forward(tokens, cache=None, last=None):
+    def forward(tokens, cache=None, last=None, rng=None):
         seen.append(last)
-        return real(tokens, cache, last)
+        return real(tokens, cache, last, rng)
 
     monkeypatch.setattr(model, "forward", forward)
     return seen
@@ -278,7 +297,6 @@ class TestSupervisedTail:
             adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
         params = [t for a in model.adapters.values() for t in (a.A, a.B)]
         batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
-        model.train_mode()
         full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
         full.backward()
         full_grads = [p.grad for p in params]
@@ -305,7 +323,6 @@ class TestSupervisedTail:
     def test_full_sequence_asks_for_every_row(self, monkeypatch):
         model = adapted_model()
         batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64, mask_policy="full-sequence"))
-        model.train_mode()
         full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask).item()
         seen = spy_forward(model, monkeypatch)
         loss = train_step(model, batch, AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3))
@@ -347,6 +364,14 @@ class TestTrainLoop:
         report = train(model, records(100), TrainConfig(epochs=10, batch_size=16, learning_rate=3e-3),
                        template=TINY_TEMPLATE)
         assert report[-1]["mean_loss"] < report[0]["mean_loss"]
+
+    def test_batch_error_reaches_the_caller(self):
+        # one record without an input under a with-input template used to drop
+        # its whole batch (and so every good record) as if it were too long
+        recs = [InstructionRecord(f"say w{i}", f"w{i}", input=None if i == 3 else f"x{i}", category="other")
+                for i in range(8)]
+        with pytest.raises(ValueError, match="requires a record with an input"):
+            train(adapted_model(), recs, TrainConfig(batch_size=8), template=PromptTemplate("with-input"))
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
