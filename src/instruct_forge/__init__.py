@@ -31,7 +31,6 @@ from .evaluation import (
     score_continuation,
     choice_scores,
     classify_by_likelihood,
-    response_perplexity,
     corpus_perplexity,
     run_choice_eval,
 )

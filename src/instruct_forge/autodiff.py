@@ -33,11 +33,9 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None, name: Optional[str] = None):
+    def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.asarray(data)
-        if dtype is None:
-            dtype = arr.dtype if arr.dtype in _FLOAT_DTYPES else np.float32
-        self.data = np.asarray(arr, dtype=dtype)
+        self.data = arr if arr.dtype in _FLOAT_DTYPES else arr.astype(np.float32)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
@@ -53,14 +51,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         return float(self.data)
@@ -94,10 +84,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -174,8 +160,7 @@ def _add_grad(t: Tensor, g: np.ndarray):
 # -- elementwise ---------------------------------------------------------
 
 
-def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def add(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = (a.data + b.data).astype(_result_dtype(a, b), copy=False)
     except ValueError:
@@ -190,8 +175,7 @@ def add(a, b) -> Tensor:
     return _node(data, (a, b), backward_fn)
 
 
-def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
         data = (a.data * b.data).astype(_result_dtype(a, b), copy=False)
     except ValueError:
@@ -206,8 +190,7 @@ def mul(a, b) -> Tensor:
     return _node(data, (a, b), backward_fn)
 
 
-def scale(a, s: float) -> Tensor:
-    a = _as_tensor(a)
+def scale(a: Tensor, s: float) -> Tensor:
     data = a.data * s
 
     def backward_fn(g):
@@ -219,14 +202,13 @@ def scale(a, s: float) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x) -> Tensor:
+def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
     Forward and backward run in place on two buffers each, in the rounding
     order of ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x³)))`` and its
     derivative written out term by term.
     """
-    x = _as_tensor(x)
     xd = x.data
     # repeated products: numpy's float32 power has no fast path for cubes
     t = xd * xd
@@ -265,9 +247,8 @@ def dropout_mask(shape: tuple, p: float, rng: np.random.Generator, dtype) -> np.
     return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
 
 
-def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted-scaling dropout; identity in evaluation mode or at p=0."""
-    x = _as_tensor(x)
     if not training or p == 0.0:
         return x
     keep = dropout_mask(x.shape, p, rng, x.data.dtype)
@@ -282,8 +263,7 @@ def dropout(x, p: float, rng: np.random.Generator, training: bool) -> Tensor:
 # -- shape manipulation ---------------------------------------------------
 
 
-def reshape(x, shape: tuple) -> Tensor:
-    x = _as_tensor(x)
+def reshape(x: Tensor, shape: tuple) -> Tensor:
     data = x.data.reshape(shape)
 
     def backward_fn(g):
@@ -292,8 +272,7 @@ def reshape(x, shape: tuple) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def transpose(x, axes=None) -> Tensor:
-    x = _as_tensor(x)
+def transpose(x: Tensor, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
@@ -305,9 +284,8 @@ def transpose(x, axes=None) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def split_heads(x, H: int) -> Tensor:
+def split_heads(x: Tensor, H: int) -> Tensor:
     """[..., T, H·hd] to [..., H, T, hd]: ``reshape`` then ``transpose`` as one node."""
-    x = _as_tensor(x)
     if x.ndim < 2 or x.shape[-1] % H != 0:
         raise ValueError(f"split_heads: last dimension of {x.shape} is not a multiple of {H} heads")
     data = x.data.reshape(x.shape[:-1] + (H, x.shape[-1] // H)).swapaxes(-2, -3)
@@ -318,9 +296,8 @@ def split_heads(x, H: int) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def merge_heads(x) -> Tensor:
+def merge_heads(x: Tensor) -> Tensor:
     """[..., H, T, hd] to [..., T, H·hd], the inverse of ``split_heads``, as one node."""
-    x = _as_tensor(x)
     if x.ndim < 3:
         raise ValueError(f"merge_heads: expected [..., H, T, hd], got {x.shape}")
     *lead, H, T, hd = x.shape
@@ -332,9 +309,8 @@ def merge_heads(x) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def slice_last(x, start: int, stop: int) -> Tensor:
+def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     """Slice ``[start:stop]`` along the last axis."""
-    x = _as_tensor(x)
     data = x.data[..., start:stop]
 
     def backward_fn(g):
@@ -345,9 +321,8 @@ def slice_last(x, start: int, stop: int) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def last_rows(x, n: int) -> Tensor:
+def last_rows(x: Tensor, n: int) -> Tensor:
     """The last ``n`` rows, ``x[..., -n:, :]``, of an [..., T, h] tensor."""
-    x = _as_tensor(x)
     T = x.shape[-2] if x.ndim >= 2 else 0
     if not 1 <= n <= T:
         raise ValueError(f"last_rows: cannot take {n} rows of a tensor of shape {x.shape}")
@@ -361,9 +336,8 @@ def last_rows(x, n: int) -> Tensor:
     return _node(data, (x,), backward_fn)
 
 
-def tsum(x) -> Tensor:
+def tsum(x: Tensor) -> Tensor:
     """Sum all elements to a scalar."""
-    x = _as_tensor(x)
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
 
     def backward_fn(g):
@@ -375,8 +349,7 @@ def tsum(x) -> Tensor:
 # -- linear algebra --------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul requires >=2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -392,14 +365,13 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward_fn)
 
 
-def linear(x, w) -> Tensor:
+def linear(x: Tensor, w: Tensor) -> Tensor:
     """``x @ wᵀ`` for [..., k] ``x`` and a [d, k] weight, as one graph node.
 
     The forward equals ``matmul(x, transpose(w))`` bit for bit. The weight
     gradient is one GEMM over all leading positions,
     ``g.reshape(-1, d)ᵀ @ x.reshape(-1, k)``.
     """
-    x, w = _as_tensor(x), _as_tensor(w)
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
     d, k = w.shape
@@ -414,7 +386,7 @@ def linear(x, w) -> Tensor:
     return _node(data, (x, w), backward_fn)
 
 
-def lora_linear(x, w, a, b, s: float, keep: Optional[np.ndarray] = None) -> Tensor:
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Optional[np.ndarray] = None) -> Tensor:
     """``x @ wᵀ + s · ((x ∘ keep) @ aᵀ) @ bᵀ`` for a [d, k] ``w``, [r, k] ``a``
     and [d, r] ``b``, as one graph node; ``keep=None`` means no dropout.
 
@@ -423,7 +395,6 @@ def lora_linear(x, w, a, b, s: float, keep: Optional[np.ndarray] = None) -> Tens
     the add. With ``gs = s · g``, the gradients are ``dB = gsᵀ u``,
     ``dA = (gs B)ᵀ (x ∘ keep)`` and ``dx = g W + (gs B A) ∘ keep``.
     """
-    x, w, a, b = _as_tensor(x), _as_tensor(w), _as_tensor(a), _as_tensor(b)
     xd, wd = x.data, w.data
     ash, bsh = a.data.shape, b.data.shape
     if (wd.ndim != 2 or len(ash) != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1] or ash[1] != wd.shape[1]
@@ -458,9 +429,8 @@ def lora_linear(x, w, a, b, s: float, keep: Optional[np.ndarray] = None) -> Tens
     return _node(data, (x, w, a, b), backward_fn)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis, then affine."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     d = x.shape[-1]
     if d <= 0 or eps <= 0:
         raise ValueError("layer_norm requires d > 0 and eps > 0")
@@ -488,9 +458,8 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _node(data, (x, gain, bias), backward_fn)
 
 
-def softmax(x) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    x = _as_tensor(x)
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=-1, keepdims=True)
@@ -508,7 +477,7 @@ def softmax(x) -> Tensor:
 _ATTN_BLOCK = 1 << 17
 
 
-def causal_attention(q, k, v, s: float) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     """``softmax(s * q @ kᵀ + triu(-1e9, k=S-T+1)) @ v`` for [..., T, h] ``q``
     and [..., S, h] ``k``, ``v``.
 
@@ -519,7 +488,6 @@ def causal_attention(q, k, v, s: float) -> Tensor:
     block the output equals ``matmul(causal softmax of the scores, v)`` bit
     for bit.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     T, S = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
         raise ValueError(f"causal_attention: shapes q {q.shape}, k {k.shape}, v {v.shape} disagree")
@@ -591,13 +559,12 @@ def log_softmax(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
+def softmax_cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
     """Mean negative log-likelihood of ``targets`` over unmasked positions.
 
     ``logits`` has shape [..., V]; ``targets`` holds token ids with the
     leading shape of ``logits``; ``loss_mask`` marks positions that count.
     """
-    logits = _as_tensor(logits)
     vocab = logits.shape[-1]
     ids = np.asarray(targets, dtype=np.int64)
     if ids.shape != logits.shape[:-1]:
@@ -629,9 +596,8 @@ def softmax_cross_entropy(logits, targets, loss_mask=None) -> Tensor:
     return _node(data, (logits,), backward_fn)
 
 
-def embedding(table, ids) -> Tensor:
+def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup ``table[ids]`` with scatter-add gradient."""
-    table = _as_tensor(table)
     idx = np.asarray(ids, dtype=np.int64)
     if _out_of_range(idx, table.shape[0]):
         raise ValueError(f"embedding ids must be in [0, {table.shape[0]})")
@@ -645,7 +611,7 @@ def embedding(table, ids) -> Tensor:
     return _node(data, (table,), backward_fn)
 
 
-def rotary(x, cc: np.ndarray, ss: np.ndarray) -> Tensor:
+def rotary(x: Tensor, cc: np.ndarray, ss: np.ndarray) -> Tensor:
     """Rotary position mixing on the last axis (rotate-half convention).
 
     ``x`` is [..., T, h] with even h; ``cc`` and ``ss`` are the [T, h]
@@ -656,7 +622,6 @@ def rotary(x, cc: np.ndarray, ss: np.ndarray) -> Tensor:
     exact, so each element rounds as in ``x1 * cos - x2 * sin`` and
     ``x1 * sin + x2 * cos``.
     """
-    x = _as_tensor(x)
     h = x.shape[-1]
     if h % 2 != 0:
         raise ValueError(f"rotary requires an even last dimension, got {h}")

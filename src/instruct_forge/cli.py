@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Callable
@@ -18,17 +19,17 @@ from typing import Callable
 from .evaluation import VERSIONS, ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
 from .lora import LoraConfig, inject, load_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
-from .records import (convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records, read_jsonl,
-                      save_records)
+from .records import (CATEGORIES, convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records,
+                      read_jsonl, save_records)
 from .sampling import GenerationParams, generate
 from .training import MASK_POLICIES, TrainConfig, train
 
 
 def load_config_file(path) -> dict:
-    """Parse "section.key = value" lines; '#' starts a comment."""
+    """Parse "section.key = value" lines; a '#' at a line's start or after whitespace starts a comment."""
     cfg = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -149,6 +150,9 @@ def _load_model(args) -> DecoderModel:
 
 def cmd_build_dataset(args, cfg) -> int:
     settings = resolve("build-dataset", args, cfg)
+    unknown = sorted(set(settings["build.exclude"] or ()) - CATEGORIES)
+    if unknown:
+        raise ValueError(f"build.exclude: unknown categories {unknown}; expected some of {sorted(CATEGORIES)}")
     records = []
     for spec in map(Path, args.input or []):
         for path in sorted(spec.glob("*.jsonl")) if spec.is_dir() else [spec]:
@@ -222,7 +226,7 @@ def cmd_ppl(args, cfg) -> int:
     items = read_jsonl(args.items, lambda o: PerplexityItem(question=o["question"], response=o["response"]))
     if not items:
         raise ValueError("no items")
-    pooled, report = corpus_perplexity(model, items, template)
+    report = corpus_perplexity(model, items, template)
     return _emit_report(args, report, {}, {"model": args.model, "items": args.items, "count": len(items)})
 
 

@@ -259,39 +259,29 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
 # -- perplexity ---------------------------------------------------------------
 
 
-def _item_nll(model, item: PerplexityItem, template: QuestionTemplate) -> tuple[float, int]:
-    """Negative log-likelihood of the item's response and its token count."""
-    cont = _encode_continuation(item.response)
-    return -_score(model, _context(template.render(item.question)), cont), len(cont)
-
-
-def response_perplexity(model, item: PerplexityItem,
-                        prompt_template: QuestionTemplate | None = None) -> float:
-    """exp of the mean negative log-likelihood over response tokens only."""
-    nll, n = _item_nll(model, item, prompt_template or QuestionTemplate())
-    return math.exp(nll / n)
-
-
-def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None) -> tuple[float, EvalReport]:
-    """Pooled aggregate exp(total response NLL / total response tokens)."""
+def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None) -> EvalReport:
+    """Each item's response-only perplexity, exp of its mean response NLL, and the pooled
+    exp(total response NLL / total response tokens); an item whose perplexity overflows is a ``ValueError``."""
     if not items:
         raise ValueError("corpus_perplexity requires at least one item")
     template = prompt_template or QuestionTemplate()
     total_nll = 0.0
     total_tokens = 0
     per_item = []
-    for item in items:
-        nll, n = _item_nll(model, item, template)
+    for i, item in enumerate(items, start=1):
+        cont = _encode_continuation(item.response)
+        nll, n = -_score(model, _context(template.render(item.question)), cont), len(cont)
+        try:
+            per_item.append(math.exp(nll / n))
+        except OverflowError:
+            raise ValueError(f"item {i}: perplexity overflows (mean response NLL {nll / n:.1f} nats)") from None
         total_nll += nll
         total_tokens += n
-        per_item.append(math.exp(nll / n))
-    pooled = math.exp(total_nll / total_tokens)
-    report = EvalReport(
-        perplexity_pooled=pooled,
+    return EvalReport(
+        perplexity_pooled=math.exp(total_nll / total_tokens),
         perplexity_mean=float(np.mean(per_item)),
         item_perplexities=per_item,
     )
-    return pooled, report
 
 
 # -- batch choice evaluation ----------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, asdict
-from fnmatch import fnmatch
 
 import numpy as np
 
@@ -52,7 +51,6 @@ class LoraAdapter:
             raise LoraConfigError(f"rank {config.r} exceeds min dimension of {name} ({d}x{k})")
         self.name = name
         self.weight = weight
-        self.r = config.r
         self.dropout = config.dropout
         self.scaling = config.alpha / config.r
         self.A = Tensor(rng.normal(0.0, 1.0 / config.r, (config.r, k)).astype(np.float32),
@@ -61,10 +59,6 @@ class LoraAdapter:
                         requires_grad=True, name=name + ".lora_B")
         self.merged = False
         self._premerge_weight: np.ndarray | None = None
-
-    def trainable_count(self) -> int:
-        d, k = self.weight.shape
-        return (d + k) * self.r
 
     def delta(self) -> np.ndarray:
         return self.scaling * (self.B.data @ self.A.data)
@@ -98,22 +92,16 @@ class LoraAdapter:
         self.merged = False
 
 
-def _matches(name: str, pattern: str) -> bool:
-    return pattern in name or fnmatch(name, pattern)
-
-
 def inject(model, config: LoraConfig):
-    """Attach adapters to every 2-D weight matching a target pattern.
-
-    All base weights (matched or not) are frozen; only adapters train.
-    """
+    """Attach adapters to each projection weight whose name contains a target pattern: every 2-D
+    weight but the ``embedding`` table, which the forward indexes. All base weights are frozen."""
     rng = np.random.default_rng(model.config.seed + 7)
     matched_patterns = set()
-    for name, param in model.named_parameters().items():
+    for name, param in model.params.items():
         param.requires_grad = False
-        if param.data.ndim != 2:
+        if param.data.ndim != 2 or name == "embedding":
             continue
-        hits = [pat for pat in config.target_names if _matches(name, pat)]
+        hits = [pat for pat in config.target_names if pat in name]
         if hits:
             matched_patterns.update(hits)
             model.adapters[name] = LoraAdapter(name, param, config, rng)
@@ -133,8 +121,8 @@ def adapter_parameters(model) -> list[Tensor]:
 
 
 def trainable_param_count(model) -> int:
-    """Sum of (d+k)*r over all adapters."""
-    return sum(a.trainable_count() for a in model.adapters.values())
+    """Elements of every adapter's A and B: (d+k)*r per adapter."""
+    return sum(p.data.size for p in adapter_parameters(model))
 
 
 def merge_all(model):

@@ -101,7 +101,7 @@ class DecoderModel:
         self.adapters: dict = {}
         self.rng = np.random.default_rng(config.seed + 1)
         self._cc, self._ss = _rotary_tables(config.max_seq_len, config.d_model // config.n_heads)
-        self.params: dict[str, Tensor] = {}
+        self.params: dict[str, Tensor] = {}   # name -> weight, in a stable order
         self._init_params(np.random.default_rng(config.seed))
 
     def _param(self, name: str, data: np.ndarray):
@@ -132,10 +132,6 @@ class DecoderModel:
     @property
     def max_seq_len(self) -> int:
         return self.config.max_seq_len
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        """Stable, insertion-ordered name -> tensor map."""
-        return dict(self.params)
 
     # -- forward ------------------------------------------------------------
 

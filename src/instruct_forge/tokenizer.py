@@ -11,11 +11,6 @@ VOCAB_SIZE = 259
 class ByteTokenizer:
     """UTF-8 byte encoding; decode(encode(s)) == s for any text."""
 
-    vocab_size = VOCAB_SIZE
-    bos_id = BOS
-    eos_id = EOS
-    pad_id = PAD
-
     def encode(self, text: str) -> list[int]:
         return list(text.encode("utf-8"))
 

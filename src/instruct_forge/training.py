@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .lora import adapter_parameters, save_adapters
 from .prompts import PromptTemplate, render_prompt, template_for
-from .tokenizer import PAD, TOKENIZER
+from .tokenizer import BOS, EOS, PAD, TOKENIZER
 
 logger = logging.getLogger(__name__)
 
@@ -92,10 +92,10 @@ class AdamW:
 def _encode_example(record, template, tokenizer, config):
     """Token row, target row, and mask row for one record, or None if dropped."""
     tpl = template if template is not None else template_for(record)
-    full_text = render_prompt(record, tpl, include_response=True)
-    prompt_text = render_prompt(record, tpl, include_response=False)
-    full = [tokenizer.bos_id] + tokenizer.encode(full_text) + [tokenizer.eos_id]
-    prompt_len = 1 + len(tokenizer.encode(prompt_text))
+    # the training render is the inference render followed by the output
+    prompt = [BOS] + tokenizer.encode(render_prompt(record, tpl, include_response=False))
+    full = prompt + tokenizer.encode(record.output) + [EOS]
+    prompt_len = len(prompt)
     response_len = len(full) - prompt_len
     if response_len > config.train_seq_len:
         logger.warning("dropping record: response (%d tokens) exceeds train_seq_len %d",

@@ -25,7 +25,6 @@ from instruct_forge.evaluation import (
     assemble_fewshot_prompt,
     classify_by_likelihood,
     corpus_perplexity,
-    response_perplexity,
 )
 from instruct_forge.lora import LoraConfig, inject, merge_all, trainable_param_count, unmerge_all
 from instruct_forge.model import DecoderModel, ModelConfig
@@ -161,10 +160,10 @@ def test_04_parameter_accounting():
 
 def test_05_perplexity_oracle():
     start = time.monotonic()
-    ppl_uniform = response_perplexity(uniform_model(),
-                                      PerplexityItem("why is the sky blue?", "scattering"))
+    ppl_uniform = corpus_perplexity(uniform_model(),
+                                    [PerplexityItem("why is the sky blue?", "scattering")]).perplexity_pooled
     half = two_byte_model(pa=0.5, pb=0.5)
-    ppl_half = response_perplexity(half, PerplexityItem("q", "abba"))
+    ppl_half = corpus_perplexity(half, [PerplexityItem("q", "abba")]).perplexity_pooled
     ok = abs(ppl_uniform - VOCAB_SIZE) < 1e-4 and abs(ppl_half - 2.0) < 1e-9
     report(5, "uniform model perplexity = 259; p=0.5 model perplexity = 2.0",
            ok, time.monotonic() - start, 5)
@@ -230,7 +229,7 @@ def test_08_instruction_tuning_lowers_perplexity():
 
     template = QuestionTemplate(body=QA_QUESTION_BODY)
     items = [PerplexityItem(q, a) for q, a in held_out]
-    base_ppl, _ = corpus_perplexity(model, items, template)
+    base_ppl = corpus_perplexity(model, items, template).perplexity_pooled
 
     inject(model, LoraConfig(r=8, alpha=16, dropout=0.0,
                              target_names=["q_proj", "v_proj", "o_proj",
@@ -239,7 +238,7 @@ def test_08_instruction_tuning_lowers_perplexity():
     train(model, records,
           TrainConfig(learning_rate=3e-3, batch_size=16, epochs=4, train_seq_len=80),
           template=PromptTemplate(kind="no-input", body=QA_TEMPLATE_BODY))
-    tuned_ppl, _ = corpus_perplexity(model, items, template)
+    tuned_ppl = corpus_perplexity(model, items, template).perplexity_pooled
 
     drop = (base_ppl - tuned_ppl) / base_ppl
     ok = drop >= 0.20

@@ -414,7 +414,7 @@ class TestShapeOps:
         cc, ss = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
         check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)])
         with pytest.raises(ValueError, match="wide"):   # half-width tables
-            ad.rotary(rand(rng, 2, T, h), cos, sin)
+            ad.rotary(Tensor(rand(rng, 2, T, h)), cos, sin)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rotary_bit_identical_to_formula(self, dtype):

@@ -27,3 +27,16 @@ def test_tracer_installs_and_removes_every_wrapper(tracer):
     finally:
         instrumentation.remove()
     assert all(getattr(owner, attr) is original for owner, attr, original, _ in sites)
+
+
+@pytest.mark.parametrize("name", ["tune", "score", "decode"])
+def test_one_round_of_each_workload_passes_its_checks(name, tmp_path, monkeypatch):
+    """Setup, one round and the checks of a workload, as the benchmark runs them:
+    a program name that ``perfbench/workloads.py`` calls fails here too."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name](1, tmp_path)
+    workload.setup()
+    workload.run_round()
+    checks = workload.checks()
+    assert workload.ops and [o for o in workload.ops if not o["ok"]] == []
+    assert checks and [c for c in checks if not c[1]] == []

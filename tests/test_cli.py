@@ -11,7 +11,7 @@ from instruct_forge import cli
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import PerplexityItem, corpus_perplexity
 from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
-from instruct_forge.records import load_records
+from instruct_forge.records import CATEGORIES, load_records
 
 
 def write_jsonl(path, rows):
@@ -61,6 +61,12 @@ class TestConfigFile:
         p.write_text("train.lr = 0.01  # fast\n\n# blank above\nseed = 7\n",
                      encoding="utf-8")
         assert load_config_file(p) == {"train.lr": "0.01", "seed": "7"}
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # a '#' starts a comment only at the start of a line or after whitespace
+        p = tmp_path / "cfg"
+        p.write_text("build.exclude = qa#x\n#seed = 1\nseed = 7\t# tab\n", encoding="utf-8")
+        assert load_config_file(p) == {"build.exclude": "qa#x", "seed": "7"}
 
     def test_rejects_bare_lines(self, tmp_path):
         p = tmp_path / "cfg"
@@ -167,6 +173,25 @@ class TestBuildDataset:
         assert rc == 1
         assert "filtering" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unknown_excluded_category_fails_before_output(self, tmp_path, capsys, source):
+        # "qa#x" used to be accepted as a category, and a config file read it as "qa"
+        a = tmp_path / "a.jsonl"
+        write_jsonl(a, dataset_rows(3, "qa"))
+        out = tmp_path / "out.jsonl"
+        argv = ["build-dataset", "--input", str(a), "--output", str(out)]
+        if source == "flag":
+            argv += ["--exclude", "translation,qa#x"]
+        else:
+            (tmp_path / "cfg").write_text("build.exclude = translation,qa#x\n", encoding="utf-8")
+            argv = ["--config", str(tmp_path / "cfg"), *argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: build.exclude: unknown categories ['qa#x']; expected some of "
+                                f"{sorted(CATEGORIES)}\n")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_malformed_line_reports_number(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text('{"instruction": "x", "output": "y"}\nnot json\n',
@@ -235,6 +260,18 @@ class TestTrain:
         assert not (out / "adapters-epoch1.ifta").exists()
         assert not (out / "model.ifta").exists()
 
+    def test_embedding_target_fails_before_output(self, tmp_path, capsys):
+        # used to exit 0 and train an adapter that the forward never applied
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), "--targets", "embedding", *TINY]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "matched no parameters: ['embedding']" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_echoes_effective_config(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
@@ -302,9 +339,8 @@ class TestPpl:
         model = load_checkpoint(model_path)
         from instruct_forge.lora import load_adapters
         load_adapters(model, adapters)
-        pooled, lib_report = corpus_perplexity(
-            model, [PerplexityItem(**i) for i in items])
-        assert abs(payload["perplexity_pooled"] - pooled) < 1e-9
+        lib_report = corpus_perplexity(model, [PerplexityItem(**i) for i in items])
+        assert abs(payload["perplexity_pooled"] - lib_report.perplexity_pooled) < 1e-9
         assert abs(payload["perplexity_mean"] - lib_report.perplexity_mean) < 1e-9
 
     def test_template_without_question_slot_fails(self, tmp_path, capsys, base_model):
@@ -688,6 +724,18 @@ class TestFailsBeforeOutput:
         # Linux hands undecodable argv bytes to Python as lone surrogates
         argv = ["generate", "--model", str(untrained_model), "--prompt", "hi \udcff", "--max-new-tokens", "1"]
         self.assert_failed_silently(capsys, argv, "surrogates not allowed")
+
+    def test_ppl_item_whose_perplexity_overflows(self, tmp_path, capsys):
+        # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback
+        model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64))
+        model.params["lm_head"].data *= 1e6
+        model.save_checkpoint(tmp_path / "model.ifta")
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "an answer"}])
+        report = tmp_path / "r.json"
+        argv = ["ppl", "--model", str(tmp_path / "model.ifta"), "--items", str(items), "--report", str(report)]
+        self.assert_failed_silently(capsys, argv, "item 1: perplexity overflows")
+        assert not report.exists()
 
     def test_out_below_a_file(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

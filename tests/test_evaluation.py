@@ -17,12 +17,11 @@ from instruct_forge.evaluation import (
     choice_scores,
     classify_by_likelihood,
     corpus_perplexity,
-    response_perplexity,
     run_choice_eval,
     score_continuation,
 )
 from instruct_forge.model import DecoderModel, ModelConfig
-from instruct_forge.tokenizer import VOCAB_SIZE, ByteTokenizer
+from instruct_forge.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOK = ByteTokenizer()
@@ -219,32 +218,32 @@ class TestSharedPromptScoring:
 class TestPerplexity:
     def test_uniform_model_gives_vocab_size(self):
         item = PerplexityItem("why?", "because")
-        ppl = response_perplexity(uniform_model(), item)
+        ppl = corpus_perplexity(uniform_model(), [item]).perplexity_pooled
         assert abs(ppl - VOCAB_SIZE) < 1e-4
 
     def test_half_probability_gives_two(self):
         # every response byte has p = 0.5; EOS is excluded or this blows up
         model = two_byte_model(pa=0.5, pb=0.5)
-        ppl = response_perplexity(model, PerplexityItem("q", "ab"))
+        ppl = corpus_perplexity(model, [PerplexityItem("q", "ab")]).perplexity_pooled
         assert abs(ppl - 2.0) < 1e-9
 
     def test_hand_computed_mixed_probs(self):
         model = two_byte_model(pa=0.75, pb=0.25)
-        ppl = response_perplexity(model, PerplexityItem("q", "aab"))
+        ppl = corpus_perplexity(model, [PerplexityItem("q", "aab")]).perplexity_pooled
         expected = math.exp(-(2 * math.log(0.75) + math.log(0.25)) / 3)
         assert abs(ppl - expected) < 1e-9
 
     def test_custom_question_template(self):
         tpl = QuestionTemplate(body="Q: {question}\nA: ")
-        ppl = response_perplexity(uniform_model(), PerplexityItem("hi", "yo"), tpl)
+        ppl = corpus_perplexity(uniform_model(), [PerplexityItem("hi", "yo")], tpl).perplexity_pooled
         assert abs(ppl - VOCAB_SIZE) < 1e-4
 
     def test_corpus_pooled_and_mean(self):
         model = two_byte_model(pa=0.75, pb=0.25)
         items = [PerplexityItem("q", "aa"), PerplexityItem("q", "b")]
-        pooled, report = corpus_perplexity(model, items)
+        report = corpus_perplexity(model, items)
         expected_pooled = math.exp((2 * -math.log(0.75) + -math.log(0.25)) / 3)
-        assert abs(pooled - expected_pooled) < 1e-9
+        assert abs(report.perplexity_pooled - expected_pooled) < 1e-9
         assert abs(report.perplexity_mean - (4 / 3 + 4) / 2) < 1e-9
         assert len(report.item_perplexities) == 2
 
@@ -252,14 +251,21 @@ class TestPerplexity:
         with pytest.raises(ValueError):
             corpus_perplexity(uniform_model(), [])
 
+    def test_overflowing_item_is_named(self):
+        # every response byte costs about 1e3 nats, past exp's float range (~709); this used to raise OverflowError
+        model = favored_byte_model("z", bonus=1e3)
+        items = [PerplexityItem("q", "zz"), PerplexityItem("q", "ab")]
+        with pytest.raises(ValueError, match="item 2: perplexity overflows"):
+            corpus_perplexity(model, items)
+
     def test_matches_training_loss_on_real_model(self):
         # exp(masked cross entropy over response positions) within float error
         model = DecoderModel(ModelConfig(d_model=32, n_heads=2, n_layers=2,
                                          max_seq_len=128, seed=9))
         item = PerplexityItem("what color?", "blue")
-        ppl = response_perplexity(model, item)
+        ppl = corpus_perplexity(model, [item]).perplexity_pooled
         prompt = QuestionTemplate().render(item.question)
-        ids = [TOK.bos_id] + TOK.encode(prompt) + TOK.encode(item.response)
+        ids = [BOS] + TOK.encode(prompt) + TOK.encode(item.response)
         inputs = np.asarray(ids[:-1])
         targets = np.asarray(ids[1:])
         mask = np.zeros(len(targets), dtype=bool)

@@ -54,9 +54,22 @@ class TestInject:
         with pytest.raises(LoraConfigError, match="w_proj"):
             inject(small_model(), LoraConfig(target_names=["q_proj", "w_proj"]))
 
+    def test_glob_pattern_matches_nothing(self):
+        # targets match by substring; "*" is a literal character
+        with pytest.raises(LoraConfigError, match=r"matched no parameters: \['layers\.\*\.attn\.q_proj'\]"):
+            inject(small_model(), LoraConfig(target_names=["layers.*.attn.q_proj"]))
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_embedding_table_is_no_target(self, layout):
+        # the forward looks rows of the table up and never multiplies by it, so an adapter there was a silent no-op
+        with pytest.raises(LoraConfigError, match=r"matched no parameters: \['embedding'\]"):
+            inject(small_model(layout), LoraConfig(r=2, target_names=["embedding"]))
+        m = inject(small_model(layout), LoraConfig(r=2, target_names=["lm_head"]))
+        assert list(m.adapters) == ["lm_head"]
+
     def test_all_base_weights_frozen(self):
         m = inject(small_model(), LoraConfig(target_names=["q_proj"]))
-        assert all(not p.requires_grad for p in m.named_parameters().values())
+        assert all(not p.requires_grad for p in m.params.values())
         assert all(a.A.requires_grad and a.B.requires_grad for a in m.adapters.values())
 
     def test_zero_init_identity_bit_exact(self):
@@ -160,9 +173,8 @@ class TestMergeUnmerge:
 
 class TestParamCount:
     def test_formula_single(self):
-        w = Tensor(np.zeros((8, 8), dtype=np.float32))
-        adapter = LoraAdapter("w", w, LoraConfig(r=2, dropout=0.0), np.random.default_rng(0))
-        assert adapter.trainable_count() == 32
+        m = inject(small_model(n_layers=1), LoraConfig(r=2, dropout=0.0, target_names=["q_proj"]))
+        assert trainable_param_count(m) == 32
 
     def test_four_adapters_64x64_r4(self):
         m = inject(DecoderModel(ModelConfig(d_model=64, n_heads=4, n_layers=2, seed=0)),

@@ -36,8 +36,8 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = DecoderModel(ModelConfig(seed=5))
         b = DecoderModel(ModelConfig(seed=5))
-        for name, p in a.named_parameters().items():
-            np.testing.assert_array_equal(p.data, b.named_parameters()[name].data)
+        for name, p in a.params.items():
+            np.testing.assert_array_equal(p.data, b.params[name].data)
 
     def test_different_seed_differs(self):
         a = DecoderModel(tiny_config(seed=1))
@@ -46,24 +46,24 @@ class TestInit:
 
     def test_fused_layout_exposes_query_key_value(self):
         m = DecoderModel(tiny_config(attention_layout="fused-qkv"))
-        assert any("query_key_value" in n for n in m.named_parameters())
+        assert any("query_key_value" in n for n in m.params)
 
 
 class TestNamedParameters:
     def test_split_qv_names(self):
         m = DecoderModel(tiny_config(n_layers=2))
-        names = list(m.named_parameters())
+        names = list(m.params)
         assert sum(1 for n in names if n.endswith("q_proj")) == 2
         assert sum(1 for n in names if n.endswith("v_proj")) == 2
 
     def test_fused_has_no_split_names(self):
         m = DecoderModel(tiny_config(attention_layout="fused-qkv"))
-        assert not any("q_proj" in n for n in m.named_parameters())
+        assert not any("q_proj" in n for n in m.params)
 
     def test_iteration_order_stable(self):
         a = DecoderModel(tiny_config())
         b = DecoderModel(tiny_config())
-        assert list(a.named_parameters()) == list(b.named_parameters())
+        assert list(a.params) == list(b.params)
 
 
 class TestForward:
@@ -377,7 +377,7 @@ class TestCheckpoint:
         path = tmp_path / "m.ifta"
         m.save_checkpoint(path)
         loaded = load_checkpoint(path)
-        for name, p in m.named_parameters().items():
+        for name, p in m.params.items():
             assert np.abs(p.data - loaded.params[name].data).max() == 0.0
 
     def test_truncated_file_rejected(self, tmp_path):

@@ -12,7 +12,7 @@ import instruct_forge
 QUESTION_BODY = "Write a response to answer the following question.\\n\\n### Question:\\n{question}\\n\\n### Response:\\n"
 
 API = {
-    "Tensor": "(data, requires_grad=False, dtype=None, name=None)",
+    "Tensor": "(data, requires_grad=False, name=None)",
     "Tensor.item": "(self)",
     "Tensor.backward": "(self)",
     "ByteTokenizer": "()",
@@ -40,7 +40,6 @@ API = {
                    "attention_layout='split-qv', seed=0)",
     "ModelConfig.to_dict": "(self)",
     "DecoderModel": "(config)",
-    "DecoderModel.named_parameters": "(self)",
     "DecoderModel.new_cache": "(self)",
     "DecoderModel.forward": "(self, tokens, cache=None, last=None, rng=None)",
     "DecoderModel.logits": "(self, ids, cache=None, last=None)",
@@ -50,7 +49,6 @@ API = {
     "LoraConfig": "(r=4, alpha=16.0, dropout=0.05, target_names=<factory>)",
     "LoraConfig.to_dict": "(self)",
     "LoraAdapter": "(name, weight, config, rng)",
-    "LoraAdapter.trainable_count": "(self)",
     "LoraAdapter.delta": "(self)",
     "LoraAdapter.forward": "(self, x, rng=None)",
     "LoraAdapter.merge": "(self)",
@@ -80,7 +78,6 @@ API = {
     "score_continuation": "(model, prompt, continuation)",
     "choice_scores": "(model, task, spec)",
     "classify_by_likelihood": "(model, task, spec)",
-    "response_perplexity": "(model, item, prompt_template=None)",
     "corpus_perplexity": "(model, items, prompt_template=None)",
     "run_choice_eval": "(model, tasks, shots, tuning_seq_len=None)",
     "GenerationParams": "(temperature=0.0, repetition_penalty=1.0, max_new_tokens=64, stop_token=257)",

@@ -5,9 +5,9 @@ from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
 from instruct_forge.lora import LoraConfig, inject
 from instruct_forge.model import DecoderModel, ModelConfig
-from instruct_forge.prompts import PromptTemplate
+from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord
-from instruct_forge.tokenizer import EOS, PAD, ByteTokenizer
+from instruct_forge.tokenizer import BOS, EOS, PAD, ByteTokenizer
 from instruct_forge.training import (
     AdamW,
     TrainConfig,
@@ -99,6 +99,35 @@ class TestBuildBatch:
         assert not batch.loss_mask[pad_positions].any()
 
 
+JAPANESE = [
+    InstructionRecord("次の文章を要約してください。", input="今日は晴れです。明日は雨が降るでしょう。",
+                      output="天気が変わります。", category="summarization"),
+    InstructionRecord("日本の首都はどこですか？", output="東京です。", category="qa"),
+]
+
+
+class TestJapaneseRows:
+    """Multi-byte UTF-8 records, on both templates: each row is the shifted
+    BOS + the training render's bytes + EOS, with its tail kept."""
+
+    @pytest.mark.parametrize("seq_len", [512, 40])
+    @pytest.mark.parametrize("policy", ["response-only", "full-sequence"])
+    def test_rows_are_the_shifted_render(self, policy, seq_len):
+        assert [template_for(r).kind for r in JAPANESE] == ["with-input", "no-input"]
+        batch = build_batch(JAPANESE, None, TOK, TrainConfig(train_seq_len=seq_len, mask_policy=policy))
+        assert batch.dropped == 0
+        for record, tokens, targets, mask in zip(JAPANESE, batch.tokens, batch.targets, batch.loss_mask):
+            full = [BOS] + list(render_prompt(record, template_for(record), True).encode("utf-8")) + [EOS]
+            n = min(len(full) - 1, seq_len)
+            assert list(tokens[:n]) == full[:-1][-n:] and list(targets[:n]) == full[1:][-n:]
+            assert (tokens[n:] == PAD).all() and not mask[n:].any()
+            output = list(record.output.encode("utf-8")) + [EOS]
+            if policy == "response-only":
+                assert list(targets[mask]) == output   # the first supervised target is the output's first byte
+            else:
+                assert mask[:n].all() and list(targets[:n][-len(output):]) == output
+
+
 class TestTrainStep:
     def test_requires_adapters(self):
         model = tiny_model()
@@ -108,11 +137,11 @@ class TestTrainStep:
 
     def test_base_frozen_adapters_move(self):
         model = adapted_model()
-        before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+        before = {n: p.data.copy() for n, p in model.params.items()}
         batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
         opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3)
         train_step(model, batch, opt)
-        for name, p in model.named_parameters().items():
+        for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name])
         assert any(np.abs(a.B.data).max() > 0 for a in model.adapters.values())
 
