@@ -8,7 +8,6 @@ from .autodiff import Tensor
 from .tokenizer import ByteTokenizer, BOS, EOS, PAD, VOCAB_SIZE
 from .records import (
     InstructionRecord,
-    DatasetManifest,
     load_records,
     read_jsonl,
     save_records,

@@ -140,7 +140,7 @@ def _echo_config(settings: dict, notes: dict):
 
 def _load_model(args) -> DecoderModel:
     model = load_checkpoint(args.model)
-    if getattr(args, "adapters", None):
+    if args.adapters:
         load_adapters(model, args.adapters)
     return model
 
@@ -167,9 +167,8 @@ def cmd_build_dataset(args, cfg) -> int:
     if not records:
         raise ValueError("no records left after filtering")
     save_records(records, args.output)
-    manifest = dataset_stats(records)
     _echo_config(settings, {"output": args.output})
-    print(json.dumps(manifest.to_dict(), indent=2))
+    print(json.dumps(dataset_stats(records), indent=2))
     return 0
 
 
@@ -186,7 +185,7 @@ def cmd_train(args, cfg) -> int:
     model = base or DecoderModel(_build(ModelConfig, settings, seed=settings["seed"]))
     if train_cfg.train_seq_len > model.config.max_seq_len:
         raise ValueError(f"train seq_len {train_cfg.train_seq_len} > model max_seq_len {model.config.max_seq_len}")
-    records, manifest = load_records(args.data)
+    records = load_records(args.data)[0]
     if not records:
         raise ValueError("no records")
     inject(model, lora_cfg)

@@ -38,9 +38,6 @@ class LoraConfig:
         if not self.target_names:
             raise LoraConfigError("target_names must not be empty")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 class LoraAdapter:
     """One frozen weight W0 (d x k) plus its trainable A (r x k), B (d x r)."""
@@ -146,14 +143,21 @@ def save_adapters(model, path) -> None:
         arrays[name + ".lora_B"] = adapter.B.data
     meta = {
         "kind": "lora-adapters",
-        "config": model.lora_config.to_dict(),
+        "config": asdict(model.lora_config),
         "base_layout": model.config.attention_layout,
     }
     save_archive(path, arrays, meta=meta)
 
 
 def load_adapters(model, path):
-    """Load adapter weights onto a matching base model, injecting if needed."""
+    """Inject the file's ``LoraConfig`` into a model without adapters, then fill A and B.
+
+    Raises ``LoraConfigError``, changing nothing, if the model already has
+    adapters, and ``ArchiveError`` if the file's arrays are not exactly the
+    adapters it builds; the injection is then not undone.
+    """
+    if model.adapters:
+        raise LoraConfigError("load_adapters needs a model without adapters")
     arrays, meta = load_archive(path)
     if meta.get("kind") != "lora-adapters":
         raise ArchiveError(f"{path}: not an adapter checkpoint")
@@ -165,13 +169,13 @@ def load_adapters(model, path):
         config = LoraConfig(**meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ArchiveError(f"{path}: bad adapter config: {exc}") from exc
-    if not model.adapters:
-        inject(model, config)
+    inject(model, config)
+    names = {name + suffix for name in model.adapters for suffix in (".lora_A", ".lora_B")}
+    if set(arrays) != names:
+        raise ArchiveError(f"{path}: adapter names do not match the model "
+                           f"(missing {sorted(names - set(arrays))}, extra {sorted(set(arrays) - names)})")
     for name, adapter in model.adapters.items():
-        try:
-            a, b = arrays[name + ".lora_A"], arrays[name + ".lora_B"]
-        except KeyError as exc:
-            raise ArchiveError(f"{path}: missing adapter arrays for {name}") from exc
+        a, b = arrays[name + ".lora_A"], arrays[name + ".lora_B"]
         if a.shape != adapter.A.shape or b.shape != adapter.B.shape:
             raise ArchiveError(f"{path}: adapter shape mismatch for {name}")
         adapter.A.data = a.astype(np.float32)

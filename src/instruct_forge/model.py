@@ -51,9 +51,6 @@ class ModelConfig:
         if self.attention_layout not in LAYOUTS:
             raise ValueError(f"attention_layout must be one of {LAYOUTS}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def _rotary_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The [max_len, head_dim] tables ``[cos, cos]`` and ``[-sin, sin]`` that ``ad.rotary`` takes."""
@@ -147,7 +144,7 @@ class DecoderModel:
 
     def forward(self, tokens, cache: list | None = None, last: int | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Causal logits for a [T] sequence or a [B, T] batch of ids.
+        """Causal [B, T, V] logits for a [B, T] batch of ids; ``logits`` takes one sequence.
 
         With a ``cache`` from ``new_cache``, the ids continue the P positions
         already in it: each layer attends to the cached keys and values too,
@@ -156,7 +153,7 @@ class DecoderModel:
         Cached keys and values are plain arrays outside the autodiff graph.
 
         With ``last=n`` only the logits of the last n positions are computed,
-        [n, V] or [B, n, V]; ``last >= T`` gives all T. Every layer still builds
+        [B, n, V]; ``last >= T`` gives all T. Every layer still builds
         keys and values for all positions, but the final layer's queries,
         attention output, MLP, the final norm and the LM head run on n rows.
 
@@ -164,9 +161,8 @@ class DecoderModel:
         drawn from, is given; a training step passes ``self.rng``.
         """
         ids = np.asarray(tokens, dtype=np.int64)
-        single = ids.ndim == 1
-        if single:
-            ids = ids[None, :]
+        if ids.ndim != 2:
+            raise ValueError(f"forward takes a [B, T] batch of ids, got shape {ids.shape}")
         cfg = self.config
         T = ids.shape[1]
         if last is not None and last < 1:
@@ -215,23 +211,20 @@ class DecoderModel:
             h = ad.add(h, self._linear(p + "mlp.down_proj", x, rng))
 
         h = ad.layer_norm(h, self.params["final_norm.gain"], self.params["final_norm.bias"])
-        logits = self._linear("lm_head", h, rng)
-        if single:
-            logits = ad.reshape(logits, (n, cfg.vocab_size))
-        return logits
+        return self._linear("lm_head", h, rng)
 
     def logits(self, ids, cache: list | None = None, last: int | None = None) -> np.ndarray:
-        """Logits without dropout as a plain [T, V] array, [n, V] with ``last=n``;
-        ``cache`` and ``last`` as in ``forward``. Runs under ``ad.no_grad()``,
-        so no autodiff graph is kept."""
+        """Logits of one [T] sequence without dropout as a plain [T, V] array, [n, V]
+        with ``last=n``; ``cache`` and ``last`` as in ``forward``. Runs under
+        ``ad.no_grad()``, so no autodiff graph is kept."""
         with ad.no_grad():
-            return self.forward(ids, cache, last).data
+            return self.forward(np.asarray(ids, dtype=np.int64)[None], cache, last).data[0]
 
     # -- checkpointing --------------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
         arrays = {name: t.data for name, t in self.params.items()}
-        save_archive(path, arrays, meta={"kind": "decoder-model", "config": self.config.to_dict()})
+        save_archive(path, arrays, meta={"kind": "decoder-model", "config": asdict(self.config)})
 
 
 def load_checkpoint(path) -> DecoderModel:

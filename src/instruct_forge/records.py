@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 CATEGORIES = frozenset({
@@ -68,22 +68,10 @@ class InstructionRecord:
         }, ensure_ascii=False)
 
 
-@dataclass
-class DatasetManifest:
-    """Record counts per category and per source."""
-
-    total: int = 0
-    by_category: dict = field(default_factory=dict)
-    by_source: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"total": self.total, "by_category": dict(self.by_category), "by_source": dict(self.by_source)}
-
-
-def dataset_stats(records) -> DatasetManifest:
-    by_cat = Counter(r.category for r in records)
-    by_src = Counter(r.source for r in records)
-    return DatasetManifest(total=len(records), by_category=dict(by_cat), by_source=dict(by_src))
+def dataset_stats(records) -> dict:
+    """Record counts: ``{"total", "by_category", "by_source"}``."""
+    return {"total": len(records), "by_category": dict(Counter(r.category for r in records)),
+            "by_source": dict(Counter(r.source for r in records))}
 
 
 def read_jsonl(path, make) -> list:
@@ -117,7 +105,7 @@ def read_jsonl(path, make) -> list:
     return out
 
 
-def load_records(path) -> tuple[list[InstructionRecord], DatasetManifest]:
+def load_records(path) -> tuple[list[InstructionRecord], dict]:
     """Parse a JSON Lines file of records; a malformed line is reported with its number."""
     records = read_jsonl(path, lambda obj: InstructionRecord(
         instruction=obj["instruction"],

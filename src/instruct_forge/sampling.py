@@ -57,8 +57,8 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
     each new token against the model's K/V cache; every call asks for the
     next-token row only. If the context overflows the model window
     mid-generation, the oldest tokens are dropped, every later step reruns
-    the whole window (positions shift), and the result is flagged as
-    truncated.
+    the whole window on a fresh cache (positions shift), and the result is
+    flagged as truncated.
     """
     ids = [BOS] + TOKENIZER.encode(prompt)
     rng = np.random.default_rng(seed)
@@ -68,18 +68,11 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
     generated: list[int] = []
     truncated = False
     for _ in range(params.max_new_tokens):
-        ctx = ids
-        if len(ctx) > max_len:
-            ctx = ctx[-max_len:]
-            truncated = True
-            cache = None
-        if cache is None:
-            logits = model.logits(ctx, last=1)
-        else:
-            logits = model.logits(ids[cached:], cache=cache, last=1)
-            cached = len(ids)
-        row = np.asarray(logits[-1], dtype=np.float64)
-        row = apply_repetition_penalty(row, generated, params.repetition_penalty)
+        if len(ids) > max_len:
+            cache, cached, truncated = model.new_cache(), len(ids) - max_len, True
+        logits = model.logits(ids[cached:], cache=cache, last=1)
+        cached = len(ids)
+        row = apply_repetition_penalty(logits[-1], generated, params.repetition_penalty)
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))
         else:

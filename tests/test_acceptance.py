@@ -298,7 +298,7 @@ def test_10_filter_correctness(tmp_path):
     kept, manifest = load_records(out)
     expected = [r.instruction for r in mixed if r.category != "translation"]
     ok = (rc == 0
-          and manifest.by_category.get("translation", 0) == 0
+          and manifest["by_category"].get("translation", 0) == 0
           and [r.instruction for r in kept] == expected)
     report(10, "build-dataset exclusion drops translation records, keeps order",
            ok, time.monotonic() - start, 5)

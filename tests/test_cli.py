@@ -120,8 +120,8 @@ class TestBuildDataset:
                    "--output", str(out)])
         assert rc == 0
         records, manifest = load_records(out)
-        assert manifest.total == 5
-        assert manifest.by_category == {"qa": 3, "translation": 2}
+        assert manifest["total"] == 5
+        assert manifest["by_category"] == {"qa": 3, "translation": 2}
         assert '"total": 5' in capsys.readouterr().out
 
     def test_exclusion_drops_category(self, tmp_path):
@@ -132,7 +132,7 @@ class TestBuildDataset:
                    "--output", str(out)])
         assert rc == 0
         records, manifest = load_records(out)
-        assert manifest.by_category == {"qa": 3}
+        assert manifest["by_category"] == {"qa": 3}
 
     def test_pair_conversion(self, tmp_path):
         typos = tmp_path / "typos.jsonl"
@@ -144,7 +144,7 @@ class TestBuildDataset:
                    "--qa-pairs", str(qa), "--output", str(out)])
         assert rc == 0
         records, manifest = load_records(out)
-        assert manifest.by_category == {"correction": 1, "qa": 1}
+        assert manifest["by_category"] == {"correction": 1, "qa": 1}
         assert records[0].input == "teh cat"
 
     def test_directory_input(self, tmp_path):
@@ -155,7 +155,7 @@ class TestBuildDataset:
         out = tmp_path / "out.jsonl"
         rc = main(["build-dataset", "--input", str(d), "--output", str(out)])
         assert rc == 0
-        assert load_records(out)[1].total == 5
+        assert load_records(out)[1]["total"] == 5
 
     def test_no_records_fails(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
@@ -578,6 +578,21 @@ class TestBadCheckpoint:
         capsys.readouterr()
         assert main(self.argv(command, model_path, tmp_path, adapters=model_path)) == 1
         assert "not an adapter checkpoint" in single_error(capsys)
+
+    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
+    def test_adapters_of_another_base_model(self, tmp_path, capsys, base_model, command):
+        # a 2-layer run's adapters on the 1-layer base: layer 1's adapters have nowhere to go
+        model_path, _ = base_model
+        data, run = tmp_path / "data.jsonl", tmp_path / "run2"
+        assert main(["train", "--data", str(data), "--out", str(run), "--d-model", "16", "--n-heads", "2",
+                     "--n-layers", "2", "--max-seq-len", "64", "--seq-len", "64",
+                     "--epochs", "1", "--batch", "8", "--seed", "0"]) == 0
+        capsys.readouterr()
+        assert main(self.argv(command, model_path, tmp_path, adapters=run / "adapters-epoch0.ifta")) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "adapter names do not match" in lines[0]
 
     def test_corrupt_init_from(self, tmp_path, capsys, garbage):
         data = tmp_path / "d.jsonl"

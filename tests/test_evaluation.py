@@ -266,10 +266,10 @@ class TestPerplexity:
         ppl = corpus_perplexity(model, [item]).perplexity_pooled
         prompt = QuestionTemplate().render(item.question)
         ids = [BOS] + TOK.encode(prompt) + TOK.encode(item.response)
-        inputs = np.asarray(ids[:-1])
-        targets = np.asarray(ids[1:])
-        mask = np.zeros(len(targets), dtype=bool)
-        mask[-len(item.response.encode()):] = True
+        inputs = np.asarray([ids[:-1]])
+        targets = np.asarray([ids[1:]])
+        mask = np.zeros(targets.shape, dtype=bool)
+        mask[:, -len(item.response.encode()):] = True
         loss = ad.softmax_cross_entropy(model.forward(inputs), targets, mask)
         assert abs(ppl - math.exp(loss.item())) / ppl < 1e-4
 

@@ -187,15 +187,40 @@ class TestParamCount:
 
 class TestAdapterCheckpoint:
     def test_roundtrip(self, tmp_path):
-        m = TestMergeUnmerge().trained_model()
+        # the file's alpha, not LoraConfig's default, scales the loaded deltas
+        m = inject(small_model(), LoraConfig(r=2, alpha=7.0, dropout=0.0, target_names=["q_proj", "v_proj"]))
+        rng = np.random.default_rng(5)
+        for a in m.adapters.values():
+            a.B.data = rng.normal(0, 0.1, a.B.shape).astype(np.float32)
         path = tmp_path / "a.ifta"
         save_adapters(m, path)
-        fresh = inject(small_model(), LoraConfig(r=2, dropout=0.0,
-                                                 target_names=["q_proj", "v_proj"]))
-        load_adapters(fresh, path)
+        fresh = load_adapters(small_model(), path)
         for name, a in m.adapters.items():
             np.testing.assert_array_equal(a.A.data, fresh.adapters[name].A.data)
             np.testing.assert_array_equal(a.B.data, fresh.adapters[name].B.data)
+        np.testing.assert_array_equal(fresh.logits([1, 2, 3, 4]), m.logits([1, 2, 3, 4]))
+
+    def test_onto_an_injected_model_rejected(self, tmp_path):
+        m = TestMergeUnmerge().trained_model()
+        path = tmp_path / "a.ifta"
+        save_adapters(m, path)
+        target = inject(small_model(), LoraConfig(alpha=4.0, target_names=["q_proj"]))
+        adapters = dict(target.adapters)
+        with pytest.raises(LoraConfigError, match="without adapters"):
+            load_adapters(target, path)
+        assert target.adapters == adapters and target.lora_config.alpha == 4.0
+
+    @pytest.mark.parametrize("saved_layers, loaded_layers", [(2, 1), (1, 2)])
+    def test_adapters_of_another_base_model_rejected(self, tmp_path, saved_layers, loaded_layers):
+        m = inject(small_model(n_layers=saved_layers), LoraConfig(r=2))
+        path = tmp_path / "a.ifta"
+        save_adapters(m, path)
+        layer1 = "['layers.1.attn.q_proj.lora_A', 'layers.1.attn.q_proj.lora_B', " \
+                 "'layers.1.attn.v_proj.lora_A', 'layers.1.attn.v_proj.lora_B']"
+        missing, extra = ("[]", layer1) if saved_layers > loaded_layers else (layer1, "[]")
+        with pytest.raises(ArchiveError) as exc:
+            load_adapters(small_model(n_layers=loaded_layers), path)
+        assert f"(missing {missing}, extra {extra})" in str(exc.value)
 
     def test_injects_when_missing(self, tmp_path):
         m = TestMergeUnmerge().trained_model()

@@ -111,6 +111,10 @@ class TestForward:
         np.testing.assert_allclose(batched[0], m.logits([1, 2, 3]), atol=1e-6)
         np.testing.assert_allclose(batched[1], m.logits([4, 5, 6]), atol=1e-6)
 
+    def test_forward_takes_batches_only(self):
+        with pytest.raises(ValueError, match=r"\[B, T\] batch"):
+            DecoderModel(tiny_config()).forward([1, 2, 3])
+
 
 def reference_forward(model, ids):
     """Straight-line numpy reimplementation of the forward pass."""
@@ -283,8 +287,8 @@ class TestLastRows:
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_adapter_gradients_match_the_full_forward_rows(self, n):
-        ids = np.random.default_rng(9).integers(0, 259, 40)
-        targets = np.roll(ids, -1)[-n:]
+        ids = np.random.default_rng(9).integers(0, 259, (1, 40))
+        targets = np.roll(ids, -1, axis=1)[:, -n:]
         grads = []
         for cut in (True, False):
             m = adapted_model("split-qv")
@@ -328,12 +332,12 @@ class TestGraphFreeLogits:
         if cached:
             ours, theirs = m.new_cache(), m.new_cache()
             m.logits(ids[:20], cache=ours)
-            m.forward(ids[:20], theirs)
+            m.forward([ids[:20]], theirs)
             ids = ids[20:]
         else:
             ours = theirs = None
         got = m.logits(ids, cache=ours, last=last)
-        assert np.array_equal(got, m.forward(ids, theirs, last).data)
+        assert np.array_equal(got, m.forward([ids], theirs, last).data[0])
         for (k, v), (k0, v0) in zip(ours or [], theirs or []):
             assert np.array_equal(k, k0) and np.array_equal(v, v0)
 

@@ -24,8 +24,6 @@ API = {
     "VOCAB_SIZE": "259",
     "InstructionRecord": "(instruction, output, input=None, category='other', source='unknown')",
     "InstructionRecord.to_json": "(self)",
-    "DatasetManifest": "(total=0, by_category=<factory>, by_source=<factory>)",
-    "DatasetManifest.to_dict": "(self)",
     "load_records": "(path)",
     "read_jsonl": "(path, make)",
     "save_records": "(records, path)",
@@ -38,7 +36,6 @@ API = {
     "template_for": "(record)",
     "ModelConfig": "(vocab_size=259, d_model=64, n_heads=4, n_layers=4, d_ff=None, max_seq_len=512, "
                    "attention_layout='split-qv', seed=0)",
-    "ModelConfig.to_dict": "(self)",
     "DecoderModel": "(config)",
     "DecoderModel.new_cache": "(self)",
     "DecoderModel.forward": "(self, tokens, cache=None, last=None, rng=None)",
@@ -47,7 +44,6 @@ API = {
     "ContextOverflowError": "(ValueError)",
     "load_checkpoint": "(path)",
     "LoraConfig": "(r=4, alpha=16.0, dropout=0.05, target_names=<factory>)",
-    "LoraConfig.to_dict": "(self)",
     "LoraAdapter": "(name, weight, config, rng)",
     "LoraAdapter.delta": "(self)",
     "LoraAdapter.forward": "(self, x, rng=None)",

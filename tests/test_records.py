@@ -36,7 +36,7 @@ class TestLoad:
         write_jsonl(p, [rec(i) for i in range(3)])
         records, manifest = load_records(p)
         assert len(records) == 3
-        assert manifest.total == 3
+        assert manifest["total"] == 3
 
     def test_missing_output_names_line(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -87,7 +87,7 @@ class TestLoad:
         cats = ["qa", "qa", "translation", "correction", "qa"]
         write_jsonl(p, [rec(i, c) for i, c in enumerate(cats)])
         _, manifest = load_records(p)
-        assert manifest.by_category == {"qa": 3, "translation": 1, "correction": 1}
+        assert manifest["by_category"] == {"qa": 3, "translation": 1, "correction": 1}
 
     def test_roundtrip(self, tmp_path):
         records = [InstructionRecord("inst", "out", input="in", category="qa", source="x")]
@@ -134,7 +134,7 @@ class TestFilter:
 
     def test_stats_after_filter(self):
         out = filter_by_category(self.make(), {"translation"})
-        assert dataset_stats(out).by_category.get("translation", 0) == 0
+        assert dataset_stats(out)["by_category"].get("translation", 0) == 0
 
 
 class TestConversions:
@@ -150,7 +150,7 @@ class TestConversions:
 
     def test_typo_batch_counts(self):
         records = [convert_typo_pair(f"w{i}", f"c{i}") for i in range(7)]
-        assert dataset_stats(records).by_category == {"correction": 7}
+        assert dataset_stats(records)["by_category"] == {"correction": 7}
 
     def test_typo_empty_rejected(self):
         with pytest.raises(RecordError):
@@ -167,19 +167,19 @@ class TestConversions:
 
     def test_qa_batch_counts(self):
         records = [convert_qa_pair(f"q{i}", f"a{i}") for i in range(5)]
-        assert dataset_stats(records).by_category == {"qa": 5}
+        assert dataset_stats(records)["by_category"] == {"qa": 5}
 
 
 class TestStats:
     def test_empty(self):
         m = dataset_stats([])
-        assert m.total == 0 and m.by_category == {} and m.by_source == {}
+        assert m["total"] == 0 and m["by_category"] == {} and m["by_source"] == {}
 
     def test_per_category_sums_to_total(self):
         records = [InstructionRecord(f"i{n}", "o", category=c)
                    for n, c in enumerate(["qa", "qa", "other", "correction"] * 2 + ["qa", "summarization"])]
         m = dataset_stats(records)
-        assert sum(m.by_category.values()) == m.total == len(records)
+        assert sum(m["by_category"].values()) == m["total"] == len(records)
 
 
 JSON_VALUES = st.recursive(
@@ -217,7 +217,7 @@ def test_any_bytes_load_or_raise_record_error(blob):
             records, manifest = load_records(path)
         except RecordError:
             return
-        assert manifest.total == len(records)
+        assert manifest["total"] == len(records)
         for r in records:
             assert all(isinstance(v, str) for v in (r.instruction, r.output, r.category, r.source))
             assert r.input is None or isinstance(r.input, str)

@@ -206,11 +206,11 @@ class TestCachedGenerate:
         real = model.logits
 
         def spy(ids, cache=None, last=None):
-            fed.append((len(ids), cache is not None, last))
+            fed.append((len(ids), None if cache is None else "empty" if cache[0] is None else "filled", last))
             return real(ids, cache, last)
 
         monkeypatch.setattr(model, "logits", spy)
         generate(model, "x" * 505, GenerationParams(max_new_tokens=10, stop_token=-1))
-        # 506 prompt tokens in one pass, six single tokens up to 512, then the full window again;
-        # every call asks for the next-token row only
-        assert fed == [(506, True, 1)] + [(1, True, 1)] * 6 + [(512, False, 1)] * 3
+        # 506 prompt tokens in one pass, six single tokens up to 512, then the full window again on a
+        # fresh cache; every call asks for the next-token row only
+        assert fed == [(506, "empty", 1)] + [(1, "filled", 1)] * 6 + [(512, "empty", 1)] * 3

@@ -3,7 +3,7 @@ import pytest
 
 from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
-from instruct_forge.lora import LoraConfig, inject
+from instruct_forge.lora import LoraConfig, inject, merge_all
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord
@@ -135,6 +135,16 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="adapters"):
             train_step(model, batch, AdamW([], lr=1e-3))
 
+    def test_merged_adapters_rejected(self):
+        # the merged forward builds no graph to A and B, so training would leave them untouched
+        model = merge_all(adapted_model())
+        params = [t for a in model.adapters.values() for t in (a.A, a.B)]
+        before = [p.data.copy() for p in params]
+        with pytest.raises(ValueError, match="unmerged"):
+            train(model, records(4), TrainConfig(batch_size=4), template=TINY_TEMPLATE)
+        for p, b in zip(params, before):
+            assert np.array_equal(p.data, b)
+
     def test_base_frozen_adapters_move(self):
         model = adapted_model()
         before = {n: p.data.copy() for n, p in model.params.items()}
@@ -196,8 +206,8 @@ class TestTrainStep:
         with pytest.raises(ValueError, match="diverged"):
             train(model, records(8), TrainConfig(batch_size=4), template=TINY_TEMPLATE)
         ids = np.arange(1, 17)
-        first = model.forward(ids).data
-        assert np.array_equal(first, model.forward(ids).data)
+        first = model.forward([ids]).data[0]
+        assert np.array_equal(first, model.forward([ids]).data[0])
         assert np.array_equal(first, model.logits(ids))
 
     def test_gradient_reaches_every_adapter(self):
