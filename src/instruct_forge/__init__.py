@@ -28,7 +28,6 @@ from .evaluation import (
     EvalReport,
     assemble_fewshot_prompt,
     score_continuation,
-    choice_scores,
     classify_by_likelihood,
     corpus_perplexity,
     run_choice_eval,

@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-_F32, _F64 = np.dtype(np.float32), np.dtype(np.float64)
-_FLOAT_DTYPES = (_F32, _F64)
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 _record = True  # False inside no_grad(): _node keeps no parents or backward closure
 
 
@@ -62,9 +61,11 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor."""
+        """Accumulate gradients of this scalar into every reachable tensor, once per graph."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
+        if self.grad is not None:
+            raise RuntimeError("backward already ran on this graph; run the forward again to build a new one")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -80,7 +81,7 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data) if self.grad is None else self.grad + 1
+        self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -94,13 +95,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def _result_dtype(*tensors: Tensor) -> np.dtype:
-    for t in tensors:
-        if t.data.dtype == _F64:
-            return _F64
-    return _F32
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -162,7 +156,7 @@ def _add_grad(t: Tensor, g: np.ndarray):
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     try:
-        data = (a.data + b.data).astype(_result_dtype(a, b), copy=False)
+        data = a.data + b.data
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are not broadcastable")
 
@@ -177,7 +171,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     try:
-        data = (a.data * b.data).astype(_result_dtype(a, b), copy=False)
+        data = a.data * b.data
     except ValueError:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
 
@@ -354,7 +348,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul requires >=2-D operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
-    data = (a.data @ b.data).astype(_result_dtype(a, b), copy=False)
+    data = a.data @ b.data
 
     def backward_fn(g):
         if _needs_grad(a):
@@ -375,7 +369,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
     d, k = w.shape
-    data = (x.data @ w.data.T).astype(_result_dtype(x, w), copy=False)
+    data = x.data @ w.data.T
 
     def backward_fn(g):
         if _needs_grad(x):
@@ -401,13 +395,13 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Opti
             or bsh != (wd.shape[0], ash[0]) or (keep is not None and keep.shape != xd.shape)):
         raise ValueError(f"lora_linear: input {xd.shape} does not fit weight {wd.shape}, A {ash}, B {bsh}")
     (d, k), r = wd.shape, ash[0]
-    dtype = _result_dtype(x, w, a, b)
     path = xd if keep is None else xd * keep
-    u = (path @ a.data.T).astype(dtype, copy=False)
-    delta = (u @ b.data.T).astype(dtype, copy=False)
+    u = path @ a.data.T
+    delta = u @ b.data.T
     delta *= s
-    data = (xd @ wd.T).astype(dtype, copy=False)
-    data += delta
+    data = xd @ wd.T
+    # in place when the dtypes agree; otherwise the sum takes the wider one
+    data = np.add(data, delta, out=data if data.dtype == delta.dtype else None)
 
     def backward_fn(g):
         gs = g * s
@@ -496,7 +490,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     qd, kd, vd = q.data, k.data, v.data
     grad = _needs_grad(q) or _needs_grad(k) or _needs_grad(v)
     rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
-    out = np.empty(q.shape[:-1] + v.shape[-1:], _result_dtype(q, k, v))
+    out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(qd, kd, vd))
     tri = None  # the first block's mask; later blocks use its top-left corner, one-row blocks none
     blocks = []
     for r0 in range(0, T, rows):

@@ -1,8 +1,10 @@
 """Command-line surface: build-dataset, train, eval, ppl, generate.
 
-Each setting is one row of ``SETTINGS``; ``resolve`` applies flag > config file
-> INSTRUCT_FORGE_SEED (seed only) > default. The config file is plain text, one
-"section.key = value" per line; a key that no row declares is an error.
+Each setting is one row of ``SETTINGS``; ``resolve`` takes the raw string of
+flag > config file > INSTRUCT_FORGE_SEED (seed only) and parses it with
+``Setting.cast``, else takes the default. The config file is plain text, one
+"section.key = value" per line; a key that no row declares is an error. A bad
+argv raises ValueError like any other input, so it too is one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Setting:
     help: str | None = None
 
     def cast(self, raw: str):
-        """A file (or environment) value, checked like its flag."""
+        """A flag, file or environment value, parsed and checked."""
         try:
             value = self.parse(raw)
         except ValueError as exc:
@@ -108,16 +110,13 @@ SETTINGS = (
 
 def resolve(command: str, args, cfg: dict, defaults: dict | None = None) -> dict:
     """{key: value} for the rows of ``command``: flag > file > INSTRUCT_FORGE_SEED
-    (seed only) > ``defaults`` (by key) > the row's default."""
+    (seed only), through ``Setting.cast``, else ``defaults`` (by key) > the row's default."""
     settings = {}
     for s in (s for s in SETTINGS if command in s.commands):
-        value = getattr(args, s.flag[2:].replace("-", "_"))
-        raw = cfg.get(s.key, os.environ.get("INSTRUCT_FORGE_SEED") if s.key == "seed" else None)
-        if value is None and raw is not None:
-            value = s.cast(raw)
-        if value is None:
-            value = (defaults or {}).get(s.key, s.default())
-        settings[s.key] = value
+        raw = getattr(args, s.flag[2:].replace("-", "_"))
+        if raw is None:
+            raw = cfg.get(s.key, os.environ.get("INSTRUCT_FORGE_SEED") if s.key == "seed" else None)
+        settings[s.key] = (defaults or {}).get(s.key, s.default()) if raw is None else s.cast(raw)
     return settings
 
 
@@ -255,8 +254,15 @@ def _emit_report(args, report, settings: dict, notes: dict) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argv fault raises ValueError, so ``main`` reports it as one ``error:`` line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="instruct-forge")
+    parser = _Parser(prog="instruct-forge")
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         for s in SETTINGS:
             if command in s.commands:
-                p.add_argument(s.flag, type=s.parse, choices=s.choices, help=s.help)
+                p.add_argument(s.flag, metavar=f"{{{','.join(s.choices)}}}" if s.choices else None, help=s.help)
         if model:
             p.add_argument("--model", required=True)
             p.add_argument("--adapters")
@@ -299,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _keep_freed_memory()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config_file(args.config) if args.config else {}
         unknown = sorted(set(cfg) - {s.key for s in SETTINGS})
         if unknown:

@@ -228,7 +228,7 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
 
 
 def _choice_scores(model, ctx: list, conts: list) -> list[float]:
-    """``choice_scores`` for an encoded context and choices."""
+    """Each encoded choice's summed log-likelihood after the encoded context."""
     if len(ctx) + max(map(len, conts)) > model.max_seq_len:
         return [_score(model, ctx, cont) for cont in conts]
     cache = model.new_cache()
@@ -240,20 +240,16 @@ def _choice_scores(model, ctx: list, conts: list) -> list[float]:
     return scores
 
 
-def choice_scores(model, task: ChoiceTask, spec: FewShotSpec) -> list[float]:
-    """Each choice's summed log-likelihood after the few-shot prompt.
+def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
+    """The choice with the highest summed log-likelihood after the few-shot
+    prompt; ties go to the lowest index.
 
     When the prompt and its longest choice fit the window, the prompt runs
     once into a K/V cache and each choice runs on its own branch of it.
     Otherwise each choice is scored as by ``score_continuation``, whose left
     truncation depends on the choice's length.
     """
-    return _choice_scores(model, *_encode_task(task, spec))
-
-
-def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
-    """Argmax over ``choice_scores``; ties go to the lowest index."""
-    return int(np.argmax(choice_scores(model, task, spec)))
+    return int(np.argmax(_choice_scores(model, *_encode_task(task, spec))))
 
 
 # -- perplexity ---------------------------------------------------------------

@@ -395,6 +395,43 @@ class TestBackward:
         y.backward()
         np.testing.assert_allclose(x.grad, [5.0])
 
+    def test_second_backward_raises(self):
+        # a second pass used to add each intermediate gradient again: the weight gradient read 4x the first
+        rng = np.random.default_rng(9)
+        x, w = Tensor(rand(rng, 2, 3, 4)), Tensor(rand(rng, 5, 4), requires_grad=True)
+        loss = ad.softmax_cross_entropy(ad.linear(x, w), np.array([[0, 1, 2], [3, 4, 0]]))
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
+        np.testing.assert_array_equal(w.grad, first)
+
+
+MIXED_OPS = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (3, 4)]),
+    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
+    "linear": (ad.linear, [(2, 3, 4), (5, 4)]),
+    "lora_linear": (lambda x, w, a, b: ad.lora_linear(x, w, a, b, 0.5), [(2, 3, 4), (5, 4), (2, 4), (5, 2)]),
+    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
+    "causal_attention": (lambda q, k, v: ad.causal_attention(q, k, v, 0.5), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", MIXED_OPS)
+def test_any_float64_operand_gives_float64(name):
+    """NumPy's promotion is the one dtype rule: float64 if any operand is, else float32."""
+    op, shapes = MIXED_OPS[name]
+    rng = np.random.default_rng(21)
+    for wide in range(len(shapes)):
+        tensors = [Tensor(rand(rng, *shape).astype(np.float64 if i == wide else np.float32), requires_grad=True)
+                   for i, shape in enumerate(shapes)]
+        out = op(*tensors)
+        assert out.data.dtype == np.float64
+        ad.tsum(out).backward()
+        assert [t.grad.dtype for t in tensors] == [t.data.dtype for t in tensors]
+    assert op(*(Tensor(rand(rng, *shape).astype(np.float32)) for shape in shapes)).data.dtype == np.float32
+
 
 class TestShapeOps:
     def test_gradients(self):

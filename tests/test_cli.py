@@ -434,15 +434,51 @@ class TestSettingsTable:
         assert "bogus.key" in single_error(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("text", ["train.lr = fast\n", "model.layout = diagonal\n", "no equals sign\n"])
-    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg"
-        cfg.write_text(text, encoding="utf-8")
+    @pytest.mark.parametrize("source, text", [
+        *(pytest.param("file", t, id=t) for t in ("train.lr = fast\n", "model.layout = diagonal\n", "no equals sign\n")),
+        *(pytest.param("flag", t, id=f"flag-{t}") for t in ("train.lr = fast\n", "model.layout = diagonal\n")),
+    ])
+    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, source, text):
+        # a bad flag value used to print argparse's usage block and exit 2
         out = tmp_path / "o"
-        rc = main(["--config", str(cfg), "train", "--data", str(tmp_path / "d.jsonl"), "--out", str(out)])
-        assert rc == 1
-        single_error(capsys)
+        argv = ["train", "--data", str(tmp_path / "d.jsonl"), "--out", str(out)]
+        if source == "flag":
+            key, value = text.strip().split(" = ")
+            argv += [next(s.flag for s in SETTINGS if s.key == key), value]
+        else:
+            (tmp_path / "cfg").write_text(text, encoding="utf-8")
+            argv = ["--config", str(tmp_path / "cfg"), *argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        # a flag and its config key fail with the same line
+        assert line.startswith(f"error: {text.strip()}: " if " = " in text else "error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "d.jsonl"],
+        ["train", "--data", "d.jsonl", "--out", "o", "--bogus", "1"],
+        ["bogus", "--out", "o"],
+        ["--config"],
+    ], ids=["missing-out", "unknown-flag", "unknown-subcommand", "config-without-path"])
+    def test_bad_argv_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
+        # each used to print argparse's usage block and exit 2
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_lists_choices(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "--layout {fused-qkv,split-qv}" in out
+        assert "--mask-policy {response-only,full-sequence}" in out
 
     def test_config_applies_to_eval(self, tmp_path, capsys, base_model):
         model_path, _ = base_model

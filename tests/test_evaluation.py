@@ -13,8 +13,9 @@ from instruct_forge.evaluation import (
     FewShotSpec,
     PerplexityItem,
     QuestionTemplate,
+    _choice_scores,
+    _encode_task,
     assemble_fewshot_prompt,
-    choice_scores,
     classify_by_likelihood,
     corpus_perplexity,
     run_choice_eval,
@@ -193,7 +194,7 @@ class TestSharedPromptScoring:
         task = ChoiceTask("pick one", {"Input": "which?"}, ("entailment", "b", "neutral"), gold=0, version=version)
         for k, demo in ((0, ()), (1, demos(version)[:1]), (3, demos(version)), (3, demos(version)[:1] * 3)):
             spec = FewShotSpec(k=k, demonstrations=demo)
-            got = choice_scores(model, task, spec)
+            got = _choice_scores(model, *_encode_task(task, spec))
             expected = [score_continuation(model, assemble_fewshot_prompt(task, spec), c) for c in task.choices]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
             assert classify_by_likelihood(model, task, spec) == int(np.argmax(expected))
@@ -206,12 +207,12 @@ class TestSharedPromptScoring:
         real = model.logits
         monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
                             fed.append((len(ids), last)) or real(ids, cache, last))
-        choice_scores(model, task, FewShotSpec(k=0))
+        _choice_scores(model, *_encode_task(task, FewShotSpec(k=0)))
         # the prompt's last row only; the one-token choice needs no extra rows
         assert fed == [(prompt_len, 1), (2, None), (4, None)]
         fed.clear()
         model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
-        choice_scores(model, task, FewShotSpec(k=0))
+        _choice_scores(model, *_encode_task(task, FewShotSpec(k=0)))
         assert fed == [(prompt_len + 2, 3), (prompt_len, 1), (prompt_len + 3, 5)]   # each choice's rows only
 
 

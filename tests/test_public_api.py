@@ -72,7 +72,6 @@ API = {
     "EvalReport.to_dict": "(self)",
     "assemble_fewshot_prompt": "(task, spec)",
     "score_continuation": "(model, prompt, continuation)",
-    "choice_scores": "(model, task, spec)",
     "classify_by_likelihood": "(model, task, spec)",
     "corpus_perplexity": "(model, items, prompt_template=None)",
     "run_choice_eval": "(model, tasks, shots, tuning_seq_len=None)",
