@@ -5,6 +5,8 @@ flag > config file > INSTRUCT_FORGE_SEED (seed only) and parses it with
 ``Setting.cast``, else takes the default. The config file is plain text, one
 "section.key = value" per line; a key that no row declares is an error. A bad
 argv raises ValueError like any other input, so it too is one ``error:`` line.
+Every subcommand finishes its work and then leaves through ``_emit``, so stdout
+is written once, after success, and a failure leaves it empty.
 """
 
 from __future__ import annotations
@@ -126,15 +128,19 @@ def _build(owner, settings: dict, **extra):
     return owner(**fields, **extra)
 
 
-def _echo_config(settings: dict, notes: dict):
-    """The resolved ``settings`` as ``--config`` lines (lists comma-joined, unset
-    values left out), then ``notes`` (paths and counts) as comments."""
-    print("# effective-config")
-    for key, value in settings.items():
-        if value is not None:
-            print(f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}")
-    for key, value in notes.items():
-        print(f"# {key} = {value}")
+def _emit(settings: dict, notes: dict, payload: str, report=None) -> int:
+    """A subcommand's one output, after all its work: ``payload`` to ``report``
+    first (a bad path fails before stdout), then on stdout the resolved ``settings``
+    as ``--config`` lines (lists comma-joined, unset values left out), ``notes``
+    (paths and counts) as comments, and ``payload``."""
+    if report:
+        Path(report).write_text(payload, encoding="utf-8")
+    lines = ["# effective-config"]
+    lines += [f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
+              for key, value in settings.items() if value is not None]
+    lines += [f"# {key} = {value}" for key, value in notes.items()]
+    print("\n".join([*lines, payload]))
+    return 0
 
 
 def _load_model(args) -> DecoderModel:
@@ -166,9 +172,7 @@ def cmd_build_dataset(args, cfg) -> int:
     if not records:
         raise ValueError("no records left after filtering")
     save_records(records, args.output)
-    _echo_config(settings, {"output": args.output})
-    print(json.dumps(dataset_stats(records), indent=2))
-    return 0
+    return _emit(settings, {"output": args.output}, json.dumps(dataset_stats(records), indent=2))
 
 
 def cmd_train(args, cfg) -> int:
@@ -185,18 +189,12 @@ def cmd_train(args, cfg) -> int:
     if train_cfg.train_seq_len > model.config.max_seq_len:
         raise ValueError(f"train seq_len {train_cfg.train_seq_len} > model max_seq_len {model.config.max_seq_len}")
     records = load_records(args.data)[0]
-    if not records:
-        raise ValueError("no records")
     inject(model, lora_cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)  # after the --init-from checks, before any output
-    _echo_config(settings, {"data": args.data, "out": args.out,
-                            "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)})
-    report = train(model, records, train_cfg, out_dir=out_dir)
-    model.save_checkpoint(out_dir / "model.ifta")
-    for entry in report:
-        print(json.dumps(entry, allow_nan=False))
-    return 0
+    report = train(model, records, train_cfg, out_dir=args.out)
+    model.save_checkpoint(Path(args.out) / "model.ifta")
+    notes = {"data": args.data, "out": args.out,
+             "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)}
+    return _emit(settings, notes, "\n".join(json.dumps(entry, allow_nan=False) for entry in report))
 
 
 def _load_tasks(path, version=None):
@@ -214,7 +212,8 @@ def cmd_eval(args, cfg) -> int:
     model = _load_model(args)
     tasks = _load_tasks(args.tasks, settings["eval.prompt_version"])
     report = run_choice_eval(model, tasks, settings["eval.shots"], tuning_seq_len=settings["eval.seq_len"])
-    return _emit_report(args, report, settings, {"model": args.model, "tasks": args.tasks})
+    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    return _emit(settings, {"model": args.model, "tasks": args.tasks}, payload, args.report)
 
 
 def cmd_ppl(args, cfg) -> int:
@@ -225,30 +224,18 @@ def cmd_ppl(args, cfg) -> int:
     if not items:
         raise ValueError("no items")
     report = corpus_perplexity(model, items, template)
-    return _emit_report(args, report, {}, {"model": args.model, "items": args.items, "count": len(items)})
+    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    return _emit({}, {"model": args.model, "items": args.items, "count": len(items)}, payload, args.report)
 
 
 def cmd_generate(args, cfg) -> int:
     settings = resolve("generate", args, cfg)
     params = _build(GenerationParams, settings)
     model = _load_model(args)
-    args.prompt.encode("utf-8")  # a lone surrogate (undecodable argv bytes) fails here, before any output
-    _echo_config(settings, {"model": args.model})
     result = generate(model, args.prompt, params, seed=settings["seed"])
-    print(result.text)
     if result.truncated:
         print("warning: context overflowed during generation; output truncated", file=sys.stderr)
-    return 0
-
-
-def _emit_report(args, report, settings: dict, notes: dict) -> int:
-    """Write ``--report`` first, so a bad path fails before anything reaches stdout."""
-    payload = json.dumps(report.to_dict(), indent=2, allow_nan=False)
-    if args.report:
-        Path(args.report).write_text(payload, encoding="utf-8")
-    _echo_config(settings, notes)
-    print(payload)
-    return 0
+    return _emit(settings, {"model": args.model}, result.text)
 
 
 # -- argument parsing --------------------------------------------------------------

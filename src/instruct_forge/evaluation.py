@@ -68,6 +68,8 @@ class ChoiceTask:
         object.__setattr__(self, "choices", tuple(self.choices))
         if len(self.choices) < 2:
             raise ValueError("a choice task needs at least 2 choices")
+        if "" in self.choices:
+            raise ValueError("choices must be non-empty")
         if not 0 <= self.gold < len(self.choices):
             raise ValueError(f"gold index {self.gold} out of range")
         if self.version not in VERSIONS:
@@ -189,13 +191,6 @@ def _continuation_logp(logits, cont: list) -> float:
     return float(logp[np.arange(len(cont)), cont].sum())
 
 
-def _encode_continuation(continuation: str) -> list:
-    cont = TOKENIZER.encode(continuation)
-    if not cont:
-        raise ValueError("continuation encodes to zero tokens")
-    return cont
-
-
 def _context(prompt: str) -> list:
     """BOS and the prompt's ids."""
     return [BOS] + TOKENIZER.encode(prompt)
@@ -218,13 +213,15 @@ def score_continuation(model, prompt: str, continuation: str) -> float:
     Overlong inputs are left-truncated, preserving the end of the prompt
     and the whole continuation.
     """
-    return _score(model, _context(prompt), _encode_continuation(continuation))
+    cont = TOKENIZER.encode(continuation)
+    if not cont:
+        raise ValueError("continuation encodes to zero tokens")
+    return _score(model, _context(prompt), cont)
 
 
 def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
     """The few-shot prompt's context ids and each choice's ids."""
-    conts = [_encode_continuation(c) for c in task.choices]
-    return _context(assemble_fewshot_prompt(task, spec)), conts
+    return _context(assemble_fewshot_prompt(task, spec)), [TOKENIZER.encode(c) for c in task.choices]
 
 
 def _choice_scores(model, ctx: list, conts: list) -> list[float]:
@@ -265,7 +262,7 @@ def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = N
     total_tokens = 0
     per_item = []
     for i, item in enumerate(items, start=1):
-        cont = _encode_continuation(item.response)
+        cont = TOKENIZER.encode(item.response)
         nll, n = -_score(model, _context(template.render(item.question)), cont), len(cont)
         try:
             per_item.append(math.exp(nll / n))

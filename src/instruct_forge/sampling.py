@@ -76,7 +76,12 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))
         else:
-            p = np.exp(log_softmax(row / params.temperature))
+            try:
+                with np.errstate(over="raise"):
+                    p = np.exp(log_softmax(row / params.temperature))
+            except FloatingPointError:
+                raise ValueError(f"temperature {params.temperature} is too small: "
+                                 "logits / temperature overflows") from None
             nxt = int(rng.choice(len(p), p=p))
         if nxt == params.stop_token:
             break

@@ -255,10 +255,21 @@ class TestTrain:
         capsys.readouterr()
         rc = main(["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *TINY])
         assert rc == 1
-        assert "diverged" in single_error(capsys)
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "diverged" in lines[0], lines
+        assert captured.out == ""  # used to hold the config block, printed before training
         assert (out / "adapters-epoch0.ifta").exists()
         assert not (out / "adapters-epoch1.ifta").exists()
         assert not (out / "model.ifta").exists()
+
+    def test_empty_data_fails_before_out(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_text("", encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["train", "--data", str(data), "--out", str(out), *TINY]) == 1
+        assert "train requires a non-empty dataset" in single_error(capsys)
+        assert not out.exists()
 
     def test_embedding_target_fails_before_output(self, tmp_path, capsys):
         # used to exit 0 and train an adapter that the forward never applied
@@ -651,6 +662,7 @@ class TestMalformedRows:
         ({**GOOD_TASK, "fields": ["a"]}, "fields must be an object"),
         ({**GOOD_TASK, "gold": "0"}, "gold must be an integer"),
         ({k: v for k, v in GOOD_TASK.items() if k != "gold"}, "missing required field 'gold'"),
+        ({**GOOD_TASK, "choices": ["", "no"]}, "choices must be non-empty"),
     ])
     def test_eval_tasks(self, tmp_path, capsys, base_model, row, message):
         tasks = tmp_path / "tasks.jsonl"
@@ -775,6 +787,11 @@ class TestFailsBeforeOutput:
         # Linux hands undecodable argv bytes to Python as lone surrogates
         argv = ["generate", "--model", str(untrained_model), "--prompt", "hi \udcff", "--max-new-tokens", "1"]
         self.assert_failed_silently(capsys, argv, "surrogates not allowed")
+
+    def test_temperature_too_small_for_the_logits(self, capsys, untrained_model):
+        # used to print the config block, numpy RuntimeWarnings and "error: Probabilities contain NaN"
+        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi", "--temperature", "1e-310"]
+        self.assert_failed_silently(capsys, argv, "temperature 1e-310 is too small: logits / temperature overflows")
 
     def test_ppl_item_whose_perplexity_overflows(self, tmp_path, capsys):
         # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback

@@ -170,6 +170,20 @@ class TestGenerate:
             out = generate(RowModel(row), "p", GenerationParams(temperature=1.0, max_new_tokens=32), seed=seed)
             assert len(out.token_ids) == 32 and set(out.token_ids) <= set(allowed)
 
+    @pytest.mark.parametrize("temperature", [1e-310, 1e-308])
+    def test_temperature_too_small_for_the_logits_is_one_value_error(self, temperature):
+        # at 1e-310, 1.5 / T overflows float64 (used to warn, then fail in rng.choice on NaN
+        # probabilities); at 1e-308 the scaled logits fit but their spread of 3e308 does not (used to warn)
+        row = np.zeros(VOCAB_SIZE)
+        row[[97, 98]] = [1.5, -1.5]
+        with pytest.raises(ValueError, match=f"temperature {temperature} is too small: logits / temperature overflows"):
+            generate(RowModel(row), "p", GenerationParams(temperature=temperature, max_new_tokens=1))
+
+    def test_tiny_temperature_that_fits_samples_the_argmax(self):
+        greedy = generate(ScriptedModel("ab"), "p", GenerationParams(max_new_tokens=4))
+        tiny = generate(ScriptedModel("ab"), "p", GenerationParams(temperature=1e-300, max_new_tokens=4))
+        assert tiny.token_ids == greedy.token_ids
+
     def test_truncation_flagged_on_overflow(self):
         model = ScriptedModel("ab")
         model.max_seq_len = 8
