@@ -1,8 +1,13 @@
-"""Binary tensor archive used by checkpointing.
+"""Binary tensor archive, and the one route that checkpoints take through it.
 
 Layout: 8-byte magic, little-endian uint64 manifest length, JSON manifest,
 then raw little-endian float payloads back to back. The manifest records
 (name, shape, element size, byte offset) per entry plus free-form metadata.
+
+A checkpoint's meta holds its ``kind`` and ``config``, and its arrays carry the
+names of the ``Tensor``s they fill: ``read_checkpoint`` checks the kind and
+rebuilds the config, and ``fill`` checks every name and shape before it sets
+any tensor. Every failure is an ``ArchiveError``.
 """
 
 from __future__ import annotations
@@ -30,13 +35,8 @@ def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
     offset = 0
     payloads = []
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        if arr.dtype == np.float64:
-            dtype = "<f8"
-        else:
-            arr = arr.astype(np.float32)
-            dtype = "<f4"
-        raw = arr.astype(dtype).tobytes()
+        dtype = "<f8" if np.asarray(arr).dtype == np.float64 else "<f4"
+        arr = np.ascontiguousarray(arr, dtype=dtype)   # copies only to convert or to make contiguous
         entries.append({
             "name": name,
             "shape": list(arr.shape),
@@ -44,8 +44,8 @@ def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
             "dtype": dtype,
             "offset": offset,
         })
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(arr)
+        offset += arr.nbytes
     manifest = json.dumps({"meta": meta or {}, "entries": entries, "payload_size": offset}).encode("utf-8")
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -54,8 +54,8 @@ def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(manifest)))
             fh.write(manifest)
-            for raw in payloads:
-                fh.write(raw)
+            for arr in payloads:
+                fh.write(arr)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -110,11 +110,37 @@ def load_archive(path) -> tuple[dict, dict]:
     for entry in manifest["entries"]:
         shape = tuple(entry["shape"])
         start = header_end + entry["offset"]
-        stop = start + math.prod(shape) * entry["elem_size"]
-        if stop > len(blob):
+        count = math.prod(shape)
+        if start + count * entry["elem_size"] > len(blob):
             raise ArchiveError(f"{path}: entry {entry['name']!r} runs past end of file")
         try:
-            arrays[entry["name"]] = np.frombuffer(blob[start:stop], dtype=entry["dtype"]).reshape(shape).copy()
+            arrays[entry["name"]] = np.frombuffer(blob, entry["dtype"], count, start).reshape(shape).copy()
         except ValueError as exc:  # e.g. a zero-size shape with a dimension numpy cannot index
             raise ArchiveError(f"{path}: entry {entry['name']!r}: {exc}") from exc
     return arrays, manifest["meta"]
+
+
+def read_checkpoint(path, kind: str, what: str, make_config) -> tuple[dict, dict, object]:
+    """(arrays, meta, config) of a ``kind`` checkpoint, its config rebuilt as
+    ``make_config(**meta["config"])``; errors call the file ``what`` ("model", ...)."""
+    arrays, meta = load_archive(path)
+    if meta.get("kind") != kind:
+        raise ArchiveError(f"{path}: not {'an' if what[0] in 'aeiou' else 'a'} {what} checkpoint")
+    try:
+        return arrays, meta, make_config(**meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArchiveError(f"{path}: bad {what} config: {exc}") from exc
+
+
+def fill(path, tensors, arrays: dict, what: str) -> None:
+    """Set each of ``tensors`` to the array of its name, as float32. The names must
+    be exactly the arrays' and every shape must agree, or nothing changes."""
+    names = {t.name for t in tensors}
+    if names != arrays.keys():
+        raise ArchiveError(f"{path}: {what} names do not match "
+                           f"(missing {sorted(names - arrays.keys())}, extra {sorted(arrays.keys() - names)})")
+    for t in tensors:
+        if arrays[t.name].shape != t.shape:
+            raise ArchiveError(f"{path}: shape mismatch for {t.name}")
+    for t in tensors:
+        t.data = arrays[t.name].astype(np.float32, copy=False)

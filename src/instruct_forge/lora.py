@@ -8,12 +8,13 @@ adapter matrices train; every base weight is frozen at injection time.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import autodiff as ad
-from .archive import ArchiveError, load_archive, save_archive
+from .archive import ArchiveError, fill, read_checkpoint, save_archive
 from .autodiff import Tensor
 
 
@@ -29,14 +30,15 @@ class LoraConfig:
     target_names: list[str] = field(default_factory=lambda: ["q_proj", "v_proj"])
 
     def __post_init__(self):
-        if self.r < 1:
-            raise LoraConfigError(f"rank must be >= 1, got {self.r}")
+        if isinstance(self.r, bool) or not isinstance(self.r, numbers.Integral) or self.r < 1:
+            raise LoraConfigError(f"rank must be an integer >= 1, got {self.r!r}")
         if not math.isfinite(self.alpha):
             raise LoraConfigError(f"alpha must be finite, got {self.alpha}")
         if not 0.0 <= self.dropout < 1.0:
             raise LoraConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not self.target_names:
-            raise LoraConfigError("target_names must not be empty")
+        targets = self.target_names   # one string would be read as a list of one-letter patterns
+        if isinstance(targets, str) or not targets or not all(isinstance(pattern, str) for pattern in targets):
+            raise LoraConfigError(f"target_names must be a non-empty list of strings, got {targets!r}")
 
 
 class LoraAdapter:
@@ -137,16 +139,12 @@ def unmerge_all(model):
 def save_adapters(model, path) -> None:
     if not model.adapters:
         raise LoraConfigError("model has no adapters to save")
-    arrays = {}
-    for name, adapter in model.adapters.items():
-        arrays[name + ".lora_A"] = adapter.A.data
-        arrays[name + ".lora_B"] = adapter.B.data
     meta = {
         "kind": "lora-adapters",
         "config": asdict(model.lora_config),
         "base_layout": model.config.attention_layout,
     }
-    save_archive(path, arrays, meta=meta)
+    save_archive(path, {t.name: t.data for t in adapter_parameters(model)}, meta=meta)
 
 
 def load_adapters(model, path):
@@ -154,30 +152,14 @@ def load_adapters(model, path):
 
     Raises ``LoraConfigError``, changing nothing, if the model already has
     adapters, and ``ArchiveError`` if the file's arrays are not exactly the
-    adapters it builds; the injection is then not undone.
+    adapters it builds; the injection is then not undone, but A and B stay as injected.
     """
     if model.adapters:
         raise LoraConfigError("load_adapters needs a model without adapters")
-    arrays, meta = load_archive(path)
-    if meta.get("kind") != "lora-adapters":
-        raise ArchiveError(f"{path}: not an adapter checkpoint")
+    arrays, meta, config = read_checkpoint(path, "lora-adapters", "adapter", LoraConfig)
     if meta.get("base_layout") != model.config.attention_layout:
         raise ArchiveError(
             f"{path}: adapter checkpoint targets layout {meta.get('base_layout')!r}, "
             f"model uses {model.config.attention_layout!r}")
-    try:
-        config = LoraConfig(**meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArchiveError(f"{path}: bad adapter config: {exc}") from exc
-    inject(model, config)
-    names = {name + suffix for name in model.adapters for suffix in (".lora_A", ".lora_B")}
-    if set(arrays) != names:
-        raise ArchiveError(f"{path}: adapter names do not match the model "
-                           f"(missing {sorted(names - set(arrays))}, extra {sorted(set(arrays) - names)})")
-    for name, adapter in model.adapters.items():
-        a, b = arrays[name + ".lora_A"], arrays[name + ".lora_B"]
-        if a.shape != adapter.A.shape or b.shape != adapter.B.shape:
-            raise ArchiveError(f"{path}: adapter shape mismatch for {name}")
-        adapter.A.data = a.astype(np.float32)
-        adapter.B.data = b.astype(np.float32)
+    fill(path, adapter_parameters(inject(model, config)), arrays, "adapter")
     return model

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import autodiff as ad
-from .archive import ArchiveError, load_archive, save_archive
+from .archive import fill, read_checkpoint, save_archive
 from .autodiff import Tensor
 from .tokenizer import VOCAB_SIZE
 
@@ -40,10 +41,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_ff is None:
             self.d_ff = 4 * self.d_model
-        if self.vocab_size < 1 or self.d_model < 1 or self.n_heads < 1 or self.n_layers < 1:
-            raise ValueError("all model dimensions must be positive")
-        if self.max_seq_len < 1:
-            raise ValueError("max_seq_len must be >= 1")
+        sizes = (self.vocab_size, self.d_model, self.n_heads, self.n_layers, self.d_ff, self.max_seq_len)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in (*sizes, self.seed)):
+            raise ValueError("model dimensions, max_seq_len and seed must be integers")
+        if min(sizes) < 1 or self.seed < 0:
+            raise ValueError("model dimensions and max_seq_len must be >= 1, and seed >= 0")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
@@ -223,25 +225,12 @@ class DecoderModel:
     # -- checkpointing --------------------------------------------------------
 
     def save_checkpoint(self, path) -> None:
-        arrays = {name: t.data for name, t in self.params.items()}
-        save_archive(path, arrays, meta={"kind": "decoder-model", "config": asdict(self.config)})
+        save_archive(path, {t.name: t.data for t in self.params.values()},
+                     meta={"kind": "decoder-model", "config": asdict(self.config)})
 
 
 def load_checkpoint(path) -> DecoderModel:
-    arrays, meta = load_archive(path)
-    if meta.get("kind") != "decoder-model":
-        raise ArchiveError(f"{path}: not a model checkpoint")
-    try:
-        config = ModelConfig(**meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArchiveError(f"{path}: bad model config: {exc}") from exc
+    arrays, _, config = read_checkpoint(path, "decoder-model", "model", ModelConfig)
     model = DecoderModel(config)
-    if set(arrays) != set(model.params):
-        missing = set(model.params) - set(arrays)
-        extra = set(arrays) - set(model.params)
-        raise ArchiveError(f"{path}: parameter names do not match config (missing {missing}, extra {extra})")
-    for name, arr in arrays.items():
-        if arr.shape != model.params[name].shape:
-            raise ArchiveError(f"{path}: shape mismatch for {name}")
-        model.params[name].data = arr.astype(np.float32)
+    fill(path, model.params.values(), arrays, "parameter")
     return model

@@ -1,5 +1,10 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +13,11 @@ from hypothesis import strategies as st
 
 from instruct_forge import archive
 from instruct_forge.archive import MAGIC, ArchiveError, load_archive, save_archive
-from instruct_forge.lora import load_adapters
+from instruct_forge.cli import main
+from instruct_forge.lora import LoraConfig, adapter_parameters, inject, load_adapters, save_adapters
 from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
+
+TINY = ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=16)
 
 
 def arrays():
@@ -82,12 +90,88 @@ class TestBadStoredConfig:
             load_checkpoint(path)
 
     def test_adapter_config(self, tmp_path):
-        model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=16))
+        model = DecoderModel(TINY)
         path = tmp_path / "a.ifta"
         save_archive(path, {}, meta={"kind": "lora-adapters", "config": ["r"],
                                      "base_layout": model.config.attention_layout})
         with pytest.raises(ArchiveError, match="bad adapter config"):
             load_adapters(model, path)
+
+    # JSON numbers and lists of the wrong type: each is one ArchiveError, not a
+    # TypeError from building the model or injecting the adapters
+    @pytest.mark.parametrize("change", [{"d_model": 16.0}, {"n_heads": 2.0}, {"d_ff": 64.0}, {"seed": 0.5},
+                                        {"n_layers": True}], ids=lambda c: next(iter(c)))
+    def test_mistyped_model_config(self, tmp_path, change):
+        path = tmp_path / "m.ifta"
+        save_archive(path, {}, meta={"kind": "decoder-model", "config": {**asdict(TINY), **change}})
+        with pytest.raises(ArchiveError, match="bad model config"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def mistyped_adapters(path, change):
+        save_archive(path, {}, meta={"kind": "lora-adapters", "config": {**asdict(LoraConfig()), **change},
+                                     "base_layout": TINY.attention_layout})
+
+    @pytest.mark.parametrize("change", [{"r": 2.0}, {"target_names": [1]}], ids=lambda c: next(iter(c)))
+    def test_mistyped_adapter_config(self, tmp_path, change):
+        self.mistyped_adapters(tmp_path / "a.ifta", change)
+        with pytest.raises(ArchiveError, match="bad adapter config"):
+            load_adapters(DecoderModel(TINY), tmp_path / "a.ifta")
+
+    def test_int_alpha_round_trips(self, tmp_path):
+        save_adapters(inject(DecoderModel(TINY), LoraConfig(alpha=16)), tmp_path / "a.ifta")
+        assert load_archive(tmp_path / "a.ifta")[1]["config"]["alpha"] == 16
+        assert load_adapters(DecoderModel(TINY), tmp_path / "a.ifta").lora_config.alpha == 16
+
+    def test_generate_with_mistyped_adapters_is_one_error_line(self, tmp_path, capsys):
+        DecoderModel(TINY).save_checkpoint(tmp_path / "m.ifta")
+        self.mistyped_adapters(tmp_path / "a.ifta", {"r": 2.0})
+        argv = ["generate", "--model", str(tmp_path / "m.ifta"), "--adapters", str(tmp_path / "a.ifta"),
+                "--prompt", "hi"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+        assert "bad adapter config" in lines[0]
+
+
+class TestFill:
+    def test_model_name_mismatch_is_sorted_under_any_hash_seed(self, tmp_path):
+        # the config says 1 layer, the arrays hold 2
+        path = tmp_path / "m.ifta"
+        two = DecoderModel(ModelConfig(**{**asdict(TINY), "n_layers": 2}))
+        save_archive(path, {t.name: t.data for t in two.params.values()},
+                     meta={"kind": "decoder-model", "config": asdict(TINY)})
+        src = str(Path(archive.__file__).parents[1])
+        lines = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-m", "instruct_forge.cli", "generate", "--model", str(path),
+                                  "--prompt", "hi"], env=env, capture_output=True, text=True, timeout=120)
+            assert run.returncode == 1 and run.stdout == ""
+            lines.append(run.stderr.strip().splitlines())
+        assert lines[0] == lines[1] and len(lines[0]) == 1
+        extra = sorted(name for name in two.params if name.startswith("layers.1."))
+        assert lines[0][0] == f"error: {path}: parameter names do not match (missing [], extra {extra})"
+
+    def test_bad_shape_in_last_adapter_changes_no_adapter(self, tmp_path):
+        config = LoraConfig(r=2)
+        saved = inject(DecoderModel(TINY), config)
+        arrays = {t.name: np.full(t.shape, 0.5, dtype=np.float32) for t in adapter_parameters(saved)}
+        last_a = adapter_parameters(saved)[-2].name
+        assert last_a.endswith(".lora_A")
+        arrays[last_a] = np.ones((3, 16), dtype=np.float32)
+        path = tmp_path / "a.ifta"
+        save_archive(path, arrays, meta={"kind": "lora-adapters", "config": asdict(config),
+                                         "base_layout": TINY.attention_layout})
+        target = DecoderModel(TINY)
+        with pytest.raises(ArchiveError, match="shape mismatch"):
+            load_adapters(target, path)
+        fresh = adapter_parameters(inject(DecoderModel(TINY), config))
+        assert [t.name for t in adapter_parameters(target)] == [t.name for t in fresh]
+        for got, injected in zip(adapter_parameters(target), fresh):
+            np.testing.assert_array_equal(got.data, injected.data)
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -30,6 +30,11 @@ class TestConfig:
         with pytest.raises(LoraConfigError):
             LoraConfig(r=0)
 
+    @pytest.mark.parametrize("targets", ["q_proj", ["q_proj", 3]])
+    def test_targets_must_be_a_list_of_strings(self, targets):
+        with pytest.raises(LoraConfigError, match="list of strings"):
+            LoraConfig(target_names=targets)
+
     def test_dropout_range(self):
         with pytest.raises(LoraConfigError):
             LoraConfig(dropout=1.0)

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from instruct_forge.evaluation import VERSIONS
+from instruct_forge.evaluation import VERSIONS, ChoiceTask, FewShotSpec, assemble_fewshot_prompt
 from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord
 
@@ -15,6 +15,44 @@ def with_input_record():
 
 def no_input_record():
     return InstructionRecord("Say hi.", "hi", category="other")
+
+
+def japanese_with_input_record():
+    return InstructionRecord("次の文章を一文で要約してください。", "名前のない猫が、生まれた場所を覚えていないと語る。",
+                             input="吾輩は猫である。名前はまだ無い。\nどこで生れたかとんと見当がつかぬ。",
+                             category="summarization")
+
+
+def japanese_no_input_record():
+    return InstructionRecord("日本で一番高い山は何ですか？", "富士山です。標高は３，７７６メートルです。🗻")
+
+
+def jnli_task(premise, hypothesis, gold, version):
+    return ChoiceTask(
+        instruction="前提と仮説の関係を含意、矛盾、中立の中から回答してください。",
+        constraints="制約：\n"
+                    "- 前提から仮説が、論理的知識や常識的知識を用いて導出可能である場合は含意と出力\n"
+                    "- 前提と仮説が両立しえない場合は矛盾と出力\n"
+                    "- そのいずれでもない場合は中立と出力",
+        fields={"前提": premise, "仮説": hypothesis},
+        choices=("含意", "矛盾", "中立"),
+        gold=gold,
+        version=version,
+        answer_label="関係",
+    )
+
+
+def jnli_demos(version):
+    return (
+        jnli_task("芝生の上で二人の女性がフリスビーを取ろうとジャンプしている。", "女性たちはフリスビーを取ろうとしている。", 0, version),
+        jnli_task("男性が自転車で通りを走っている。", "男性はベッドで眠っている。", 1, version),
+        jnli_task("子どもが赤い風船を持っている。", "子どもは祭りで風船をもらった。", 2, version),
+    )
+
+
+def jnli_query(version):
+    return jnli_task("ミキサーの横にバナナとキウイが置かれていて、子どもが二人いる。",
+                     "ミキサーが置かれたテーブルにスポイトを持った子どもたちがいる。", 2, version)
 
 
 class TestGoldenRenders:
@@ -31,6 +69,19 @@ class TestGoldenRenders:
         golden = (FIXTURES / "prompt_no_input.txt").read_text(encoding="utf-8")
         tpl = PromptTemplate(kind="no-input")
         assert render_prompt(no_input_record(), tpl) == golden
+
+    @pytest.mark.parametrize("kind, record", [("with-input", japanese_with_input_record),
+                                              ("no-input", japanese_no_input_record)])
+    def test_japanese_matches_golden(self, kind, record):
+        golden = (FIXTURES / f"prompt_{kind.replace('-', '_')}_ja.txt").read_text(encoding="utf-8")
+        assert render_prompt(record(), PromptTemplate(kind=kind)) == golden
+
+    @pytest.mark.parametrize("version", VERSIONS)
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_japanese_fewshot_matches_golden(self, version, k):
+        golden = (FIXTURES / f"fewshot_{version}_k{k}_ja.txt").read_text(encoding="utf-8")
+        spec = FewShotSpec(k=k, demonstrations=jnli_demos(version))
+        assert assemble_fewshot_prompt(jnli_query(version), spec) == golden
 
     def test_no_input_has_no_input_section(self):
         out = render_prompt(no_input_record(), PromptTemplate(kind="no-input"))
