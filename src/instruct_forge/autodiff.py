@@ -61,7 +61,14 @@ class Tensor:
     # -- graph ----------------------------------------------------------
 
     def backward(self):
-        """Accumulate gradients of this scalar into every reachable tensor, once per graph."""
+        """Accumulate gradients of this scalar into every reachable leaf, once per graph.
+
+        The graph is freed as it is walked: once a node's closure has run,
+        the node drops its parents, its closure (and the activations it
+        saved) and, unless it is this loss, its gradient. So a step's peak is
+        about what the forward held, and afterwards only leaves and this loss
+        keep a ``.grad``; the loss keeps it so that a second call raises.
+        """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if self.grad is not None:
@@ -82,9 +89,14 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:
+            node = topo.pop()
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
+            if node._parents:
+                node._parents, node._backward_fn = (), None
+                if node is not self:
+                    node.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

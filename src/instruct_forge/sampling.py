@@ -60,6 +60,8 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
     the whole window on a fresh cache (positions shift), and the result is
     flagged as truncated.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     ids = [BOS] + TOKENIZER.encode(prompt)
     rng = np.random.default_rng(seed)
     max_len = model.max_seq_len

@@ -43,6 +43,8 @@ class TrainConfig:
             raise ValueError("train_seq_len must be >= 1")
         if self.mask_policy not in MASK_POLICIES:
             raise ValueError(f"mask_policy must be one of {MASK_POLICIES}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -1,17 +1,24 @@
 import json
+import math
 import os
 import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from instruct_forge import cli
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
-from instruct_forge.evaluation import PerplexityItem, corpus_perplexity
+from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate,
+                                       assemble_fewshot_prompt, corpus_perplexity)
+from instruct_forge.lora import load_adapters
 from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
-from instruct_forge.records import CATEGORIES, load_records
+from instruct_forge.prompts import render_prompt, template_for
+from instruct_forge.records import CATEGORIES, InstructionRecord, load_records
+from instruct_forge.sampling import GenerationParams, generate
+from instruct_forge.tokenizer import BOS
 
 
 def write_jsonl(path, rows):
@@ -392,6 +399,125 @@ class TestGenerate:
                    "--prompt", "hi"])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+
+JA_RECORDS = [
+    {"instruction": "次の文章を一文で要約してください。", "input": "今朝は雨が降っていたが、昼過ぎには晴れて暖かくなった。",
+     "output": "雨のち晴れ。", "category": "summarization"},
+    {"instruction": "日本の首都はどこですか？", "input": None, "output": "東京です。", "category": "qa"},
+    {"instruction": "次の言葉の反対の意味を答えてください。", "input": "大きい", "output": "小さい", "category": "other"},
+    {"instruction": "富士山の高さは何メートルですか？", "input": None, "output": "三七七六メートルです。", "category": "qa"},
+    {"instruction": "次の文の誤字を直してください。", "input": "今日わ良い天気です。", "output": "今日は良い天気です。",
+     "category": "correction"},
+    {"instruction": "好きな季節とその理由を教えてください。", "input": None, "output": "春です。桜が咲くからです。",
+     "category": "other"},
+    {"instruction": "次の数字を漢数字で書いてください。", "input": "１２３", "output": "百二十三", "category": "other"},
+    {"instruction": "猫について一言で説明してください。", "input": None, "output": "小さな肉食の哺乳類です。🐈",
+     "category": "other"},
+]
+
+# JNLI-shaped: premise, hypothesis, and the gold relation among 含意/矛盾/中立
+JNLI = [("犬が公園を走っている。", "動物が外にいる。", 0),
+        ("男性がギターを弾いている。", "男性は楽器を演奏していない。", 1),
+        ("女性が駅で電車を待っている。", "女性は仕事に向かっている。", 2),
+        ("子どもたちが海で泳いでいる。", "子どもたちは水の中にいる。", 0),
+        ("店は朝九時に開く。", "店は一日中閉まっている。", 1),
+        ("学生が図書館で本を読んでいる。", "学生は試験の準備をしている。", 2)]
+
+JA_ITEMS = [{"question": "日本で一番高い山は？", "response": "富士山です。"},
+            {"question": "好きな食べ物は何ですか？", "response": "お寿司です🍣"}]
+
+JA_MAX_SEQ_LEN, JA_SEQ_LEN = 256, 64
+
+
+def float64_score(model, prompt: str, continuation: str) -> float:
+    """Summed log-probability of ``continuation`` after BOS and ``prompt``, left-truncated
+    to the window, from the full logits of ``DecoderModel.logits`` in float64."""
+    cont = list(continuation.encode("utf-8"))
+    ids = ([BOS] + list(prompt.encode("utf-8")) + cont)[-model.max_seq_len:]
+    rows = np.asarray(model.logits(ids[:-1]), dtype=np.float64)[-len(cont):]
+    top = rows.max(axis=1)
+    lse = top + np.log(np.exp(rows - top[:, None]).sum(axis=1))
+    return float((rows[np.arange(len(cont)), cont] - lse).sum())
+
+
+class TestJapaneseChain:
+    """train, eval, ppl and generate on Japanese text, each three bytes a character:
+    every record is tail-truncated in training, and the few-shot prompts cross the window."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("ja")
+        write_jsonl(d / "data.jsonl", JA_RECORDS)
+        tasks = [{"instruction": "前提と仮説の関係を、含意・矛盾・中立から答えてください。",
+                  "fields": {"前提": p, "仮説": h}, "choices": ["含意", "矛盾", "中立"], "gold": g,
+                  "version": "v0.2", "answer_label": "関係"} for p, h, g in JNLI]
+        write_jsonl(d / "tasks.jsonl", tasks)
+        write_jsonl(d / "items.jsonl", JA_ITEMS)
+        assert main(["train", "--data", str(d / "data.jsonl"), "--out", str(d / "run"), "--d-model", "16",
+                     "--n-heads", "2", "--n-layers", "1", "--max-seq-len", str(JA_MAX_SEQ_LEN),
+                     "--seq-len", str(JA_SEQ_LEN), "--epochs", "2", "--batch", "4", "--seed", "3"]) == 0
+        model = load_checkpoint(d / "run" / "model.ifta")
+        load_adapters(model, d / "run" / "adapters-epoch1.ifta")
+        return d, model, [ChoiceTask(**t) for t in tasks]
+
+    def files(self, run):
+        d = run[0]
+        return ["--model", str(d / "run" / "model.ifta"), "--adapters", str(d / "run" / "adapters-epoch1.ifta")]
+
+    def test_train_truncates_every_record_and_drops_none(self, run):
+        d = run[0]
+        for row in JA_RECORDS:
+            record = InstructionRecord(**row)
+            assert len(render_prompt(record, template_for(record)).encode("utf-8")) + 1 > JA_SEQ_LEN
+        entries = [strict_json(line) for line in (d / "run" / "train-report.jsonl").read_text(encoding="utf-8")
+                   .splitlines()]
+        assert [(e["epoch"], e["steps"], e["dropped"]) for e in entries] == [(0, 2, 0), (1, 2, 0)]
+        assert all(np.isfinite(e["mean_loss"]) for e in entries)
+
+    def test_eval_accuracy_matches_a_float64_rescoring(self, run, capsys):
+        d, model, tasks = run
+        report = d / "report.json"
+        assert main(["eval", *self.files(run), "--tasks", str(d / "tasks.jsonl"), "--shots", "0,1,2",
+                     "--report", str(report)]) == 0
+        payload = strict_json(report.read_text(encoding="utf-8"))
+        queries = tasks[2:]
+        # the 0-shot prompts fit the window (shared-prefix route); longer ones are left-truncated
+        assert 0 < payload["model_overflows"] < 3 * len(queries)
+        expected = {}
+        for k in (0, 1, 2):
+            spec = FewShotSpec(k=k, demonstrations=tasks[:k])
+            correct = 0
+            for task in queries:
+                prompt = assemble_fewshot_prompt(task, spec)
+                scores = [float64_score(model, prompt, choice) for choice in task.choices]
+                correct += int(np.argmax(scores)) == task.gold
+            expected[str(k)] = correct / len(queries)
+        assert payload["accuracy"] == expected
+
+    def test_ppl_matches_a_float64_rescoring(self, run, capsys):
+        d, model, _ = run
+        report = d / "ppl.json"
+        assert main(["ppl", *self.files(run), "--items", str(d / "items.jsonl"), "--report", str(report)]) == 0
+        payload = strict_json(report.read_text(encoding="utf-8"))
+        nll = [-float64_score(model, QuestionTemplate().render(i["question"]), i["response"]) for i in JA_ITEMS]
+        n = [len(i["response"].encode("utf-8")) for i in JA_ITEMS]
+        assert payload["perplexity_pooled"] == pytest.approx(math.exp(sum(nll) / sum(n)), rel=1e-6)
+        assert payload["perplexity_mean"] == pytest.approx(np.mean(np.exp(np.divide(nll, n))), rel=1e-6)
+
+    def test_seeded_generate_reproduces_its_token_ids(self, run, capsys):
+        _, model, _ = run
+        argv = ["generate", *self.files(run), "--prompt", "日本の首都は", "--temperature", "0.8",
+                "--max-new-tokens", "16", "--seed", "5"]
+        capsys.readouterr()
+        outs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        params = GenerationParams(temperature=0.8, max_new_tokens=16)
+        first, second = (generate(model, "日本の首都は", params, seed=5) for _ in range(2))
+        assert first.token_ids and first.token_ids == second.token_ids
+        assert outs[0] == outs[1] and outs[0].endswith("\n" + first.text + "\n")
 
 
 # Path arguments each subcommand needs before its settings can be parsed.
@@ -792,6 +918,23 @@ class TestFailsBeforeOutput:
         # used to print the config block, numpy RuntimeWarnings and "error: Probabilities contain NaN"
         argv = ["generate", "--model", str(untrained_model), "--prompt", "hi", "--temperature", "1e-310"]
         self.assert_failed_silently(capsys, argv, "temperature 1e-310 is too small: logits / temperature overflows")
+
+    def test_negative_generate_seed(self, capsys, untrained_model):
+        # used to fail with numpy's "expected non-negative integer", which names no setting
+        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi", "--seed", "-1"]
+        self.assert_failed_silently(capsys, argv, "seed must be >= 0, got -1")
+
+    @pytest.mark.parametrize("seed", ["-1", "-20"])
+    def test_negative_train_seed_over_a_checkpoint(self, tmp_path, capsys, untrained_model, seed):
+        # the checkpoint's config skips ModelConfig's seed check; numpy used to
+        # reject the seed in the epoch loop, after an empty --out was made
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--out", str(out), "--init-from", str(untrained_model),
+                "--seq-len", "64", "--seed", seed]
+        self.assert_failed_silently(capsys, argv, f"seed must be >= 0, got {seed}")
+        assert not out.exists()
 
     def test_ppl_item_whose_perplexity_overflows(self, tmp_path, capsys):
         # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback

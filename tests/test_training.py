@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -280,19 +282,62 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
             fn(g)
         return wrapped
 
+    # backward frees each closure and intermediate gradient as it goes, so both
+    # are read before it returns: the closures counted here, the gradients as received
+    closures = 0
     for node in nodes:
         if node._backward_fn is not None:
             node._backward_fn = snapshotting(node._backward_fn)
+            closures += 1
     loss.backward()
-    assert len(received) == sum(node._backward_fn is not None for node in nodes)
+    assert len(received) == closures
     for g, snapshot in received:
         assert np.array_equal(g, snapshot)
 
     leaves = [t for a in model.adapters.values() for t in (a.A, a.B)]
-    arrays = [n.data for n in nodes] + [n.grad for n in nodes if n.grad is not None]
+    arrays = [n.data for n in nodes] + [g for g, _ in received] + [n.grad for n in nodes if n.grad is not None]
     for leaf in leaves:
         others = [a for a in arrays if a is not leaf.grad]
         assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
+
+
+class TestFreedGraph:
+    """backward releases each node as it walks the graph, so a step never holds
+    every activation and every intermediate gradient at once."""
+
+    @staticmethod
+    def loss_of_step(model):
+        ids = np.random.default_rng(7).integers(0, 256, size=(4, 96))
+        return ad.softmax_cross_entropy(model.forward(ids, rng=model.rng), np.roll(ids, -1, axis=1))
+
+    def test_memory_held_after_backward_is_a_fraction_of_the_forward(self):
+        model = adapted_model(dropout=0.05)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = self.loss_of_step(model)
+            forward = tracemalloc.get_traced_memory()[0] - before
+            loss.backward()
+            after = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the adapter gradients and the loss are all that stay
+        assert after < 0.25 * forward, (after, forward)
+
+    def test_only_the_loss_and_the_leaves_keep_anything(self):
+        model = adapted_model(dropout=0.05)
+        loss = self.loss_of_step(model)
+        nodes = graph_nodes(loss)
+        inner = [n for n in nodes[1:] if n._parents]
+        assert inner
+        loss.backward()
+        assert loss.grad is not None and loss._parents == () and loss._backward_fn is None
+        for node in inner:
+            assert node.grad is None and node._backward_fn is None and node._parents == ()
+        for adapter in model.adapters.values():
+            assert adapter.A.grad is not None and adapter.B.grad is not None
+        with pytest.raises(RuntimeError, match="already ran"):
+            loss.backward()
 
 
 # "Q:a\nA:\n" is 7 bytes, so the short row's response starts at column 7 of its
