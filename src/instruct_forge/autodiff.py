@@ -478,9 +478,42 @@ def softmax(x: Tensor) -> Tensor:
 
 
 # Score elements per query-row block of causal_attention: 512 KB of float32
-# scores, so a block's scores and gradients stay in a 2 MB L2 cache. 1 << 16
-# timed the same on 511-token forwards and slower on 8×256 training batches.
+# scores, so a block's probabilities and their gradient stay in a 2 MB L2
+# cache; backward rebuilds the probabilities block by block, so the same
+# bound holds there. 1 << 16 timed the same on 511-token forwards and slower
+# on 8×256 training batches.
 _ATTN_BLOCK = 1 << 17
+
+
+def _transposed(a: np.ndarray, at, n: int, r: int) -> np.ndarray:
+    """``a[..., :n, :]ᵀ`` as the operand of an r-row product: a slice of the
+    contiguous ``at`` when r > 1; one row keeps the swapped view, because
+    numpy's gemv rounds a contiguous operand differently."""
+    return at[..., :n] if r > 1 else a[..., :n, :].swapaxes(-1, -2)
+
+
+def _attn_probs(qb: np.ndarray, kt: np.ndarray, s: float, tri, m=None, z=None):
+    """One query-row block's causal probabilities, with their row max and row sum.
+
+    ``qb`` is [..., r, h], ``kt`` the [..., h, n] keys it sees, and the -1e9
+    triangle ``tri[:r, :r]`` covers the last r columns. Given the ``m`` and
+    ``z`` that the forward returned, the same ops on the same operands
+    rebuild the forward's probabilities bit for bit.
+    """
+    p = qb @ kt
+    p *= s
+    r = p.shape[-2]
+    if r > 1:
+        p[..., p.shape[-1] - r:] += tri[:r, :r]
+    if m is None:
+        # fmax skips maximum's NaN propagation; a NaN in a row still reaches the whole row through the sum
+        m = np.fmax.reduce(p, axis=-1, keepdims=True)
+    p -= m
+    np.exp(p, out=p)
+    if z is None:
+        z = np.add.reduce(p, axis=-1, keepdims=True)
+    p /= z
+    return p, m, z
 
 
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
@@ -492,7 +525,16 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     ``_ATTN_BLOCK`` score elements; block ``[r0, r1)`` reads only keys
     ``:S-T+r1``, so the masked triangle past it is never computed. With one
     block the output equals ``matmul(causal softmax of the scores, v)`` bit
-    for bit.
+    for bit wherever BLAS rounds the contiguous kᵀ of multi-row blocks like
+    the transposed view (in float32, scipy-openblas 0.3.31 on x86_64 does at
+    head dims up to 24; at 32 and more some block shapes differ in the last
+    bits).
+
+    A graph node keeps kᵀ and each block's row max and row sum, [..., r, 1]
+    each, instead of the block's [..., r, n] probabilities (FlashAttention-2's
+    row statistics). Backward rebuilds the probabilities with the forward's
+    own kernel, ``_attn_probs``, on the same operands, so they and every
+    gradient are what keeping them would give, bit for bit.
     """
     T, S = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
@@ -503,26 +545,22 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     grad = _needs_grad(q) or _needs_grad(k) or _needs_grad(v)
     rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
     out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(qd, kd, vd))
-    tri = None  # the first block's mask; later blocks use its top-left corner, one-row blocks none
+    # multi-row blocks multiply by one contiguous kᵀ and share the first block's mask
+    kt = tri = None
+    if min(rows, T) > 1:
+        kt = np.ascontiguousarray(kd.swapaxes(-1, -2))
+        tri = np.triu(np.full((min(rows, T),) * 2, -1e9, dtype=np.result_type(qd, kd)), k=1)
     blocks = []
     for r0 in range(0, T, rows):
         r1 = min(r0 + rows, T)
         n = S - T + r1
-        p = qd[..., r0:r1, :] @ kd[..., :n, :].swapaxes(-1, -2)
-        p *= s
-        if r1 - r0 > 1:
-            if tri is None:
-                tri = np.triu(np.full((r1 - r0, r1 - r0), -1e9, dtype=p.dtype), k=1)
-            p[..., n - (r1 - r0):] += tri[:r1 - r0, :r1 - r0]
-        # fmax skips maximum's NaN propagation; a NaN in a row still reaches the whole row through the sum
-        p -= np.fmax.reduce(p, axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= np.add.reduce(p, axis=-1, keepdims=True)
+        p, m, z = _attn_probs(qd[..., r0:r1, :], _transposed(kd, kt, n, r1 - r0), s, tri)
         np.matmul(p, vd[..., :n, :], out=out[..., r0:r1, :])
         if grad:
-            blocks.append((r0, r1, n, p))
+            blocks.append((r0, r1, n, m, z))
 
     def backward_fn(g):
+        g = np.ascontiguousarray(g)  # merge_heads passes a swapped view
         dq = np.empty_like(qd) if _needs_grad(q) else None
         dk = np.zeros_like(kd) if _needs_grad(k) else None
         dv = np.zeros_like(vd) if _needs_grad(v) else None
@@ -531,20 +569,23 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
             rowdot = np.add.reduce(g * out, axis=-1, keepdims=True)
             # s scales the [rows, h] products, not the [rows, n] ds
             qs = qd * s if dk is not None else None
-        for r0, r1, n, p in blocks:
+            vt = None if kt is None else np.ascontiguousarray(vd.swapaxes(-1, -2))
+        for r0, r1, n, m, z in blocks:
+            p = _attn_probs(qd[..., r0:r1, :], _transposed(kd, kt, n, r1 - r0), s, tri, m, z)[0]
             gb = g[..., r0:r1, :]
             if dv is not None:
                 dv[..., :n, :] += p.swapaxes(-1, -2) @ gb
             if dq is None and dk is None:
                 continue
-            ds = gb @ vd[..., :n, :].swapaxes(-1, -2)
+            ds = gb @ _transposed(vd, vt, n, r1 - r0)
             ds -= rowdot[..., r0:r1, :]
             ds *= p
             if dq is not None:
-                dq[..., r0:r1, :] = ds @ kd[..., :n, :]
-                dq[..., r0:r1, :] *= s
+                np.matmul(ds, kd[..., :n, :], out=dq[..., r0:r1, :])
             if dk is not None:
                 dk[..., :n, :] += ds.swapaxes(-1, -2) @ qs[..., r0:r1, :]
+        if dq is not None:
+            dq *= s
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if d is not None:
                 _add_grad(t, d)

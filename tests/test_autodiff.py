@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,7 +514,8 @@ class TestCausalAttention:
                  [rand(rng, 2, T, 4), rand(rng, 2, S, 4), rand(rng, 2, S, 4)],
                  reduce=lambda t: ad.tsum(ad.mul(t, w)))
 
-    @pytest.mark.parametrize("T,S", [(6, 6), (3, 8)])
+    # (1, 300) is a cached decode step: a one-row product must round like the chain's
+    @pytest.mark.parametrize("T,S", [(6, 6), (3, 8), (1, 300)])
     def test_one_block_equals_unfused_chain_bit_for_bit(self, T, S):
         rng = np.random.default_rng(14)
         s = 1.0 / math.sqrt(8)
@@ -568,6 +570,22 @@ class TestCausalAttention:
             out = ad.causal_attention(Tensor(q), Tensor(k2), Tensor(v2), 0.5).data
             assert np.array_equal(out[:, :t + 1], base[:, :t + 1])
             assert not np.array_equal(out[:, t + 1:], base[:, t + 1:])
+
+    def test_graph_keeps_row_statistics_not_probabilities(self):
+        # two 64-row blocks; keeping their [64, n] probabilities held about 833 KiB
+        B, H, T, h = 4, 4, 128, 8
+        rng = np.random.default_rng(20)
+        qkv = [Tensor(rand(rng, B, H, T, h).astype(np.float32), requires_grad=True) for _ in range(3)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ad.causal_attention(*qkv, 0.5)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 0.25 * B * H * T * T * 4, held
+        ad.tsum(out).backward()
+        assert all(t.grad.shape == t.shape for t in qkv)
 
     def test_frozen_inputs_get_no_gradient(self):
         rng = np.random.default_rng(18)

@@ -266,9 +266,7 @@ class TestTrain:
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "diverged" in lines[0], lines
         assert captured.out == ""  # used to hold the config block, printed before training
-        assert (out / "adapters-epoch0.ifta").exists()
-        assert not (out / "adapters-epoch1.ifta").exists()
-        assert not (out / "model.ifta").exists()
+        assert not out.exists()  # epoch 0's adapters and report used to stay
 
     def test_empty_data_fails_before_out(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -953,6 +951,34 @@ class TestFailsBeforeOutput:
         write_jsonl(data, dataset_rows(4))
         self.assert_failed_silently(capsys, ["train", "--data", str(data), "--out", str(data / "run"), *TINY],
                                     "Not a directory")
+
+    def diverge(self, tmp_path, capsys, records, out, *extra):
+        # the first update makes LoRA B ~1e30; the next forward overflows
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(records))
+        argv = ["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *extra, *TINY]
+        self.assert_failed_silently(capsys, argv, "training diverged")
+
+    def test_divergence_after_an_epoch_removes_its_outputs(self, tmp_path, capsys):
+        # one step an epoch: epoch 0's adapters and report used to stay in --out
+        out = tmp_path / "new" / "run"
+        self.diverge(tmp_path, capsys, 4, out)
+        assert not (tmp_path / "new").exists()
+
+    def test_divergence_in_the_first_epoch_removes_out(self, tmp_path, capsys):
+        # two steps an epoch: the second diverges, and an empty --out used to stay
+        out = tmp_path / "run"
+        self.diverge(tmp_path, capsys, 8, out, "--batch", "4")
+        assert not out.exists()
+
+    def test_divergence_in_an_existing_out_keeps_what_was_there(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine", encoding="utf-8")
+        (out / "train-report.jsonl").write_text('{"epoch": 0}\n', encoding="utf-8")
+        self.diverge(tmp_path, capsys, 4, out)
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "train-report.jsonl"]
+        assert (out / "train-report.jsonl").read_text(encoding="utf-8") == '{"epoch": 0}\n'
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
 # faults that took. argv[1] == "main" first runs cli.main (an eval that exits 1).
