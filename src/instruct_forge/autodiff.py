@@ -208,14 +208,8 @@ def scale(a: Tensor, s: float) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit, tanh approximation.
-
-    Forward and backward run in place on two buffers each, in the rounding
-    order of ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x³)))`` and its
-    derivative written out term by term.
-    """
-    xd = x.data
+def _gelu_tanh(xd: np.ndarray) -> np.ndarray:
+    """``tanh(c * (x + 0.044715 * x³))`` in a fresh buffer: gelu's forward term and backward's rebuild of it."""
     # repeated products: numpy's float32 power has no fast path for cubes
     t = xd * xd
     t *= xd
@@ -223,11 +217,26 @@ def gelu(x: Tensor) -> Tensor:
     t += xd
     t *= _GELU_C
     np.tanh(t, out=t)
+    return t
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian error linear unit, tanh approximation.
+
+    Forward and backward run in place, on two and three buffers, in the
+    rounding order of ``0.5 * x * (1 + tanh(c * (x + 0.044715 * x³)))`` and
+    its derivative written out term by term. A graph node keeps only ``x``:
+    backward rebuilds the tanh term with ``_gelu_tanh``.
+    """
+    xd = x.data
+    t = _gelu_tanh(xd)
     data = xd * 0.5
-    data *= t + 1.0
+    t += 1.0
+    data *= t
 
     def backward_fn(g):
         # 0.5 * (1 + t) + 0.5 * x * (1 - t²) * c * (1 + 3 * 0.044715 * x²)
+        t = _gelu_tanh(xd)
         dx = xd * 0.5
         tmp = t * t
         np.subtract(1.0, tmp, out=tmp)
@@ -400,6 +409,9 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Opti
     dropout(x), a), b), s))`` does: the base GEMM, then ``(u @ bᵀ) * s``, then
     the add. With ``gs = s · g``, the gradients are ``dB = gsᵀ u``,
     ``dA = (gs B)ᵀ (x ∘ keep)`` and ``dx = g W + (gs B A) ∘ keep``.
+
+    A graph node keeps ``x``, ``keep`` and the [..., r] ``u = (x ∘ keep) aᵀ``;
+    the ``dA`` branch rebuilds ``x ∘ keep`` with the forward's product.
     """
     xd, wd = x.data, w.data
     ash, bsh = a.data.shape, b.data.shape
@@ -407,8 +419,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Opti
             or bsh != (wd.shape[0], ash[0]) or (keep is not None and keep.shape != xd.shape)):
         raise ValueError(f"lora_linear: input {xd.shape} does not fit weight {wd.shape}, A {ash}, B {bsh}")
     (d, k), r = wd.shape, ash[0]
-    path = xd if keep is None else xd * keep
-    u = path @ a.data.T
+    u = (xd if keep is None else xd * keep) @ a.data.T
     delta = u @ b.data.T
     delta *= s
     data = xd @ wd.T
@@ -421,6 +432,7 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Opti
         if _needs_grad(b):
             _add_grad(b, gs.reshape(-1, d).T @ u.reshape(-1, r))
         if _needs_grad(a):
+            path = xd if keep is None else xd * keep
             _add_grad(a, gsb.reshape(-1, r).T @ path.reshape(-1, k))
         if _needs_grad(w):
             _add_grad(w, g.reshape(-1, d).T @ xd.reshape(-1, k))
@@ -436,7 +448,11 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Opti
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+    """Zero-mean unit-variance normalization over the last axis, then affine.
+
+    A graph node keeps ``x`` and each row's mean and ``1 / std``, [..., 1]
+    each; backward rebuilds the normalized ``xhat`` with the forward's ops.
+    """
     d = x.shape[-1]
     if d <= 0 or eps <= 0:
         raise ValueError("layer_norm requires d > 0 and eps > 0")
@@ -444,13 +460,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
     # centre once: ndarray.var would compute the mean a second time. Each mean
     # is the ufunc reduction ndarray.mean runs, without its Python wrapper.
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + eps)
-    xhat = xc * inv
+    xd = x.data
+    mean = np.add.reduce(xd, axis=-1, keepdims=True) / d
+    xhat = xd - mean
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
     data = xhat * gain.data + bias.data
 
     def backward_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
+        xhat = (xd - mean) * inv
         if _needs_grad(gain):
             _add_grad(gain, (g * xhat).sum(axis=reduce_axes))
         if _needs_grad(bias):
@@ -530,11 +549,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     head dims up to 24; at 32 and more some block shapes differ in the last
     bits).
 
-    A graph node keeps kᵀ and each block's row max and row sum, [..., r, 1]
-    each, instead of the block's [..., r, n] probabilities (FlashAttention-2's
-    row statistics). Backward rebuilds the probabilities with the forward's
-    own kernel, ``_attn_probs``, on the same operands, so they and every
-    gradient are what keeping them would give, bit for bit.
+    A graph node keeps each block's row max and row sum, [..., r, 1] each,
+    instead of the block's [..., r, n] probabilities (FlashAttention-2's row
+    statistics), and no kᵀ. Backward rebuilds the contiguous kᵀ, then the
+    probabilities with the forward's own kernel, ``_attn_probs``, on the same
+    operands, so they and every gradient are what keeping them would give,
+    bit for bit.
     """
     T, S = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
@@ -564,6 +584,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         dq = np.empty_like(qd) if _needs_grad(q) else None
         dk = np.zeros_like(kd) if _needs_grad(k) else None
         dv = np.zeros_like(vd) if _needs_grad(v) else None
+        # the forward's contiguous kᵀ, rebuilt rather than kept: tri is set exactly when it made one
+        kt = None if tri is None else np.ascontiguousarray(kd.swapaxes(-1, -2))
         if dq is not None or dk is not None:
             # rowsum(dP * P) = g · out per row (FlashAttention's identity), one [T, h] pass per call
             rowdot = np.add.reduce(g * out, axis=-1, keepdims=True)

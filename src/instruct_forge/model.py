@@ -71,7 +71,7 @@ def _rotary_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20   # step-sized arrays come from the heap; the most older glibc takes on 64-bit
-_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above a step's peak (64-77 MB traced at 8x256)
+_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above a step's peak (47-59 MB traced at 8x256)
 
 
 def _keep_freed_memory() -> bool:

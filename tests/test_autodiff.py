@@ -9,11 +9,41 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from instruct_forge import autodiff as ad
 from instruct_forge.autodiff import Tensor
 
-from gradcheck import check_op, finite_difference
+from gradcheck import (causal_attention_reference, check_op, finite_difference, layer_norm_reference,
+                       lora_linear_reference)
+
+# a graph node, its backward closure and the closure's cells: 1-3 KiB measured
+NODE_BYTES = 8192
 
 
 def rand(rng, *shape):
     return rng.uniform(-2, 2, shape)
+
+
+def held_beyond_output(op):
+    """``op()`` and the bytes it holds between forward and backward beyond its
+    output's data, by tracemalloc; operands made before the call do not count."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = op()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return out, held - out.data.nbytes
+
+
+def forward_backward(op, arrays, g):
+    """``op(*arrays)``'s data, then each operand's gradient of ``sum(op(*arrays) * g)``."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*tensors)
+    ad.tsum(ad.mul(out, Tensor(g))).backward()
+    return [out.data] + [t.grad for t in tensors]
+
+
+def assert_all_equal(got, ref):
+    for i, (a, b) in enumerate(zip(got, ref, strict=True)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"result {i} differs"
 
 
 class TestMatmul:
@@ -128,6 +158,26 @@ class TestLoraLinear:
         for got, ref in zip(*grads):
             # dx sums the base and adapter paths in one order, the chain in another
             np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_bit_identical_to_keeping_the_masked_input(self, dtype):
+        rng = np.random.default_rng(39)
+        arrays = self.operands(rng, (2, 7, 6), d=9, r=3, dtype=dtype)
+        keep = self.keep(rng, (2, 7, 6), dtype=dtype)
+        g = rand(rng, 2, 7, 9).astype(dtype)
+        got = forward_backward(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 4.0, keep), arrays, g)
+        assert_all_equal(got, lora_linear_reference(*arrays, 4.0, keep, g))
+
+    def test_graph_keeps_no_masked_input(self):
+        # keeping x ∘ keep held a second x, 128 KiB
+        rng = np.random.default_rng(40)
+        x, w, a, b = (Tensor(v, requires_grad=True)
+                      for v in self.operands(rng, (4, 128, 64), d=64, r=4, dtype=np.float32))
+        keep = self.keep(rng, x.shape, dtype=np.float32)
+        out, extra = held_beyond_output(lambda: ad.lora_linear(x, w, a, b, 2.0, keep))
+        assert extra < 4 * 128 * 4 * 4 + NODE_BYTES, extra   # u = (x ∘ keep) aᵀ, [4, 128, r]
+        ad.tsum(out).backward()
+        assert a.grad.shape == a.shape and x.grad.shape == x.shape
 
     def test_frozen_weight_gets_no_gradient(self):
         rng = np.random.default_rng(34)
@@ -251,6 +301,14 @@ class TestElementwise:
         assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
         assert np.array_equal(tx.grad, g * dx)
 
+    def test_gelu_graph_keeps_only_its_input(self):
+        # keeping the [4, 128, 256] tanh term held 512 KiB
+        x = Tensor(rand(np.random.default_rng(21), 4, 128, 256).astype(np.float32), requires_grad=True)
+        out, extra = held_beyond_output(lambda: ad.gelu(x))
+        assert extra < NODE_BYTES, extra
+        ad.tsum(out).backward()
+        assert x.grad.shape == x.shape
+
     def test_no_mutation(self):
         x = np.array([1.0, 2.0])
         t = Tensor(x.copy())
@@ -295,6 +353,24 @@ class TestLayerNorm:
         assert np.array_equal(tx.grad, dx)
         assert np.array_equal(tgain.grad, (g * xhat).sum(axis=(0, 1)))
         assert np.array_equal(tbias.grad, g.sum(axis=(0, 1)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 48), (2, 3, 5, 32)])
+    def test_gradients_bit_identical_to_keeping_xhat(self, dtype, shape):
+        rng = np.random.default_rng(6)
+        x, gain, bias, g = ((rand(rng, *s) * 3 + 1).astype(dtype) for s in (shape, shape[-1:], shape[-1:], shape))
+        got = forward_backward(ad.layer_norm, [x, gain, bias], g)
+        assert_all_equal(got, layer_norm_reference(x, gain, bias, g))
+
+    def test_graph_keeps_only_row_statistics(self):
+        # keeping the [4, 128, 64] xhat held 128 KiB
+        rng = np.random.default_rng(7)
+        x, gain, bias = (Tensor(rand(rng, *s).astype(np.float32), requires_grad=True)
+                         for s in ((4, 128, 64), (64,), (64,)))
+        out, extra = held_beyond_output(lambda: ad.layer_norm(x, gain, bias))
+        assert extra < 2 * 4 * 128 * 4 + NODE_BYTES, extra   # each row's mean and 1 / std
+        ad.tsum(out).backward()
+        assert x.grad.shape == x.shape
 
 
 class TestSoftmaxCrossEntropy:
@@ -572,20 +648,29 @@ class TestCausalAttention:
             assert not np.array_equal(out[:, t + 1:], base[:, t + 1:])
 
     def test_graph_keeps_row_statistics_not_probabilities(self):
-        # two 64-row blocks; keeping their [64, n] probabilities held about 833 KiB
+        # two 64-row blocks; keeping their [64, n] probabilities held about 833 KiB, and kᵀ 64 KiB
         B, H, T, h = 4, 4, 128, 8
         rng = np.random.default_rng(20)
         qkv = [Tensor(rand(rng, B, H, T, h).astype(np.float32), requires_grad=True) for _ in range(3)]
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = ad.causal_attention(*qkv, 0.5)
-            held = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert held < 0.25 * B * H * T * T * 4, held
+        out, extra = held_beyond_output(lambda: ad.causal_attention(*qkv, 0.5))
+        # each row's max and sum, and the first block's [64, 64] mask triangle
+        assert extra < 2 * B * H * T * 4 + 64 * 64 * 4 + NODE_BYTES, extra
         ad.tsum(out).backward()
         assert all(t.grad.shape == t.shape for t in qkv)
+
+    # ragged blocks: 3 + 3 + 1 query rows over 2 cached keys, and 4 + 4 + 2 rows
+    @pytest.mark.parametrize("T,S,rows", [(7, 9, 3), (10, 10, 4)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_bit_identical_to_keeping_probabilities(self, monkeypatch, T, S, rows, dtype):
+        B, H, s = 2, 3, 0.35
+        monkeypatch.setattr(ad, "_ATTN_BLOCK", rows * B * H * S)
+        rng = np.random.default_rng(21)
+        # at head dim 32 some BLAS builds (scipy-openblas 0.3.31 on x86_64) round a swapped-view kᵀ
+        # unlike the contiguous one, so a rebuild that changed the layout would show
+        q, k, v = (rand(rng, B, H, n, 32).astype(dtype) for n in (T, S, S))
+        g = rand(rng, B, H, T, 32).astype(dtype)
+        got = forward_backward(lambda q, k, v: ad.causal_attention(q, k, v, s), [q, k, v], g)
+        assert_all_equal(got, causal_attention_reference(q, k, v, s, g, rows))
 
     def test_frozen_inputs_get_no_gradient(self):
         rng = np.random.default_rng(18)
