@@ -12,18 +12,16 @@ is written once, after success, and a failure leaves it empty.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
 import re
-import shutil
 import sys
 from pathlib import Path
 from typing import Callable
 
 from .evaluation import VERSIONS, ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
-from .lora import LoraConfig, inject, load_adapters, trainable_param_count
+from .lora import LoraConfig, inject, load_adapters, save_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
 from .records import (CATEGORIES, convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records,
                       read_jsonl, save_records)
@@ -177,30 +175,6 @@ def cmd_build_dataset(args, cfg) -> int:
     return _emit(settings, {"output": args.output}, json.dumps(dataset_stats(records), indent=2))
 
 
-@contextlib.contextmanager
-def _undone_on_failure(out: Path):
-    """If the block raises, remove what it wrote under ``out``: the directories
-    it made, else the files it added, and the report lines it appended. A file
-    it rewrote keeps the new bytes."""
-    made = out
-    while not made.parent.exists():
-        made = made.parent
-    found = {p: p.stat().st_size for p in out.iterdir()} if out.is_dir() else None
-    try:
-        yield
-    except BaseException:
-        if found is None:
-            if made.is_dir():
-                shutil.rmtree(made)
-        else:
-            for path in set(out.iterdir()) - set(found):
-                path.unlink()
-            report = out / "train-report.jsonl"
-            if report in found:
-                os.truncate(report, found[report])
-        raise
-
-
 def cmd_train(args, cfg) -> int:
     # --init-from: the checkpoint's model config stands; a model.* flag or file value may only repeat it
     base = load_checkpoint(args.init_from) if args.init_from else None
@@ -216,12 +190,19 @@ def cmd_train(args, cfg) -> int:
         raise ValueError(f"train seq_len {train_cfg.train_seq_len} > model max_seq_len {model.config.max_seq_len}")
     records = load_records(args.data)[0]
     inject(model, lora_cfg)
-    with _undone_on_failure(Path(args.out)):
-        report = train(model, records, train_cfg, out_dir=args.out)
-        model.save_checkpoint(Path(args.out) / "model.ifta")
+    report, adapters = train(model, records, train_cfg)
+    # publish only a finished run: a failure above leaves --out as it was
+    lines = [json.dumps(entry, allow_nan=False) for entry in report]
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for epoch, arrays in enumerate(adapters):
+        save_adapters(model, out / f"adapters-epoch{epoch}.ifta", arrays)
+    model.save_checkpoint(out / "model.ifta")
+    with open(out / "train-report.jsonl", "a", encoding="utf-8") as fh:
+        fh.write("".join(f"{line}\n" for line in lines))
     notes = {"data": args.data, "out": args.out,
              "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)}
-    return _emit(settings, notes, "\n".join(json.dumps(entry, allow_nan=False) for entry in report))
+    return _emit(settings, notes, "\n".join(lines))
 
 
 def _load_tasks(path, version=None):

@@ -136,7 +136,9 @@ def unmerge_all(model):
     return model
 
 
-def save_adapters(model, path) -> None:
+def save_adapters(model, path, arrays=None) -> None:
+    """Write ``arrays`` (``{tensor name: array}`` of every A and B, as ``train``
+    returns per epoch) or, when None, the model's current A and B."""
     if not model.adapters:
         raise LoraConfigError("model has no adapters to save")
     meta = {
@@ -144,7 +146,9 @@ def save_adapters(model, path) -> None:
         "config": asdict(model.lora_config),
         "base_layout": model.config.attention_layout,
     }
-    save_archive(path, {t.name: t.data for t in adapter_parameters(model)}, meta=meta)
+    if arrays is None:
+        arrays = {t.name: t.data for t in adapter_parameters(model)}
+    save_archive(path, arrays, meta=meta)
 
 
 def load_adapters(model, path):

@@ -4,17 +4,15 @@ and adapter-only optimizer steps.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
-from .lora import adapter_parameters, save_adapters
+from .lora import adapter_parameters
 from .prompts import PromptTemplate, render_prompt, template_for
 from .tokenizer import BOS, EOS, PAD, TOKENIZER
 
@@ -83,6 +81,7 @@ class AdamW:
             self.m[i] = BETA1 * self.m[i] + (1.0 - BETA1) * g
             self.v[i] = BETA2 * self.v[i] + (1.0 - BETA2) * g * g
             update = (self.m[i] / b1c) / (np.sqrt(self.v[i] / b2c) + EPS)
+            # a new array, never an in-place update: ``train`` keeps each epoch's arrays uncopied
             p.data = p.data - self.lr * update
         self.zero_grad()
 
@@ -180,13 +179,13 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     return value
 
 
-def train(model, records, config: TrainConfig, template: PromptTemplate | None = None,
-          out_dir=None) -> list[dict]:
-    """Epochs of shuffled mini-batches; one report dict per epoch.
+def train(model, records, config: TrainConfig, template: PromptTemplate | None = None) -> tuple[list[dict], list[dict]]:
+    """Epochs of shuffled mini-batches; writes nothing.
 
-    A batch whose every record is dropped counts as dropped; any other error
-    of a batch reaches the caller. Writes an adapter checkpoint per epoch
-    (and a JSONL report) when ``out_dir`` is given.
+    Returns one report dict per epoch, and per epoch the adapters'
+    ``{tensor name: array}`` of A and B as that epoch left them. A batch whose
+    every record is dropped counts as dropped; any other error of a batch
+    reaches the caller.
     """
     if not records:
         raise ValueError("train requires a non-empty dataset")
@@ -194,10 +193,7 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
         raise ValueError("train requires a model with injected adapters")
     model.rng = np.random.default_rng(config.seed + 13)
     optimizer = AdamW(adapter_parameters(model), lr=config.learning_rate)
-    report = []
-    out_dir = Path(out_dir) if out_dir is not None else None
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    report, adapters = [], []
     for epoch in range(config.epochs):
         rng = np.random.default_rng(config.seed + epoch)
         order = rng.permutation(len(records))
@@ -213,17 +209,12 @@ def train(model, records, config: TrainConfig, template: PromptTemplate | None =
                 continue
             dropped += batch.dropped
             losses.append(train_step(model, batch, optimizer))
-        entry = {
+        report.append({
             "epoch": epoch,
             "mean_loss": float(np.mean(losses)) if losses else None,
             "steps": len(losses),
             "dropped": dropped,
             "seconds": time.monotonic() - start,
-        }
-        report.append(entry)
-        if out_dir is not None:
-            save_adapters(model, out_dir / f"adapters-epoch{epoch}.ifta")
-            with open(out_dir / "train-report.jsonl", "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, allow_nan=False) + "\n")
-    return report
-
+        })
+        adapters.append({p.name: p.data for p in optimizer.params})
+    return report, adapters

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from instruct_forge import cli
+from instruct_forge import cli, training
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate,
                                        assemble_fewshot_prompt, corpus_perplexity)
-from instruct_forge.lora import load_adapters
+from instruct_forge.lora import load_adapters, save_adapters
 from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
 from instruct_forge.prompts import render_prompt, template_for
 from instruct_forge.records import CATEGORIES, InstructionRecord, load_records
@@ -979,6 +980,56 @@ class TestFailsBeforeOutput:
         self.diverge(tmp_path, capsys, 4, out)
         assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "train-report.jsonl"]
         assert (out / "train-report.jsonl").read_text(encoding="utf-8") == '{"epoch": 0}\n'
+
+    @pytest.mark.parametrize("failure", ["diverge", "interrupt"])
+    def test_failure_over_an_earlier_run_leaves_every_byte(self, tmp_path, capsys, monkeypatch, failure):
+        # one step an epoch, and epoch 1 fails: epoch 0's adapters used to be rewritten with the failed run's
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        if failure == "diverge":
+            self.assert_failed_silently(capsys, [*argv, "--lr", "1e30"], "training diverged")
+        else:
+            real, steps = training.train_step, []
+
+            def interrupted(*args):
+                steps.append(args)
+                if len(steps) == 2:
+                    raise KeyboardInterrupt
+                return real(*args)
+
+            monkeypatch.setattr(training, "train_step", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                main([*argv, "--seed", "1"])   # another seed: its epoch 0 differs from the earlier run's
+            assert capsys.readouterr().out == ""
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == before
+
+    def test_failure_while_publishing_leaves_whole_files(self, tmp_path, capsys, monkeypatch):
+        # a full disk at the second file: the first stays whole, and nothing after it is written
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "train-report.jsonl").write_text('{"epoch": 0}\n', encoding="utf-8")
+        saved = []
+
+        def full_disk(model, path, arrays=None):
+            saved.append(path)
+            if len(saved) == 2:
+                raise OSError(28, "No space left on device")
+            save_adapters(model, path, arrays)
+
+        monkeypatch.setattr(cli, "save_adapters", full_disk)
+        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]
+        self.assert_failed_silently(capsys, argv, "No space left on device")
+        assert sorted(p.name for p in out.iterdir()) == ["adapters-epoch0.ifta", "train-report.jsonl"]
+        assert (out / "train-report.jsonl").read_text(encoding="utf-8") == '{"epoch": 0}\n'
+        load_adapters(DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64)),
+                      out / "adapters-epoch0.ifta")
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
 # faults that took. argv[1] == "main" first runs cli.main (an eval that exits 1).

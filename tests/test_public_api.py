@@ -61,7 +61,7 @@ API = {
     "AdamW.zero_grad": "(self)",
     "build_batch": "(records, template, tokenizer, config)",
     "train_step": "(model, batch, optimizer)",
-    "train": "(model, records, config, template=None, out_dir=None)",
+    "train": "(model, records, config, template=None)",
     "ChoiceTask": "(instruction, fields, choices, gold, version='v0.3', constraints=None, answer_label='Response')",
     "FewShotSpec": "(k, demonstrations=())",
     "PerplexityItem": "(question, response)",

@@ -5,10 +5,12 @@ import pytest
 
 from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
+from instruct_forge import cli
+from instruct_forge.archive import load_archive
 from instruct_forge.lora import LoraConfig, inject, merge_all
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
-from instruct_forge.records import InstructionRecord
+from instruct_forge.records import InstructionRecord, save_records
 from instruct_forge.tokenizer import BOS, EOS, PAD, ByteTokenizer
 from instruct_forge.training import (
     AdamW,
@@ -417,17 +419,17 @@ class TestSupervisedTail:
 class TestTrainLoop:
     def test_steps_per_epoch(self):
         model = adapted_model()
-        report = train(model, records(16), TrainConfig(epochs=1, batch_size=8),
-                       template=TINY_TEMPLATE)
-        assert len(report) == 1
+        report, adapters = train(model, records(16), TrainConfig(epochs=1, batch_size=8),
+                                 template=TINY_TEMPLATE)
+        assert len(report) == len(adapters) == 1
         assert report[0]["steps"] == 2
 
     def test_seed_reproducibility(self):
         curves = []
         for _ in range(2):
             model = adapted_model(dropout=0.05)
-            report = train(model, records(16), TrainConfig(epochs=3, batch_size=8, seed=11),
-                           template=TINY_TEMPLATE)
+            report, _ = train(model, records(16), TrainConfig(epochs=3, batch_size=8, seed=11),
+                              template=TINY_TEMPLATE)
             curves.append([e["mean_loss"] for e in report])
         assert curves[0] == curves[1]
 
@@ -445,8 +447,8 @@ class TestTrainLoop:
 
     def test_loss_improves_over_epochs(self):
         model = adapted_model(r=16, targets=WIDE_TARGETS, d_model=64, n_heads=4)
-        report = train(model, records(100), TrainConfig(epochs=10, batch_size=16, learning_rate=3e-3),
-                       template=TINY_TEMPLATE)
+        report, _ = train(model, records(100), TrainConfig(epochs=10, batch_size=16, learning_rate=3e-3),
+                          template=TINY_TEMPLATE)
         assert report[-1]["mean_loss"] < report[0]["mean_loss"]
 
     def test_batch_error_reaches_the_caller(self):
@@ -461,13 +463,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(adapted_model(), [], TrainConfig())
 
-    def test_checkpoints_written(self, tmp_path):
-        model = adapted_model()
-        train(model, records(8), TrainConfig(epochs=2, batch_size=8),
-              template=TINY_TEMPLATE, out_dir=tmp_path)
-        assert (tmp_path / "adapters-epoch0.ifta").exists()
-        assert (tmp_path / "adapters-epoch1.ifta").exists()
-        assert (tmp_path / "train-report.jsonl").exists()
+    def test_epoch_adapters_are_what_cmd_train_publishes(self, tmp_path, monkeypatch):
+        # each epoch's arrays are kept uncopied: an in-place optimizer update would make them all the last epoch's
+        returned = []
+
+        def spy(*args, **kwargs):
+            returned.append(train(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "train", spy)
+        data = tmp_path / "d.jsonl"
+        save_records(records(8), data)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--data", str(data), "--out", str(out), "--epochs", "2", "--batch", "8",
+                         "--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--max-seq-len", "64",
+                         "--seq-len", "64"]) == 0
+        [(report, adapters)] = returned
+        assert len(report) == len(adapters) == 2
+        assert all(not np.array_equal(adapters[0][name], adapters[1][name]) for name in adapters[0])
+        for epoch, arrays in enumerate(adapters):
+            published, _ = load_archive(out / f"adapters-epoch{epoch}.ifta")
+            assert list(published) == list(arrays)
+            for name, array in arrays.items():
+                np.testing.assert_array_equal(published[name], array)
 
 
 class TestPretrain:
