@@ -18,7 +18,7 @@ from .records import (
 )
 from .prompts import PromptTemplate, render_prompt, template_for
 from .model import ModelConfig, DecoderModel, ContextOverflowError, load_checkpoint
-from .lora import LoraConfig, LoraAdapter, inject, trainable_param_count, merge_all, unmerge_all
+from .lora import LoraConfig, LoraAdapter, inject, trainable_param_count, merge_all
 from .training import TrainConfig, TrainingBatch, AdamW, build_batch, train_step, train
 from .evaluation import (
     ChoiceTask,

@@ -26,8 +26,8 @@ _record = True  # False inside no_grad(): _node keeps no parents or backward clo
 class Tensor:
     """N-dimensional array node in an autodiff graph.
 
-    Operations never mutate their inputs; only optimizers write to ``data``
-    in place, outside of any graph.
+    Operations never mutate their inputs, and no code writes into ``data`` in place:
+    optimizers, ``archive.fill`` and ``lora.merge_all`` rebind it, so a shared array never changes.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")

@@ -307,7 +307,7 @@ def main(argv=None) -> int:
         if unknown:
             raise ValueError(f"{args.config}: unknown config key(s): {', '.join(unknown)}")
         return args.func(args, cfg)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@
 The delta starts at zero (B = 0), so an adapted model is initially
 indistinguishable from its base. The delta is scaled by alpha/r. Only
 adapter matrices train; every base weight is frozen at injection time.
+``merge_all`` returns W0 + delta as a new plain model and leaves the adapted one as it is.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .archive import ArchiveError, fill, read_checkpoint, save_archive
 from .autodiff import Tensor
+from .model import DecoderModel
 
 
 class LoraConfigError(ValueError):
@@ -56,8 +58,6 @@ class LoraAdapter:
                         requires_grad=True, name=name + ".lora_A")
         self.B = Tensor(np.zeros((d, config.r), dtype=np.float32),
                         requires_grad=True, name=name + ".lora_B")
-        self.merged = False
-        self._premerge_weight: np.ndarray | None = None
 
     def delta(self) -> np.ndarray:
         return self.scaling * (self.B.data @ self.A.data)
@@ -72,23 +72,6 @@ class LoraAdapter:
         if rng is not None and self.dropout != 0.0:
             keep = ad.dropout_mask(x.shape, self.dropout, rng, x.data.dtype)
         return ad.lora_linear(x, self.weight, self.A, self.B, self.scaling, keep)
-
-    def merge(self) -> Tensor:
-        """Fold the delta into the base weight; returns the plain weight."""
-        if self.merged:
-            raise RuntimeError(f"adapter {self.name} already merged")
-        self._premerge_weight = self.weight.data.copy()
-        self.weight.data = self.weight.data + self.delta().astype(self.weight.data.dtype)
-        self.merged = True
-        return self.weight
-
-    def unmerge(self) -> None:
-        """Restore the exact pre-merge weight."""
-        if not self.merged:
-            raise RuntimeError(f"adapter {self.name} is not merged")
-        self.weight.data = self._premerge_weight
-        self._premerge_weight = None
-        self.merged = False
 
 
 def inject(model, config: LoraConfig):
@@ -124,16 +107,20 @@ def trainable_param_count(model) -> int:
     return sum(p.data.size for p in adapter_parameters(model))
 
 
-def merge_all(model):
-    for adapter in model.adapters.values():
-        adapter.merge()
-    return model
+def merge_all(model) -> DecoderModel:
+    """A new ``DecoderModel`` without adapters, each adapted weight ``W0 + delta``; ``model`` is not changed.
 
-
-def unmerge_all(model):
-    for adapter in model.adapters.values():
-        adapter.unmerge()
-    return model
+    Other weights share its arrays, as no code writes into a ``Tensor``'s ``data`` in place.
+    Raises ``LoraConfigError`` when ``model`` has no adapters.
+    """
+    if not model.adapters:
+        raise LoraConfigError("model has no adapters to merge")
+    merged = DecoderModel(model.config)
+    for name, param in model.params.items():
+        adapter = model.adapters.get(name)
+        w = param.data
+        merged.params[name].data = w if adapter is None else w + adapter.delta().astype(w.dtype)
+    return merged
 
 
 def save_adapters(model, path, arrays=None) -> None:

@@ -136,7 +136,7 @@ class DecoderModel:
 
     def _linear(self, name: str, x: Tensor, rng: np.random.Generator | None) -> Tensor:
         adapter = self.adapters.get(name)
-        if adapter is not None and not adapter.merged:
+        if adapter is not None:
             return adapter.forward(x, rng)
         return ad.linear(x, self.params[name])
 

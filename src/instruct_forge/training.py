@@ -161,8 +161,6 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     """
     if not model.adapters:
         raise ValueError("train_step requires a model with injected adapters")
-    if any(adapter.merged for adapter in model.adapters.values()):
-        raise ValueError("train_step requires unmerged adapters: a merged adapter gets no gradient")
     try:
         with np.errstate(over="raise", invalid="raise"):
             n = batch.loss_mask.shape[-1] - int(np.argmax(batch.loss_mask.any(axis=0)))

@@ -54,7 +54,7 @@ def query(version="v0.2"):
 
 
 def adapted_model(layout="split-qv", seed=4):
-    """Default-size model with unmerged adapters whose B is non-zero, so the
+    """Default-size model with adapters whose B is non-zero, so the
     adapters change every logit."""
     model = DecoderModel(ModelConfig(attention_layout=layout, seed=seed))
     targets = ["query_key_value"] if layout == "fused-qkv" else ["q_proj", "v_proj"]

@@ -5,12 +5,14 @@ import os
 import platform
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from instruct_forge import cli, training
+from instruct_forge.archive import save_archive
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate,
                                        assemble_fewshot_prompt, corpus_perplexity)
@@ -952,6 +954,22 @@ class TestFailsBeforeOutput:
         write_jsonl(data, dataset_rows(4))
         self.assert_failed_silently(capsys, ["train", "--data", str(data), "--out", str(data / "run"), *TINY],
                                     "Not a directory")
+
+    # 10**15 positions need petabytes, past a 47-bit address space, so the
+    # allocation fails whatever the overcommit policy; both used to print a traceback
+    def test_context_too_large_to_allocate(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "o"
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY, "--max-seq-len", str(10**15)]
+        self.assert_failed_silently(capsys, argv, "Unable to allocate")
+        assert not out.exists()
+
+    def test_stored_context_too_large_to_allocate(self, tmp_path, capsys):
+        path = tmp_path / "m.ifta"
+        config = {**asdict(ModelConfig(d_model=16, n_heads=2, n_layers=1)), "max_seq_len": 10**15}
+        save_archive(path, {}, meta={"kind": "decoder-model", "config": config})
+        self.assert_failed_silently(capsys, ["generate", "--model", str(path), "--prompt", "hi"], "Unable to allocate")
 
     def diverge(self, tmp_path, capsys, records, out, *extra):
         # the first update makes LoRA B ~1e30; the next forward overflows

@@ -14,9 +14,8 @@ from instruct_forge.lora import (
     merge_all,
     save_adapters,
     trainable_param_count,
-    unmerge_all,
 )
-from instruct_forge.model import DecoderModel, ModelConfig
+from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
 
 
 def small_model(layout="split-qv", n_layers=2, seed=0):
@@ -145,35 +144,36 @@ class TestMergeUnmerge:
         m = self.trained_model()
         ids = [1, 2, 3, 4]
         adapted = m.logits(ids)
-        merge_all(m)
-        merged = m.logits(ids)
+        merged = merge_all(m).logits(ids)
         assert np.abs(adapted - merged).max() < 1e-5
 
-    def test_merge_unmerge_restores_bit_exact(self):
+    def test_merge_leaves_the_source_bit_exact(self):
         m = self.trained_model()
         ids = [5, 6, 7]
         before = m.logits(ids)
+        arrays = [t.data.copy() for t in [*m.params.values(), *adapter_parameters(m)]]
         merge_all(m)
-        unmerge_all(m)
         np.testing.assert_array_equal(before, m.logits(ids))
+        for t, a in zip([*m.params.values(), *adapter_parameters(m)], arrays):
+            np.testing.assert_array_equal(t.data, a)
 
     def test_zero_b_merge_keeps_weight(self):
         m = inject(small_model(), LoraConfig(target_names=["q_proj"]))
-        adapter = next(iter(m.adapters.values()))
-        w0 = adapter.weight.data.copy()
-        adapter.merge()
-        np.testing.assert_array_equal(adapter.weight.data, w0)
+        name = next(iter(m.adapters))
+        np.testing.assert_array_equal(merge_all(m).params[name].data, m.params[name].data)
 
     def test_double_merge_raises(self):
-        m = self.trained_model()
-        merge_all(m)
-        with pytest.raises(RuntimeError, match="merged"):
-            merge_all(m)
+        # a merged model has no adapters, so merging it again is merging a plain model
+        merged = merge_all(self.trained_model())
+        assert not merged.adapters
+        with pytest.raises(LoraConfigError, match="no adapters"):
+            merge_all(merged)
 
-    def test_unmerge_before_merge_raises(self):
-        m = self.trained_model()
-        with pytest.raises(RuntimeError, match="not merged"):
-            unmerge_all(m)
+    def test_merged_checkpoint_round_trips_bit_exact(self, tmp_path):
+        merged = merge_all(self.trained_model())
+        merged.save_checkpoint(tmp_path / "m.ifta")
+        ids = [1, 2, 3, 4]
+        np.testing.assert_array_equal(load_checkpoint(tmp_path / "m.ifta").logits(ids), merged.logits(ids))
 
 
 class TestParamCount:

@@ -47,12 +47,9 @@ API = {
     "LoraAdapter": "(name, weight, config, rng)",
     "LoraAdapter.delta": "(self)",
     "LoraAdapter.forward": "(self, x, rng=None)",
-    "LoraAdapter.merge": "(self)",
-    "LoraAdapter.unmerge": "(self)",
     "inject": "(model, config)",
     "trainable_param_count": "(model)",
     "merge_all": "(model)",
-    "unmerge_all": "(model)",
     "TrainConfig": "(learning_rate=0.0003, batch_size=8, epochs=1, train_seq_len=256, mask_policy='response-only', "
                    "seed=0)",
     "TrainingBatch": "(tokens, targets, loss_mask, dropped=0)",
