@@ -1,11 +1,16 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Small numpy-backed engine: each op builds a node holding its parents and a
-closure that routes the upstream gradient to them. ``Tensor.backward`` walks
-the graph once in reverse topological order; inside ``no_grad()`` ops build
-no graph, so inference keeps no parents, closures or saved activations.
-float32 is the working precision; pass float64 data for gradient-check
-fidelity.
+Small numpy-backed engine. A ``Tensor`` holds an array and a graph node;
+the graph is made of nodes alone, which hold no data. An op's output node
+holds its parents' nodes, its gradient, its dtype and a closure that routes
+the upstream gradient to the parents. The closure keeps only the arrays its
+backward reads, such as ``gelu``'s input or a frozen ``linear``'s weight, so
+an activation that no backward reads is freed as soon as the caller drops
+its ``Tensor``. An operand's array is kept only if a gradient that needs it
+is wanted when the op runs. ``Tensor.backward`` walks the nodes once in
+reverse topological order; inside ``no_grad()`` ops build no graph, so
+inference keeps no parents, closures or saved activations. float32 is the
+working precision; pass float64 data for gradient-check fidelity.
 
 Broadcasting follows the trailing-dimension rule only (numpy's rule), which
 covers everything the decoder model needs.
@@ -20,26 +25,75 @@ from typing import Optional, Sequence
 import numpy as np
 
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-_record = True  # False inside no_grad(): _node keeps no parents or backward closure
+_record = True  # False inside no_grad(): _node builds no graph node
+
+
+class _Node:
+    """A tensor's place in the graph: its parents' nodes, backward closure,
+    gradient and dtype, and whether it is a trainable leaf; never its data."""
+
+    __slots__ = ("parents", "backward_fn", "grad", "dtype", "requires_grad")
+
+    def __init__(self, dtype, parents: tuple = (), backward_fn=None, requires_grad: bool = False):
+        self.parents, self.backward_fn, self.grad = parents, backward_fn, None
+        self.dtype, self.requires_grad = dtype, requires_grad
+
+
+# the node of every tensor outside the graph: no-grad outputs and constants share it; it never gets a gradient
+_NO_GRAPH = _Node(None)
 
 
 class Tensor:
-    """N-dimensional array node in an autodiff graph.
+    """N-dimensional array with its node in an autodiff graph.
 
-    Operations never mutate their inputs, and no code writes into ``data`` in place:
+    ``grad``, ``requires_grad`` and the backward closure live on the node; a
+    tensor that is neither trainable nor an op's recorded output shares one
+    empty node and gets its own when one of them is set. Operations never
+    mutate their inputs, and no code writes into ``data`` in place:
     optimizers, ``archive.fill`` and ``lora.merge_all`` rebind it, so a shared array never changes.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "name")
+    __slots__ = ("data", "name", "_node")
 
     def __init__(self, data, requires_grad: bool = False, name: Optional[str] = None):
         arr = np.asarray(data)
         self.data = arr if arr.dtype in _FLOAT_DTYPES else arr.astype(np.float32)
-        self.grad: Optional[np.ndarray] = None
-        self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward_fn = None
         self.name = name
+        self._node = _Node(self.data.dtype, requires_grad=True) if requires_grad else _NO_GRAPH
+
+    def _own_node(self) -> _Node:
+        if self._node is _NO_GRAPH:
+            self._node = _Node(self.data.dtype)
+        return self._node
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, g):
+        self._own_node().grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag):
+        self._own_node().requires_grad = bool(flag)
+
+    @property
+    def _parents(self) -> tuple:
+        return self._node.parents
+
+    @property
+    def _backward_fn(self):
+        return self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        # a replacement keeps the fn(g) signature, accumulating by side effect
+        self._own_node().backward_fn = fn
 
     # -- introspection -------------------------------------------------
 
@@ -71,11 +125,12 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self.grad is not None:
+        root = self._own_node()
+        if root.grad is not None:
             raise RuntimeError("backward already ran on this graph; run the forward again to build a new one")
-        topo: list[Tensor] = []
+        topo: list[_Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[_Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -85,17 +140,17 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in seen:
                     stack.append((p, False))
-        self.grad = np.ones_like(self.data)
+        root.grad = np.ones_like(self.data)
         while topo:
             node = topo.pop()
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
-            if node._parents:
-                node._parents, node._backward_fn = (), None
-                if node is not self:
+            if node.backward_fn is not None and node.grad is not None:
+                node.backward_fn(node.grad)
+            if node.parents:
+                node.parents, node.backward_fn = (), None
+                if node is not root:
                     node.grad = None
 
 
@@ -109,9 +164,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _needs_grad(t: Tensor) -> bool:
-    """Trainable leaf or graph node; backward skips parents where this is False."""
-    return t.requires_grad or bool(t._parents)
+def _needs_grad(n: _Node) -> bool:
+    """Trainable leaf or op output in the graph; backward skips parents where this is False."""
+    return n.requires_grad or bool(n.parents)
 
 
 @contextlib.contextmanager
@@ -127,27 +182,27 @@ def no_grad():
         _record = prev
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """``Tensor(data)`` without re-checking the float array an op just made;
-    keeps ``backward_fn`` only outside ``no_grad`` and if a parent needs a
-    gradient."""
+def _node(data: np.ndarray, parents: Sequence[_Node], backward_fn) -> Tensor:
+    """``Tensor(data)`` without re-checking the float array an op just made.
+    It gets a node holding the ``parents`` nodes and ``backward_fn`` only
+    outside ``no_grad`` and if a parent needs a gradient; otherwise it
+    shares the empty node, so the no-grad path allocates no node."""
     if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
         data = Tensor(data).data
     out = Tensor.__new__(Tensor)
-    out.data, out.grad, out.requires_grad, out.name = data, None, False, None
-    out._parents, out._backward_fn = (), None
+    out.data, out.name, out._node = data, None, _NO_GRAPH
     if _record:
         for p in parents:
-            if p.requires_grad or p._parents:
-                out._parents, out._backward_fn = tuple(parents), backward_fn
+            if p.requires_grad or p.parents:
+                out._node = _Node(data.dtype, parents, backward_fn)
                 break
     return out
 
 
-def _add_grad(t: Tensor, g: np.ndarray):
-    """Accumulate ``g`` into ``t.grad``.
+def _add_grad(n: _Node, g: np.ndarray):
+    """Accumulate ``g`` into node ``n``'s gradient.
 
-    A graph node's first gradient is ``g`` itself, not a copy, so it may
+    An op output's first gradient is ``g`` itself, not a copy, so it may
     alias the upstream gradient of the op that sent it (``add`` sends the
     same array to both parents; ``reshape`` and ``transpose`` send views).
     That is sound only while no backward closure writes into its upstream
@@ -155,12 +210,12 @@ def _add_grad(t: Tensor, g: np.ndarray):
     gradient is always a fresh array, so no ``.grad`` the optimizer reads
     aliases another array of the graph.
     """
-    if _needs_grad(t):
-        g = g.astype(t.data.dtype, copy=False)
-        if t.grad is not None:
-            t.grad = t.grad + g
+    if _needs_grad(n):
+        g = g.astype(n.dtype, copy=False)
+        if n.grad is not None:
+            n.grad = n.grad + g
         else:
-            t.grad = g if t._parents else g.copy()
+            n.grad = g if n.parents else g.copy()
 
 
 # -- elementwise ---------------------------------------------------------
@@ -171,14 +226,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ValueError(f"add: shapes {a.shape} and {b.shape} are not broadcastable")
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
 
     def backward_fn(g):
-        if _needs_grad(a):
-            _add_grad(a, _unbroadcast(g, a.shape))
-        if _needs_grad(b):
-            _add_grad(b, _unbroadcast(g, b.shape))
+        if _needs_grad(na):
+            _add_grad(na, _unbroadcast(g, sa))
+        if _needs_grad(nb):
+            _add_grad(nb, _unbroadcast(g, sb))
 
-    return _node(data, (a, b), backward_fn)
+    return _node(data, (na, nb), backward_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,23 +242,27 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand
+    a_saved, b_saved = (a.data if _needs_grad(nb) else None), (b.data if _needs_grad(na) else None)
 
     def backward_fn(g):
-        if _needs_grad(a):
-            _add_grad(a, _unbroadcast(g * b.data, a.shape))
-        if _needs_grad(b):
-            _add_grad(b, _unbroadcast(g * a.data, b.shape))
+        if b_saved is not None:
+            _add_grad(na, _unbroadcast(g * b_saved, sa))
+        if a_saved is not None:
+            _add_grad(nb, _unbroadcast(g * a_saved, sb))
 
-    return _node(data, (a, b), backward_fn)
+    return _node(data, (na, nb), backward_fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     data = a.data * s
+    na = a._node
 
     def backward_fn(g):
-        _add_grad(a, g * s)
+        _add_grad(na, g * s)
 
-    return _node(data, (a,), backward_fn)
+    return _node(data, (na,), backward_fn)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -228,7 +288,7 @@ def gelu(x: Tensor) -> Tensor:
     its derivative written out term by term. A graph node keeps only ``x``:
     backward rebuilds the tanh term with ``_gelu_tanh``.
     """
-    xd = x.data
+    xd, nx = x.data, x._node
     t = _gelu_tanh(xd)
     data = xd * 0.5
     t += 1.0
@@ -250,41 +310,52 @@ def gelu(x: Tensor) -> Tensor:
         tmp *= 0.5
         dx += tmp
         dx *= g
-        _add_grad(x, dx)
+        _add_grad(nx, dx)
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
-def dropout_mask(shape: tuple, p: float, rng: np.random.Generator, dtype) -> np.ndarray:
-    """Inverted-scaling keep mask: 0 with probability ``p``, else 1/(1-p)."""
+def dropout_mask(shape: tuple, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Bool keep mask, False with probability ``p``; ``_scaled_keep`` makes
+    the inverted-scaling factors from it."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    return rng.random(shape) >= p
+
+
+def _scaled_keep(mask: np.ndarray, p: float, dtype) -> np.ndarray:
+    """0 where ``mask`` is False, else 1/(1-p). The same ops on the same mask
+    give the same bits, so a backward rebuilds its forward's factors."""
+    return mask.astype(dtype) / (1.0 - p)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
-    """Inverted-scaling dropout; identity in evaluation mode or at p=0."""
+    """Inverted-scaling dropout; identity in evaluation mode or at p=0.
+    A graph node keeps the bool mask."""
     if not training or p == 0.0:
         return x
-    keep = dropout_mask(x.shape, p, rng, x.data.dtype)
-    data = x.data * keep
+    mask = dropout_mask(x.shape, p, rng)
+    dtype, nx = x.data.dtype, x._node
+    data = x.data * _scaled_keep(mask, p, dtype)
 
     def backward_fn(g):
-        _add_grad(x, g * keep)
+        _add_grad(nx, g * _scaled_keep(mask, p, dtype))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 # -- shape manipulation ---------------------------------------------------
+# A node of these ops keeps no array, only shapes, axes or bounds.
 
 
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     data = x.data.reshape(shape)
+    nx, xshape = x._node, x.data.shape
 
     def backward_fn(g):
-        _add_grad(x, g.reshape(x.shape))
+        _add_grad(nx, g.reshape(xshape))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -292,23 +363,25 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         axes = tuple(reversed(range(x.ndim)))
     axes = tuple(axes)
     data = x.data.transpose(axes)
+    nx = x._node
 
     def backward_fn(g):
-        _add_grad(x, g.transpose(np.argsort(axes)))
+        _add_grad(nx, g.transpose(np.argsort(axes)))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 def split_heads(x: Tensor, H: int) -> Tensor:
     """[..., T, H·hd] to [..., H, T, hd]: ``reshape`` then ``transpose`` as one node."""
     if x.ndim < 2 or x.shape[-1] % H != 0:
         raise ValueError(f"split_heads: last dimension of {x.shape} is not a multiple of {H} heads")
-    data = x.data.reshape(x.shape[:-1] + (H, x.shape[-1] // H)).swapaxes(-2, -3)
+    nx, xshape = x._node, x.data.shape
+    data = x.data.reshape(xshape[:-1] + (H, xshape[-1] // H)).swapaxes(-2, -3)
 
     def backward_fn(g):
-        _add_grad(x, g.swapaxes(-2, -3).reshape(x.shape))
+        _add_grad(nx, g.swapaxes(-2, -3).reshape(xshape))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -317,23 +390,26 @@ def merge_heads(x: Tensor) -> Tensor:
         raise ValueError(f"merge_heads: expected [..., H, T, hd], got {x.shape}")
     *lead, H, T, hd = x.shape
     data = x.data.swapaxes(-2, -3).reshape(*lead, T, H * hd)
+    nx = x._node
 
     def backward_fn(g):
-        _add_grad(x, g.reshape(*lead, T, H, hd).swapaxes(-2, -3))
+        _add_grad(nx, g.reshape(*lead, T, H, hd).swapaxes(-2, -3))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
+
+
+def _scatter(nx: _Node, shape: tuple, index: tuple, g: np.ndarray):
+    """Send ``g`` to node ``nx`` as a zero gradient of ``shape`` with ``g`` at ``index``."""
+    full = np.zeros(shape, nx.dtype)
+    full[index] = g
+    _add_grad(nx, full)
 
 
 def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     """Slice ``[start:stop]`` along the last axis."""
     data = x.data[..., start:stop]
-
-    def backward_fn(g):
-        full = np.zeros_like(x.data)
-        full[..., start:stop] = g
-        _add_grad(x, full)
-
-    return _node(data, (x,), backward_fn)
+    nx, xshape = x._node, x.data.shape
+    return _node(data, (nx,), lambda g: _scatter(nx, xshape, (..., slice(start, stop)), g))
 
 
 def last_rows(x: Tensor, n: int) -> Tensor:
@@ -342,23 +418,19 @@ def last_rows(x: Tensor, n: int) -> Tensor:
     if not 1 <= n <= T:
         raise ValueError(f"last_rows: cannot take {n} rows of a tensor of shape {x.shape}")
     data = x.data[..., T - n:, :]
-
-    def backward_fn(g):
-        full = np.zeros_like(x.data)
-        full[..., T - n:, :] = g
-        _add_grad(x, full)
-
-    return _node(data, (x,), backward_fn)
+    nx, xshape = x._node, x.data.shape
+    return _node(data, (nx,), lambda g: _scatter(nx, xshape, (..., slice(T - n, None), slice(None)), g))
 
 
 def tsum(x: Tensor) -> Tensor:
     """Sum all elements to a scalar."""
     data = np.asarray(x.data.sum(), dtype=x.data.dtype)
+    nx, xshape = x._node, x.data.shape
 
     def backward_fn(g):
-        _add_grad(x, np.broadcast_to(g, x.shape))
+        _add_grad(nx, np.broadcast_to(g, xshape))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 # -- linear algebra --------------------------------------------------------
@@ -370,14 +442,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
     data = a.data @ b.data
+    na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
+    # each operand's gradient reads the other operand
+    a_saved, b_saved = (a.data if _needs_grad(nb) else None), (b.data if _needs_grad(na) else None)
 
     def backward_fn(g):
-        if _needs_grad(a):
-            _add_grad(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.shape))
-        if _needs_grad(b):
-            _add_grad(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.shape))
+        if b_saved is not None:
+            _add_grad(na, _unbroadcast(g @ b_saved.swapaxes(-1, -2), sa))
+        if a_saved is not None:
+            _add_grad(nb, _unbroadcast(a_saved.swapaxes(-1, -2) @ g, sb))
 
-    return _node(data, (a, b), backward_fn)
+    return _node(data, (na, nb), backward_fn)
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
@@ -385,73 +460,84 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
     The forward equals ``matmul(x, transpose(w))`` bit for bit. The weight
     gradient is one GEMM over all leading positions,
-    ``g.reshape(-1, d)ᵀ @ x.reshape(-1, k)``.
+    ``g.reshape(-1, d)ᵀ @ x.reshape(-1, k)``. A graph node keeps ``w``, and
+    ``x`` only if ``w`` needs a gradient: a frozen linear's input is freed
+    with its ``Tensor``.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
-    d, k = w.shape
-    data = x.data @ w.data.T
+    wd, nx, nw = w.data, x._node, w._node
+    data = x.data @ wd.T
+    xd = x.data if _needs_grad(nw) else None
 
     def backward_fn(g):
-        if _needs_grad(x):
-            _add_grad(x, g @ w.data)
-        if _needs_grad(w):
-            _add_grad(w, g.reshape(-1, d).T @ x.data.reshape(-1, k))
+        if _needs_grad(nx):
+            _add_grad(nx, g @ wd)
+        if xd is not None:
+            d, k = wd.shape
+            _add_grad(nw, g.reshape(-1, d).T @ xd.reshape(-1, k))
 
-    return _node(data, (x, w), backward_fn)
+    return _node(data, (nx, nw), backward_fn)
 
 
-def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float, keep: Optional[np.ndarray] = None) -> Tensor:
+def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float,
+                mask: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor:
     """``x @ wᵀ + s · ((x ∘ keep) @ aᵀ) @ bᵀ`` for a [d, k] ``w``, [r, k] ``a``
-    and [d, r] ``b``, as one graph node; ``keep=None`` means no dropout.
+    and [d, r] ``b``, as one graph node. ``mask`` is the bool dropout mask of
+    ``dropout_mask`` at probability ``p``, and ``keep`` its inverted-scaling
+    factors, 0 or 1/(1-p); ``mask=None`` means no dropout.
 
     The forward rounds as the chain ``add(linear(x, w), scale(linear(linear(
     dropout(x), a), b), s))`` does: the base GEMM, then ``(u @ bᵀ) * s``, then
     the add. With ``gs = s · g``, the gradients are ``dB = gsᵀ u``,
     ``dA = (gs B)ᵀ (x ∘ keep)`` and ``dx = g W + (gs B A) ∘ keep``.
 
-    A graph node keeps ``x``, ``keep`` and the [..., r] ``u = (x ∘ keep) aᵀ``;
-    the ``dA`` branch rebuilds ``x ∘ keep`` with the forward's product.
+    A graph node keeps ``x``, the bool ``mask`` and the [..., r]
+    ``u = (x ∘ keep) aᵀ``; backward rebuilds ``keep`` and ``x ∘ keep`` with
+    the forward's ops.
     """
-    xd, wd = x.data, w.data
-    ash, bsh = a.data.shape, b.data.shape
-    if (wd.ndim != 2 or len(ash) != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1] or ash[1] != wd.shape[1]
-            or bsh != (wd.shape[0], ash[0]) or (keep is not None and keep.shape != xd.shape)):
-        raise ValueError(f"lora_linear: input {xd.shape} does not fit weight {wd.shape}, A {ash}, B {bsh}")
-    (d, k), r = wd.shape, ash[0]
-    u = (xd if keep is None else xd * keep) @ a.data.T
-    delta = u @ b.data.T
+    xd, wd, aw, bw = x.data, w.data, a.data, b.data
+    if (wd.ndim != 2 or aw.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1] or aw.shape[1] != wd.shape[1]
+            or bw.shape != (wd.shape[0], aw.shape[0]) or (mask is not None and mask.shape != xd.shape)):
+        raise ValueError(f"lora_linear: input {xd.shape} does not fit weight {wd.shape}, A {aw.shape}, B {bw.shape}")
+    if mask is not None and not 0.0 <= p < 1.0:
+        raise ValueError(f"lora_linear: dropout probability must be in [0, 1), got {p}")
+    u = (xd if mask is None else xd * _scaled_keep(mask, p, xd.dtype)) @ aw.T
+    delta = u @ bw.T
     delta *= s
     data = xd @ wd.T
     # in place when the dtypes agree; otherwise the sum takes the wider one
     data = np.add(data, delta, out=data if data.dtype == delta.dtype else None)
+    nx, nw, na, nb = x._node, w._node, a._node, b._node
 
     def backward_fn(g):
+        (d, k), r = wd.shape, aw.shape[0]
+        keep = None if mask is None else _scaled_keep(mask, p, xd.dtype)
         gs = g * s
-        gsb = gs @ b.data
-        if _needs_grad(b):
-            _add_grad(b, gs.reshape(-1, d).T @ u.reshape(-1, r))
-        if _needs_grad(a):
+        gsb = gs @ bw
+        if _needs_grad(nb):
+            _add_grad(nb, gs.reshape(-1, d).T @ u.reshape(-1, r))
+        if _needs_grad(na):
             path = xd if keep is None else xd * keep
-            _add_grad(a, gsb.reshape(-1, r).T @ path.reshape(-1, k))
-        if _needs_grad(w):
-            _add_grad(w, g.reshape(-1, d).T @ xd.reshape(-1, k))
-        if _needs_grad(x):
-            dpath = gsb @ a.data
+            _add_grad(na, gsb.reshape(-1, r).T @ path.reshape(-1, k))
+        if _needs_grad(nw):
+            _add_grad(nw, g.reshape(-1, d).T @ xd.reshape(-1, k))
+        if _needs_grad(nx):
+            dpath = gsb @ aw
             if keep is not None:
                 dpath *= keep
             dx = g @ wd
             dx += dpath
-            _add_grad(x, dx)
+            _add_grad(nx, dx)
 
-    return _node(data, (x, w, a, b), backward_fn)
+    return _node(data, (nx, nw, na, nb), backward_fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis, then affine.
 
-    A graph node keeps ``x`` and each row's mean and ``1 / std``, [..., 1]
-    each; backward rebuilds the normalized ``xhat`` with the forward's ops.
+    A graph node keeps ``x``, ``gain`` and each row's mean and ``1 / std``,
+    [..., 1] each; backward rebuilds the normalized ``xhat`` with the forward's ops.
     """
     d = x.shape[-1]
     if d <= 0 or eps <= 0:
@@ -460,27 +546,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ValueError(f"layer_norm: gain/bias must have shape ({d},)")
     # centre once: ndarray.var would compute the mean a second time. Each mean
     # is the ufunc reduction ndarray.mean runs, without its Python wrapper.
-    xd = x.data
+    xd, gd = x.data, gain.data
     mean = np.add.reduce(xd, axis=-1, keepdims=True) / d
     xhat = xd - mean
     inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + eps)
     xhat *= inv
-    data = xhat * gain.data + bias.data
+    data = xhat * gd + bias.data
+    nx, ngain, nbias = x._node, gain._node, bias._node
 
     def backward_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
         xhat = (xd - mean) * inv
-        if _needs_grad(gain):
-            _add_grad(gain, (g * xhat).sum(axis=reduce_axes))
-        if _needs_grad(bias):
-            _add_grad(bias, g.sum(axis=reduce_axes))
-        if _needs_grad(x):
-            gd = g * gain.data
-            m1 = np.add.reduce(gd, axis=-1, keepdims=True) / d
-            m2 = np.add.reduce(gd * xhat, axis=-1, keepdims=True) / d
-            _add_grad(x, inv * (gd - m1 - xhat * m2))
+        if _needs_grad(ngain):
+            _add_grad(ngain, (g * xhat).sum(axis=reduce_axes))
+        if _needs_grad(nbias):
+            _add_grad(nbias, g.sum(axis=reduce_axes))
+        if _needs_grad(nx):
+            gg = g * gd
+            m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
+            m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
+            _add_grad(nx, inv * (gg - m1 - xhat * m2))
 
-    return _node(data, (x, gain, bias), backward_fn)
+    return _node(data, (nx, ngain, nbias), backward_fn)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -488,12 +575,13 @@ def softmax(x: Tensor) -> Tensor:
     z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
     data = e / e.sum(axis=-1, keepdims=True)
+    nx = x._node
 
     def backward_fn(g):
         dot = (g * data).sum(axis=-1, keepdims=True)
-        _add_grad(x, data * (g - dot))
+        _add_grad(nx, data * (g - dot))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)
 
 
 # Score elements per query-row block of causal_attention: 512 KB of float32
@@ -562,7 +650,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     if S < T:
         raise ValueError(f"causal_attention: {T} queries but only {S} keys")
     qd, kd, vd = q.data, k.data, v.data
-    grad = _needs_grad(q) or _needs_grad(k) or _needs_grad(v)
+    nq, nk, nv = q._node, k._node, v._node
+    grad = _needs_grad(nq) or _needs_grad(nk) or _needs_grad(nv)
     rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
     out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(qd, kd, vd))
     # multi-row blocks multiply by one contiguous kᵀ and share the first block's mask
@@ -581,9 +670,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
 
     def backward_fn(g):
         g = np.ascontiguousarray(g)  # merge_heads passes a swapped view
-        dq = np.empty_like(qd) if _needs_grad(q) else None
-        dk = np.zeros_like(kd) if _needs_grad(k) else None
-        dv = np.zeros_like(vd) if _needs_grad(v) else None
+        dq = np.empty_like(qd) if _needs_grad(nq) else None
+        dk = np.zeros_like(kd) if _needs_grad(nk) else None
+        dv = np.zeros_like(vd) if _needs_grad(nv) else None
         # the forward's contiguous kᵀ, rebuilt rather than kept: tri is set exactly when it made one
         kt = None if tri is None else np.ascontiguousarray(kd.swapaxes(-1, -2))
         if dq is not None or dk is not None:
@@ -608,11 +697,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
                 dk[..., :n, :] += ds.swapaxes(-1, -2) @ qs[..., r0:r1, :]
         if dq is not None:
             dq *= s
-        for t, d in ((q, dq), (k, dk), (v, dv)):
+        for node, d in ((nq, dq), (nk, dk), (nv, dv)):
             if d is not None:
-                _add_grad(t, d)
+                _add_grad(node, d)
 
-    return _node(out, (q, k, v), backward_fn)
+    return _node(out, (nq, nk, nv), backward_fn)
 
 
 def _out_of_range(ids: np.ndarray, n: int) -> bool:
@@ -655,14 +744,15 @@ def softmax_cross_entropy(logits: Tensor, targets, loss_mask=None) -> Tensor:
     logp = log_softmax(logits.data.reshape(-1, vocab))
     nll = -logp[np.arange(flat_ids.size), flat_ids]
     data = np.asarray((nll * flat_mask).sum() / n, dtype=logits.data.dtype)
+    nl, shape = logits._node, logits.shape
 
     def backward_fn(g):
         p = np.exp(logp)
         p[np.arange(flat_ids.size), flat_ids] -= 1.0
         p *= (flat_mask / n)[:, None]
-        _add_grad(logits, (float(g) * p).reshape(logits.shape))
+        _add_grad(nl, (float(g) * p).reshape(shape))
 
-    return _node(data, (logits,), backward_fn)
+    return _node(data, (nl,), backward_fn)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -671,13 +761,14 @@ def embedding(table: Tensor, ids) -> Tensor:
     if _out_of_range(idx, table.shape[0]):
         raise ValueError(f"embedding ids must be in [0, {table.shape[0]})")
     data = table.data[idx]
+    nt, shape = table._node, table.data.shape
 
     def backward_fn(g):
-        dtable = np.zeros_like(table.data)
+        dtable = np.zeros(shape, nt.dtype)
         np.add.at(dtable, idx, g)
-        _add_grad(table, dtable)
+        _add_grad(nt, dtable)
 
-    return _node(data, (table,), backward_fn)
+    return _node(data, (nt,), backward_fn)
 
 
 def rotary(x: Tensor, cc: np.ndarray, ss: np.ndarray) -> Tensor:
@@ -705,8 +796,9 @@ def rotary(x: Tensor, cc: np.ndarray, ss: np.ndarray) -> Tensor:
         return combine(out, swapped, out=out)
 
     data = rotate(x.data, np.add)
+    nx = x._node
 
     def backward_fn(g):
-        _add_grad(x, rotate(g, np.subtract))
+        _add_grad(nx, rotate(g, np.subtract))
 
-    return _node(data, (x,), backward_fn)
+    return _node(data, (nx,), backward_fn)

@@ -65,13 +65,13 @@ class LoraAdapter:
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
         """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T, as one ``ad.lora_linear`` node.
 
-        Dropout applies only with ``rng``; its mask comes from ``ad.dropout_mask``,
+        Dropout applies only with ``rng``; its bool mask comes from ``ad.dropout_mask``,
         drawn from ``rng`` as in ``ad.dropout``.
         """
-        keep = None
+        mask = None
         if rng is not None and self.dropout != 0.0:
-            keep = ad.dropout_mask(x.shape, self.dropout, rng, x.data.dtype)
-        return ad.lora_linear(x, self.weight, self.A, self.B, self.scaling, keep)
+            mask = ad.dropout_mask(x.shape, self.dropout, rng)
+        return ad.lora_linear(x, self.weight, self.A, self.B, self.scaling, mask, self.dropout)
 
 
 def inject(model, config: LoraConfig):
@@ -115,7 +115,7 @@ def merge_all(model) -> DecoderModel:
     """
     if not model.adapters:
         raise LoraConfigError("model has no adapters to merge")
-    merged = DecoderModel(model.config)
+    merged = DecoderModel._unfilled(model.config)
     for name, param in model.params.items():
         adapter = model.adapters.get(name)
         w = param.data

@@ -71,7 +71,7 @@ def _rotary_tables(max_len: int, head_dim: int) -> tuple[np.ndarray, np.ndarray]
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20   # step-sized arrays come from the heap; the most older glibc takes on 64-bit
-_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above a step's peak (47-59 MB traced at 8x256)
+_TRIM_THRESHOLD = 512 << 20  # keep a freed heap top well above a step's peak (26-35 MB traced at 8x256)
 
 
 def _keep_freed_memory() -> bool:
@@ -95,38 +95,53 @@ class DecoderModel:
     """Causal transformer over byte-level tokens."""
 
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    @classmethod
+    def _unfilled(cls, config: ModelConfig) -> DecoderModel:
+        """A model whose weights have their names and shapes but no values, for
+        ``fill`` or ``merge_all`` to replace: it draws no random numbers."""
+        model = cls.__new__(cls)
+        model._build(config, None)
+        return model
+
+    def _build(self, config: ModelConfig, rng: np.random.Generator | None):
         _keep_freed_memory()
         self.config = config
         self.adapters: dict = {}
         self.rng = np.random.default_rng(config.seed + 1)
         self._cc, self._ss = _rotary_tables(config.max_seq_len, config.d_model // config.n_heads)
         self.params: dict[str, Tensor] = {}   # name -> weight, in a stable order
-        self._init_params(np.random.default_rng(config.seed))
+        self._init_params(rng)
 
     def _param(self, name: str, data: np.ndarray):
-        self.params[name] = Tensor(data.astype(np.float32), requires_grad=True, name=name)
+        self.params[name] = Tensor(data.astype(np.float32, copy=False), requires_grad=True, name=name)
 
-    def _init_params(self, rng: np.random.Generator):
+    def _init_params(self, rng: np.random.Generator | None):
+        """Normal(0, 0.02) projections and unit-gain norms; uninitialised projections without ``rng``."""
         cfg = self.config
-        std = 0.02
-        self._param("embedding", rng.normal(0.0, std, (cfg.vocab_size, cfg.d_model)))
+
+        def normal(*shape):
+            return np.empty(shape, np.float32) if rng is None else rng.normal(0.0, 0.02, shape)
+
+        self._param("embedding", normal(cfg.vocab_size, cfg.d_model))
         for i in range(cfg.n_layers):
             p = f"layers.{i}."
             self._param(p + "ln1.gain", np.ones(cfg.d_model))
             self._param(p + "ln1.bias", np.zeros(cfg.d_model))
             if cfg.attention_layout == "fused-qkv":
-                self._param(p + "attn.query_key_value", rng.normal(0.0, std, (3 * cfg.d_model, cfg.d_model)))
-                self._param(p + "attn.dense", rng.normal(0.0, std, (cfg.d_model, cfg.d_model)))
+                self._param(p + "attn.query_key_value", normal(3 * cfg.d_model, cfg.d_model))
+                self._param(p + "attn.dense", normal(cfg.d_model, cfg.d_model))
             else:
                 for n in ("q_proj", "k_proj", "v_proj", "o_proj"):
-                    self._param(p + f"attn.{n}", rng.normal(0.0, std, (cfg.d_model, cfg.d_model)))
+                    self._param(p + f"attn.{n}", normal(cfg.d_model, cfg.d_model))
             self._param(p + "ln2.gain", np.ones(cfg.d_model))
             self._param(p + "ln2.bias", np.zeros(cfg.d_model))
-            self._param(p + "mlp.up_proj", rng.normal(0.0, std, (cfg.d_ff, cfg.d_model)))
-            self._param(p + "mlp.down_proj", rng.normal(0.0, std, (cfg.d_model, cfg.d_ff)))
+            self._param(p + "mlp.up_proj", normal(cfg.d_ff, cfg.d_model))
+            self._param(p + "mlp.down_proj", normal(cfg.d_model, cfg.d_ff))
         self._param("final_norm.gain", np.ones(cfg.d_model))
         self._param("final_norm.bias", np.zeros(cfg.d_model))
-        self._param("lm_head", rng.normal(0.0, std, (cfg.vocab_size, cfg.d_model)))
+        self._param("lm_head", normal(cfg.vocab_size, cfg.d_model))
 
     @property
     def max_seq_len(self) -> int:
@@ -231,6 +246,6 @@ class DecoderModel:
 
 def load_checkpoint(path) -> DecoderModel:
     arrays, _, config = read_checkpoint(path, "decoder-model", "model", ModelConfig)
-    model = DecoderModel(config)
+    model = DecoderModel._unfilled(config)
     fill(path, model.params.values(), arrays, "parameter")
     return model

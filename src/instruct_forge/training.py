@@ -164,8 +164,9 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
     try:
         with np.errstate(over="raise", invalid="raise"):
             n = batch.loss_mask.shape[-1] - int(np.argmax(batch.loss_mask.any(axis=0)))
-            logits = model.forward(batch.tokens, last=n, rng=model.rng)
-            loss = ad.softmax_cross_entropy(logits, batch.targets[:, -n:], batch.loss_mask[:, -n:])
+            # no local keeps the logits: the loss node holds their log-softmax, and backward reads only that
+            loss = ad.softmax_cross_entropy(model.forward(batch.tokens, last=n, rng=model.rng),
+                                            batch.targets[:, -n:], batch.loss_mask[:, -n:])
             loss.backward()
             value = loss.item()
             if not math.isfinite(value) or not all(np.isfinite(p.grad).all() for p in optimizer.params

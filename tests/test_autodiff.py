@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -125,35 +126,43 @@ class TestLoraLinear:
         k = x_shape[-1]
         return [rand(rng, *shape).astype(dtype) for shape in (x_shape, (d, k), (r, k), (d, r))]
 
-    def keep(self, rng, shape, p=0.4, dtype=np.float64):
-        return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+    P = 0.4
+
+    def mask(self, rng, shape):
+        return rng.random(shape) >= self.P
+
+    def keep(self, mask, dtype):
+        """The inverted-scaling factors of ``mask``: 0 or 1/(1-p)."""
+        return mask.astype(dtype) / (1.0 - self.P)
 
     @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
     @pytest.mark.parametrize("dropout", [False, True])
     def test_gradients(self, x_shape, dropout):
         rng = np.random.default_rng(31)
-        keep = self.keep(rng, x_shape) if dropout else None
-        check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, keep), self.operands(rng, x_shape))
+        mask = self.mask(rng, x_shape) if dropout else None
+        check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, mask, self.P), self.operands(rng, x_shape))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dropout", [False, True])
     def test_forward_equals_the_chain_bit_for_bit(self, dtype, dropout):
         rng = np.random.default_rng(32)
         x, w, a, b = (Tensor(v) for v in self.operands(rng, (2, 7, 6), d=9, r=3, dtype=dtype))
-        keep = self.keep(rng, x.shape, dtype=dtype) if dropout else None
-        out = ad.lora_linear(x, w, a, b, 4.0, keep)
+        mask = self.mask(rng, x.shape) if dropout else None
+        out = ad.lora_linear(x, w, a, b, 4.0, mask, self.P)
         assert out.data.dtype == dtype
+        keep = None if mask is None else self.keep(mask, dtype)
         assert np.array_equal(out.data, lora_chain(x, w, a, b, 4.0, keep).data)
 
     def test_gradients_match_the_chain(self):
         rng = np.random.default_rng(33)
         arrays = self.operands(rng, (2, 7, 6), d=9, r=3, dtype=np.float32)
-        keep = self.keep(rng, (2, 7, 6), dtype=np.float32)
+        mask = self.mask(rng, (2, 7, 6))
         g = rand(rng, 2, 7, 9).astype(np.float32)
         grads = []
-        for op in (ad.lora_linear, lora_chain):
+        for op in (lambda *t: ad.lora_linear(*t, 4.0, mask, self.P),
+                   lambda *t: lora_chain(*t, 4.0, self.keep(mask, np.float32))):
             tensors = [Tensor(v, requires_grad=True) for v in arrays]
-            ad.tsum(ad.mul(op(*tensors, 4.0, keep), Tensor(g))).backward()
+            ad.tsum(ad.mul(op(*tensors), Tensor(g))).backward()
             grads.append([t.grad for t in tensors])
         for got, ref in zip(*grads):
             # dx sums the base and adapter paths in one order, the chain in another
@@ -163,19 +172,30 @@ class TestLoraLinear:
     def test_gradients_bit_identical_to_keeping_the_masked_input(self, dtype):
         rng = np.random.default_rng(39)
         arrays = self.operands(rng, (2, 7, 6), d=9, r=3, dtype=dtype)
-        keep = self.keep(rng, (2, 7, 6), dtype=dtype)
+        mask = self.mask(rng, (2, 7, 6))
         g = rand(rng, 2, 7, 9).astype(dtype)
-        got = forward_backward(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 4.0, keep), arrays, g)
-        assert_all_equal(got, lora_linear_reference(*arrays, 4.0, keep, g))
+        got = forward_backward(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 4.0, mask, self.P), arrays, g)
+        assert_all_equal(got, lora_linear_reference(*arrays, 4.0, self.keep(mask, dtype), g))
 
     def test_graph_keeps_no_masked_input(self):
         # keeping x ∘ keep held a second x, 128 KiB
         rng = np.random.default_rng(40)
         x, w, a, b = (Tensor(v, requires_grad=True)
                       for v in self.operands(rng, (4, 128, 64), d=64, r=4, dtype=np.float32))
-        keep = self.keep(rng, x.shape, dtype=np.float32)
-        out, extra = held_beyond_output(lambda: ad.lora_linear(x, w, a, b, 2.0, keep))
+        mask = self.mask(rng, x.shape)
+        out, extra = held_beyond_output(lambda: ad.lora_linear(x, w, a, b, 2.0, mask, self.P))
         assert extra < 4 * 128 * 4 * 4 + NODE_BYTES, extra   # u = (x ∘ keep) aᵀ, [4, 128, r]
+        ad.tsum(out).backward()
+        assert a.grad.shape == a.shape and x.grad.shape == x.shape
+
+    def test_graph_keeps_a_bool_mask(self):
+        # a float32 mask held 4 bytes an element; the bool mask 1, and backward rebuilds the factors from it
+        rng = np.random.default_rng(42)
+        x, w, a, b = (Tensor(v, requires_grad=True)
+                      for v in self.operands(rng, (4, 128, 64), d=64, r=4, dtype=np.float32))
+        out, extra = held_beyond_output(
+            lambda: ad.lora_linear(x, w, a, b, 2.0, ad.dropout_mask(x.shape, self.P, rng), self.P))
+        assert extra < 4 * 128 * 64 + 4 * 128 * 4 * 4 + NODE_BYTES, extra   # the mask, then u
         ad.tsum(out).backward()
         assert a.grad.shape == a.shape and x.grad.shape == x.shape
 
@@ -197,9 +217,16 @@ class TestLoraLinear:
     ])
     def test_bad_shapes_rejected(self, x_shape, w_shape, a_shape, b_shape, keep_shape):
         operands = [Tensor(np.ones(shape)) for shape in (x_shape, w_shape, a_shape, b_shape)]
-        keep = None if keep_shape is None else np.ones(keep_shape)
+        mask = None if keep_shape is None else np.ones(keep_shape, dtype=bool)
         with pytest.raises(ValueError, match="lora_linear"):
-            ad.lora_linear(*operands, 1.0, keep)
+            ad.lora_linear(*operands, 1.0, mask, self.P)
+
+
+    @pytest.mark.parametrize("p", [-0.1, 1.0])
+    def test_bad_dropout_probability_rejected(self, p):
+        x, w, a, b = (Tensor(np.ones(shape)) for shape in ((3, 4), (5, 4), (2, 4), (5, 2)))
+        with pytest.raises(ValueError, match="lora_linear: dropout probability"):
+            ad.lora_linear(x, w, a, b, 1.0, np.ones((3, 4), dtype=bool), p)
 
 
 class TestHeads:
@@ -483,6 +510,88 @@ class TestBackward:
             loss.backward()
         np.testing.assert_array_equal(w.grad, first)
 
+    def test_a_replaced_closure_is_the_one_backward_runs(self):
+        # a profiler wraps an output's closure through _backward_fn, keeping the fn(g) signature
+        rng = np.random.default_rng(10)
+        data = rand(rng, 3, 4)
+        x = Tensor(data.copy(), requires_grad=True)
+        y = ad.gelu(x)
+        inner, received = y._backward_fn, []
+
+        def timed(g):
+            received.append(g.copy())
+            inner(g)
+
+        y._backward_fn = timed
+        assert y._backward_fn is timed
+        ad.tsum(y).backward()
+        assert len(received) == 1 and np.array_equal(received[0], np.ones((3, 4)))
+        ref = Tensor(data.copy(), requires_grad=True)
+        ad.tsum(ad.gelu(ref)).backward()
+        assert np.array_equal(x.grad, ref.grad)
+
+
+def _rotary_tables():
+    return np.ones((6, 4)), np.full((6, 4), 0.5)
+
+
+class TestSavedArrays:
+    """A graph node keeps only the arrays its backward reads: the input of an
+    op whose backward does not read it is freed with its ``Tensor``, while the
+    graph lives and still gives the same gradients."""
+
+    # op(x, rng) for an [2, 6, 4] input x that is an op output itself
+    FREED = {
+        "linear_frozen_weight": lambda x, rng: ad.linear(x, Tensor(rand(rng, 3, 4))),
+        "add": lambda x, rng: ad.add(x, Tensor(rand(rng, 2, 6, 4))),
+        "rotary": lambda x, rng: ad.rotary(x, *_rotary_tables()),
+        "split_heads": lambda x, rng: ad.split_heads(x, 2),
+        "merge_heads": lambda x, rng: ad.merge_heads(x),
+        "last_rows": lambda x, rng: ad.last_rows(x, 2),
+        "slice_last": lambda x, rng: ad.slice_last(x, 1, 3),
+        "reshape": lambda x, rng: ad.reshape(x, (12, 4)),
+        "transpose": lambda x, rng: ad.transpose(x),
+        "scale": lambda x, rng: ad.scale(x, 3.0),
+        "tsum": lambda x, rng: ad.tsum(x),
+        "softmax": lambda x, rng: ad.softmax(x),   # its backward reads its output
+    }
+    KEPT = {
+        "linear_trainable_weight": lambda x, rng: ad.linear(x, Tensor(rand(rng, 3, 4), requires_grad=True)),
+        "gelu": lambda x, rng: ad.gelu(x),
+        "layer_norm": lambda x, rng: ad.layer_norm(x, Tensor(rand(rng, 4)), Tensor(rand(rng, 4))),
+        "lora_linear": lambda x, rng: ad.lora_linear(x, Tensor(rand(rng, 3, 4)), Tensor(rand(rng, 2, 4), True),
+                                                     Tensor(rand(rng, 3, 2), True), 0.5),
+        "causal_attention_q": lambda x, rng: ad.causal_attention(x, Tensor(rand(rng, 2, 6, 4)),
+                                                                 Tensor(rand(rng, 2, 6, 4)), 0.5),
+    }
+
+    @staticmethod
+    def run(op, drop):
+        """The leaf's gradient through ``op(scale(leaf))``, and whether the
+        scaled array was alive after the caller dropped its ``Tensor``."""
+        rng = np.random.default_rng(41)
+        leaf = Tensor(rand(rng, 2, 6, 4), requires_grad=True)
+        x = ad.scale(leaf, 2.0)
+        ref = weakref.ref(x.data)
+        loss = ad.tsum(op(x, rng))
+        if drop:
+            del x
+        alive = ref() is not None
+        loss.backward()
+        return leaf.grad, alive
+
+    @pytest.mark.parametrize("name", FREED)
+    def test_input_freed_while_the_graph_lives(self, name):
+        grad, alive = self.run(self.FREED[name], drop=True)
+        assert not alive
+        assert np.array_equal(grad, self.run(self.FREED[name], drop=False)[0])
+
+    @pytest.mark.parametrize("name", KEPT)
+    def test_input_a_backward_reads_stays(self, name):
+        grad, alive = self.run(self.KEPT[name], drop=True)
+        assert alive
+        assert np.array_equal(grad, self.run(self.KEPT[name], drop=False)[0])
+
 
 MIXED_OPS = {
     "add": (ad.add, [(3, 4), (4,)]),
@@ -756,6 +865,22 @@ class TestNoGrad:
         for out, r in zip(outs, ref):
             assert out._parents == () and out._backward_fn is None
             assert np.array_equal(out.data, r.data)
+
+    def test_outputs_share_one_empty_node(self):
+        # the no-grad path allocates no graph node per op
+        with ad.no_grad():
+            outs, leaves = self.ops()
+        assert len({id(out._node) for out in outs}) == 1
+        assert not {id(out._node) for out in outs} & {id(t._node) for t in leaves}
+
+    def test_setting_a_field_gives_a_tensor_its_own_node(self):
+        with ad.no_grad():
+            outs, _ = self.ops()
+        outs[0].requires_grad = True
+        outs[1].grad = np.ones(outs[1].shape)
+        assert outs[0].requires_grad and outs[1].grad is not None
+        assert not outs[2].requires_grad and outs[2].grad is None
+        assert outs[0]._node is not outs[1]._node
 
     def test_graph_and_gradients_return_after_the_block(self):
         before = self.grads()

@@ -7,6 +7,7 @@ import pytest
 from fixture_tasks import adapted_model
 from instruct_forge import autodiff as ad
 from instruct_forge.archive import ArchiveError
+from instruct_forge.lora import merge_all
 from instruct_forge.model import ContextOverflowError, DecoderModel, ModelConfig, load_checkpoint
 from instruct_forge.tokenizer import PAD
 from instruct_forge.training import AdamW, TrainingBatch, train_step
@@ -383,6 +384,20 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         for name, p in m.params.items():
             assert np.abs(p.data - loaded.params[name].data).max() == 0.0
+
+    def test_load_and_merge_draw_no_weights(self, tmp_path, monkeypatch):
+        # fill and merge_all replace every weight, so a normal draw for each was thrown away
+        m = adapted_model()
+        path = tmp_path / "m.ifta"
+        m.save_checkpoint(path)
+        rngs, init = [], DecoderModel._init_params
+        monkeypatch.setattr(DecoderModel, "_init_params", lambda self, rng: rngs.append(rng) or init(self, rng))
+        loaded, merged = load_checkpoint(path), merge_all(m)
+        assert rngs == [None, None]
+        for name, p in m.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
+            assert merged.params[name].data.shape == p.shape and merged.params[name].requires_grad
+        assert np.array_equal(loaded.rng.random(4), np.random.default_rng(m.config.seed + 1).random(4))
 
     def test_truncated_file_rejected(self, tmp_path):
         m = DecoderModel(tiny_config())

@@ -248,20 +248,27 @@ def test_frozen_base_weights_get_no_gradient(layout, targets):
 
 
 def graph_nodes(root):
-    """Every tensor reachable from ``root``, root first."""
-    nodes, seen, stack = [], set(), [root]
+    """Every graph node reachable from ``root``'s, root's first."""
+    nodes, seen, stack = [], set(), [root._node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen:
-            seen.add(id(t))
-            nodes.append(t)
-            stack.extend(t._parents)
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n.parents)
     return nodes
+
+
+def recorded_outputs(monkeypatch):
+    """A list that collects every op output made after the call; it keeps their data alive."""
+    outs, node = [], ad._node
+    monkeypatch.setattr(ad, "_node", lambda *args: outs.append(node(*args)) or outs[-1])
+    return outs
 
 
 @pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
                                             ("fused-qkv", ["query_key_value"])])
-def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
+def test_backward_never_writes_into_an_upstream_gradient(monkeypatch, layout, targets):
     # a node's first gradient is stored without a copy, so it may alias the
     # upstream gradient of another node; no closure may write into its g
     model = inject(tiny_model(attention_layout=layout), LoraConfig(target_names=targets, dropout=0.1))
@@ -269,6 +276,7 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
     for adapter in model.adapters.values():
         adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
     batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
+    outs = recorded_outputs(monkeypatch)
     loss = ad.softmax_cross_entropy(model.forward(batch.tokens, rng=model.rng), batch.targets, batch.loss_mask)
     nodes = graph_nodes(loss)
     received = []
@@ -283,8 +291,8 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
     # are read before it returns: the closures counted here, the gradients as received
     closures = 0
     for node in nodes:
-        if node._backward_fn is not None:
-            node._backward_fn = snapshotting(node._backward_fn)
+        if node.backward_fn is not None:
+            node.backward_fn = snapshotting(node.backward_fn)
             closures += 1
     loss.backward()
     assert len(received) == closures
@@ -292,7 +300,9 @@ def test_backward_never_writes_into_an_upstream_gradient(layout, targets):
         assert np.array_equal(g, snapshot)
 
     leaves = [t for a in model.adapters.values() for t in (a.A, a.B)]
-    arrays = [n.data for n in nodes] + [g for g, _ in received] + [n.grad for n in nodes if n.grad is not None]
+    # nodes hold no data: the arrays are those of every op output and every weight
+    tensors = outs + list(model.params.values()) + leaves
+    arrays = [t.data for t in tensors] + [g for g, _ in received] + [n.grad for n in nodes if n.grad is not None]
     for leaf in leaves:
         others = [a for a in arrays if a is not leaf.grad]
         assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
@@ -321,16 +331,34 @@ class TestFreedGraph:
         # the adapter gradients and the loss are all that stay
         assert after < 0.25 * forward, (after, forward)
 
+    def test_forward_holds_only_what_backward_reads(self):
+        # backward reads about 13 [B, T, d] float32 arrays' worth a layer: both layer-norm inputs,
+        # the LoRA input with its bool masks and u, rotated q and k, v, the attention output and
+        # the 4d-wide gelu input; plus the loss's [B, T, V] log-probabilities. Keeping every op
+        # output (the projections before rotary, the merge_heads copy, the gelu, o, down and
+        # final-norm outputs) held about 30 a layer.
+        model = adapted_model(dropout=0.05)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = self.loss_of_step(model)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        (B, T), cfg = (4, 96), model.config
+        assert held < 16 * cfg.n_layers * B * T * cfg.d_model * 4 + B * T * cfg.vocab_size * 4, held
+        loss.backward()
+
     def test_only_the_loss_and_the_leaves_keep_anything(self):
         model = adapted_model(dropout=0.05)
         loss = self.loss_of_step(model)
         nodes = graph_nodes(loss)
-        inner = [n for n in nodes[1:] if n._parents]
+        inner = [n for n in nodes[1:] if n.parents]
         assert inner
         loss.backward()
         assert loss.grad is not None and loss._parents == () and loss._backward_fn is None
         for node in inner:
-            assert node.grad is None and node._backward_fn is None and node._parents == ()
+            assert node.grad is None and node.backward_fn is None and node.parents == ()
         for adapter in model.adapters.values():
             assert adapter.A.grad is not None and adapter.B.grad is not None
         with pytest.raises(RuntimeError, match="already ran"):
