@@ -6,11 +6,13 @@ holds its parents' nodes, its gradient, its dtype and a closure that routes
 the upstream gradient to the parents. The closure keeps only the arrays its
 backward reads, such as ``gelu``'s input or a frozen ``linear``'s weight, so
 an activation that no backward reads is freed as soon as the caller drops
-its ``Tensor``. An operand's array is kept only if a gradient that needs it
-is wanted when the op runs. ``Tensor.backward`` walks the nodes once in
-reverse topological order; inside ``no_grad()`` ops build no graph, so
-inference keeps no parents, closures or saved activations. float32 is the
-working precision; pass float64 data for gradient-check fidelity.
+its ``Tensor``. A node takes a gradient iff its ``requires_grad`` is set (a
+trainable leaf, or an op output while its graph lives), and an operand's
+array is kept only if a gradient that reads it is wanted. ``Tensor.backward``
+walks the nodes once in reverse topological order; inside ``no_grad()`` ops
+build no graph, so inference keeps no parents, closures or saved
+activations. float32 is the working precision; pass float64 data for
+gradient-check fidelity.
 
 Broadcasting follows the trailing-dimension rule only (numpy's rule), which
 covers everything the decoder model needs.
@@ -30,7 +32,7 @@ _record = True  # False inside no_grad(): _node builds no graph node
 
 class _Node:
     """A tensor's place in the graph: its parents' nodes, backward closure,
-    gradient and dtype, and whether it is a trainable leaf; never its data."""
+    gradient and dtype, and whether it takes a gradient; never its data."""
 
     __slots__ = ("parents", "backward_fn", "grad", "dtype", "requires_grad")
 
@@ -46,11 +48,13 @@ _NO_GRAPH = _Node(None)
 class Tensor:
     """N-dimensional array with its node in an autodiff graph.
 
-    ``grad``, ``requires_grad`` and the backward closure live on the node; a
-    tensor that is neither trainable nor an op's recorded output shares one
-    empty node and gets its own when one of them is set. Operations never
-    mutate their inputs, and no code writes into ``data`` in place:
-    optimizers, ``archive.fill`` and ``lora.merge_all`` rebind it, so a shared array never changes.
+    ``grad``, ``requires_grad`` and the backward closure live on the node. As
+    in PyTorch, an op's recorded output has ``requires_grad`` True, until
+    ``backward`` frees its node. A tensor that is neither trainable nor a
+    recorded output shares one empty node and gets its own when a field is
+    set. Operations never mutate their inputs, and no code writes into
+    ``data`` in place: optimizers, ``archive.fill`` and ``lora.merge_all``
+    rebind it, so a shared array never changes.
     """
 
     __slots__ = ("data", "name", "_node")
@@ -83,10 +87,6 @@ class Tensor:
         self._own_node().requires_grad = bool(flag)
 
     @property
-    def _parents(self) -> tuple:
-        return self._node.parents
-
-    @property
     def _backward_fn(self):
         return self._node.backward_fn
 
@@ -117,11 +117,11 @@ class Tensor:
     def backward(self):
         """Accumulate gradients of this scalar into every reachable leaf, once per graph.
 
-        The graph is freed as it is walked: once a node's closure has run,
-        the node drops its parents, its closure (and the activations it
-        saved) and, unless it is this loss, its gradient. So a step's peak is
-        about what the forward held, and afterwards only leaves and this loss
-        keep a ``.grad``; the loss keeps it so that a second call raises.
+        The graph is freed as it is walked: once a node's closure has run, the
+        node drops its parents, its closure (and the activations it saved), its
+        ``requires_grad`` and, unless it is this loss, its gradient. So a step's
+        peak is about what the forward held, and afterwards only leaves and this
+        loss keep a ``.grad``; the loss keeps it so that a second call raises.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -149,7 +149,7 @@ class Tensor:
             if node.backward_fn is not None and node.grad is not None:
                 node.backward_fn(node.grad)
             if node.parents:
-                node.parents, node.backward_fn = (), None
+                node.parents, node.backward_fn, node.requires_grad = (), None, False
                 if node is not root:
                     node.grad = None
 
@@ -162,11 +162,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
         if extent == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
     return g
-
-
-def _needs_grad(n: _Node) -> bool:
-    """Trainable leaf or op output in the graph; backward skips parents where this is False."""
-    return n.requires_grad or bool(n.parents)
 
 
 @contextlib.contextmanager
@@ -183,9 +178,9 @@ def no_grad():
 
 
 def _node(data: np.ndarray, parents: Sequence[_Node], backward_fn) -> Tensor:
-    """``Tensor(data)`` without re-checking the float array an op just made.
-    It gets a node holding the ``parents`` nodes and ``backward_fn`` only
-    outside ``no_grad`` and if a parent needs a gradient; otherwise it
+    """``Tensor(data)`` without re-checking the float array an op just made. If a
+    parent's ``requires_grad`` is set, outside ``no_grad``, it gets a node that
+    requires a gradient and holds ``parents`` and ``backward_fn``; otherwise it
     shares the empty node, so the no-grad path allocates no node."""
     if type(data) is not np.ndarray or data.dtype not in _FLOAT_DTYPES:
         data = Tensor(data).data
@@ -193,14 +188,14 @@ def _node(data: np.ndarray, parents: Sequence[_Node], backward_fn) -> Tensor:
     out.data, out.name, out._node = data, None, _NO_GRAPH
     if _record:
         for p in parents:
-            if p.requires_grad or p.parents:
-                out._node = _Node(data.dtype, parents, backward_fn)
+            if p.requires_grad:
+                out._node = _Node(data.dtype, parents, backward_fn, requires_grad=True)
                 break
     return out
 
 
 def _add_grad(n: _Node, g: np.ndarray):
-    """Accumulate ``g`` into node ``n``'s gradient.
+    """Accumulate ``g`` into node ``n``'s gradient if its ``requires_grad`` is set.
 
     An op output's first gradient is ``g`` itself, not a copy, so it may
     alias the upstream gradient of the op that sent it (``add`` sends the
@@ -210,7 +205,7 @@ def _add_grad(n: _Node, g: np.ndarray):
     gradient is always a fresh array, so no ``.grad`` the optimizer reads
     aliases another array of the graph.
     """
-    if _needs_grad(n):
+    if n.requires_grad:
         g = g.astype(n.dtype, copy=False)
         if n.grad is not None:
             n.grad = n.grad + g
@@ -229,10 +224,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
 
     def backward_fn(g):
-        if _needs_grad(na):
-            _add_grad(na, _unbroadcast(g, sa))
-        if _needs_grad(nb):
-            _add_grad(nb, _unbroadcast(g, sb))
+        _add_grad(na, _unbroadcast(g, sa))
+        _add_grad(nb, _unbroadcast(g, sb))
 
     return _node(data, (na, nb), backward_fn)
 
@@ -244,7 +237,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"mul: shapes {a.shape} and {b.shape} are not broadcastable")
     na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
     # each operand's gradient reads the other operand
-    a_saved, b_saved = (a.data if _needs_grad(nb) else None), (b.data if _needs_grad(na) else None)
+    a_saved, b_saved = (a.data if nb.requires_grad else None), (b.data if na.requires_grad else None)
 
     def backward_fn(g):
         if b_saved is not None:
@@ -444,7 +437,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
     na, nb, sa, sb = a._node, b._node, a.data.shape, b.data.shape
     # each operand's gradient reads the other operand
-    a_saved, b_saved = (a.data if _needs_grad(nb) else None), (b.data if _needs_grad(na) else None)
+    a_saved, b_saved = (a.data if nb.requires_grad else None), (b.data if na.requires_grad else None)
 
     def backward_fn(g):
         if b_saved is not None:
@@ -468,10 +461,10 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
         raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
     wd, nx, nw = w.data, x._node, w._node
     data = x.data @ wd.T
-    xd = x.data if _needs_grad(nw) else None
+    xd = x.data if nw.requires_grad else None
 
     def backward_fn(g):
-        if _needs_grad(nx):
+        if nx.requires_grad:
             _add_grad(nx, g @ wd)
         if xd is not None:
             d, k = wd.shape
@@ -515,14 +508,14 @@ def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float,
         keep = None if mask is None else _scaled_keep(mask, p, xd.dtype)
         gs = g * s
         gsb = gs @ bw
-        if _needs_grad(nb):
+        if nb.requires_grad:
             _add_grad(nb, gs.reshape(-1, d).T @ u.reshape(-1, r))
-        if _needs_grad(na):
+        if na.requires_grad:
             path = xd if keep is None else xd * keep
             _add_grad(na, gsb.reshape(-1, r).T @ path.reshape(-1, k))
-        if _needs_grad(nw):
+        if nw.requires_grad:
             _add_grad(nw, g.reshape(-1, d).T @ xd.reshape(-1, k))
-        if _needs_grad(nx):
+        if nx.requires_grad:
             dpath = gsb @ aw
             if keep is not None:
                 dpath *= keep
@@ -557,11 +550,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward_fn(g):
         reduce_axes = tuple(range(g.ndim - 1))
         xhat = (xd - mean) * inv
-        if _needs_grad(ngain):
+        if ngain.requires_grad:
             _add_grad(ngain, (g * xhat).sum(axis=reduce_axes))
-        if _needs_grad(nbias):
+        if nbias.requires_grad:
             _add_grad(nbias, g.sum(axis=reduce_axes))
-        if _needs_grad(nx):
+        if nx.requires_grad:
             gg = g * gd
             m1 = np.add.reduce(gg, axis=-1, keepdims=True) / d
             m2 = np.add.reduce(gg * xhat, axis=-1, keepdims=True) / d
@@ -637,12 +630,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     head dims up to 24; at 32 and more some block shapes differ in the last
     bits).
 
-    A graph node keeps each block's row max and row sum, [..., r, 1] each,
-    instead of the block's [..., r, n] probabilities (FlashAttention-2's row
-    statistics), and no kᵀ. Backward rebuilds the contiguous kᵀ, then the
+    A graph node keeps q, k, v (a copy of a ``v`` that views a larger array,
+    as fused qkv's does) and each block's row max and row sum, [..., r, 1]
+    each, instead of the block's [..., r, n] probabilities (FlashAttention-2's
+    row statistics), and no kᵀ. Backward rebuilds the contiguous kᵀ, then the
     probabilities with the forward's own kernel, ``_attn_probs``, on the same
-    operands, so they and every gradient are what keeping them would give,
-    bit for bit.
+    operands, so they and every gradient match keeping them bit for bit.
     """
     T, S = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
@@ -651,7 +644,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         raise ValueError(f"causal_attention: {T} queries but only {S} keys")
     qd, kd, vd = q.data, k.data, v.data
     nq, nk, nv = q._node, k._node, v._node
-    grad = _needs_grad(nq) or _needs_grad(nk) or _needs_grad(nv)
+    grad = _record and (nq.requires_grad or nk.requires_grad or nv.requires_grad)
     rows = max(1, _ATTN_BLOCK // max(1, math.prod(q.shape[:-2]) * S))
     out = np.empty(q.shape[:-1] + v.shape[-1:], np.result_type(qd, kd, vd))
     # multi-row blocks multiply by one contiguous kᵀ and share the first block's mask
@@ -667,12 +660,14 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         np.matmul(p, vd[..., :n, :], out=out[..., r0:r1, :])
         if grad:
             blocks.append((r0, r1, n, m, z))
+    if grad and isinstance(vd.base, np.ndarray) and vd.base.nbytes > vd.nbytes:
+        vd = vd.copy(order="K")  # fused qkv's v views the whole projection: keep its third alone
 
     def backward_fn(g):
         g = np.ascontiguousarray(g)  # merge_heads passes a swapped view
-        dq = np.empty_like(qd) if _needs_grad(nq) else None
-        dk = np.zeros_like(kd) if _needs_grad(nk) else None
-        dv = np.zeros_like(vd) if _needs_grad(nv) else None
+        dq = np.empty_like(qd) if nq.requires_grad else None
+        dk = np.zeros_like(kd) if nk.requires_grad else None
+        dv = np.zeros_like(vd) if nv.requires_grad else None
         # the forward's contiguous kᵀ, rebuilt rather than kept: tri is set exactly when it made one
         kt = None if tri is None else np.ascontiguousarray(kd.swapaxes(-1, -2))
         if dq is not None or dk is not None:

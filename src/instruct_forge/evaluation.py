@@ -254,16 +254,19 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
 
 def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None) -> EvalReport:
     """Each item's response-only perplexity, exp of its mean response NLL, and the pooled
-    exp(total response NLL / total response tokens); an item whose perplexity overflows is a ``ValueError``."""
+    exp(total response NLL / total response tokens); an item whose perplexity overflows is a ``ValueError``.
+    ``model_overflows`` counts the items longer than the model's window, which ``_score`` left-truncates."""
     if not items:
         raise ValueError("corpus_perplexity requires at least one item")
     template = prompt_template or QuestionTemplate()
     total_nll = 0.0
     total_tokens = 0
+    overflows = 0
     per_item = []
     for i, item in enumerate(items, start=1):
-        cont = TOKENIZER.encode(item.response)
-        nll, n = -_score(model, _context(template.render(item.question)), cont), len(cont)
+        ctx, cont = _context(template.render(item.question)), TOKENIZER.encode(item.response)
+        overflows += len(ctx) + len(cont) > model.max_seq_len
+        nll, n = -_score(model, ctx, cont), len(cont)
         try:
             per_item.append(math.exp(nll / n))
         except OverflowError:
@@ -271,6 +274,7 @@ def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = N
         total_nll += nll
         total_tokens += n
     return EvalReport(
+        model_overflows=overflows,
         perplexity_pooled=math.exp(total_nll / total_tokens),
         perplexity_mean=float(np.mean(per_item)),
         item_perplexities=per_item,

@@ -44,13 +44,13 @@ class LoraConfig:
 
 
 class LoraAdapter:
-    """One frozen weight W0 (d x k) plus its trainable A (r x k), B (d x r)."""
+    """One frozen weight W0 (d x k) plus its trainable A (r x k), B (d x r),
+    named ``name + ".lora_A"`` and ``name + ".lora_B"``."""
 
     def __init__(self, name: str, weight: Tensor, config: LoraConfig, rng: np.random.Generator):
         d, k = weight.shape
         if config.r > min(d, k):
             raise LoraConfigError(f"rank {config.r} exceeds min dimension of {name} ({d}x{k})")
-        self.name = name
         self.weight = weight
         self.dropout = config.dropout
         self.scaling = config.alpha / config.r

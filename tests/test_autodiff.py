@@ -467,6 +467,39 @@ class TestLogSoftmax:
         np.testing.assert_array_equal(ad.log_softmax(logits), z - np.log(np.exp(z).sum(axis=-1, keepdims=True)))
 
 
+class TestRequiresGrad:
+    """``requires_grad`` is the one test of whether a node takes a gradient:
+    a trainable leaf, or an op output while its graph lives."""
+
+    def test_an_output_in_a_live_graph_requires_grad(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = ad.gelu(x)
+        loss = ad.tsum(y)
+        assert y.requires_grad and loss.requires_grad
+        assert not ad.gelu(Tensor(x.data)).requires_grad   # no parent takes a gradient
+        with ad.no_grad():
+            assert not ad.gelu(x).requires_grad
+
+    def test_an_output_freed_by_backward_does_not(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = ad.gelu(x)
+        loss = ad.tsum(y)
+        loss.backward()
+        assert not y.requires_grad and not loss.requires_grad
+        assert x.requires_grad
+
+    def test_a_freed_output_reused_in_a_new_graph_gets_no_gradient(self):
+        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        y = ad.gelu(x)
+        ad.tsum(y).backward()
+        x_grad = x.grad.copy()
+        w = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        ad.tsum(ad.mul(y, w)).backward()
+        assert y.grad is None
+        np.testing.assert_array_equal(x.grad, x_grad)
+        np.testing.assert_array_equal(w.grad, y.data)
+
+
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -554,6 +587,10 @@ class TestSavedArrays:
         "scale": lambda x, rng: ad.scale(x, 3.0),
         "tsum": lambda x, rng: ad.tsum(x),
         "softmax": lambda x, rng: ad.softmax(x),   # its backward reads its output
+        # v views half of x, as fused qkv's v views the whole projection: the node keeps a copy of that half
+        "causal_attention_v_view": lambda x, rng: ad.causal_attention(Tensor(rand(rng, 2, 6, 2)),
+                                                                      Tensor(rand(rng, 2, 6, 2)),
+                                                                      ad.slice_last(x, 2, 4), 0.5),
     }
     KEPT = {
         "linear_trainable_weight": lambda x, rng: ad.linear(x, Tensor(rand(rng, 3, 4), requires_grad=True)),
@@ -856,14 +893,14 @@ class TestNoGrad:
 
     def builds_graph(self):
         outs, _ = self.ops()
-        return all(out._parents and out._backward_fn is not None for out in outs)
+        return all(out._node.parents and out._backward_fn is not None for out in outs)
 
     def test_ops_keep_no_parents_or_closure_inside_the_block(self):
         ref, _ = self.ops()
         with ad.no_grad():
             outs, _ = self.ops()
         for out, r in zip(outs, ref):
-            assert out._parents == () and out._backward_fn is None
+            assert out._node.parents == () and out._backward_fn is None
             assert np.array_equal(out.data, r.data)
 
     def test_outputs_share_one_empty_node(self):

@@ -362,6 +362,18 @@ class TestPpl:
         assert abs(payload["perplexity_pooled"] - lib_report.perplexity_pooled) < 1e-9
         assert abs(payload["perplexity_mean"] - lib_report.perplexity_mean) < 1e-9
 
+    def test_report_counts_an_overlong_item(self, tmp_path, base_model):
+        # a 300-byte question cannot fit the 64-token window; a 1-byte one can
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}, {"question": "x" * 300, "response": "r"}])
+        template = tmp_path / "template.txt"
+        template.write_text("Q: {question}\nA: ", encoding="utf-8")
+        report = tmp_path / "ppl.json"
+        rc = main(["ppl", "--model", str(base_model[0]), "--adapters", str(base_model[1]), "--items", str(items),
+                   "--template", str(template), "--report", str(report)])
+        assert rc == 0
+        assert json.loads(report.read_text(encoding="utf-8"))["model_overflows"] == 1
+
     def test_template_without_question_slot_fails(self, tmp_path, capsys, base_model):
         items = tmp_path / "items.jsonl"
         write_jsonl(items, [{"question": "q", "response": "r"}])

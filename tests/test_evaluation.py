@@ -259,6 +259,14 @@ class TestPerplexity:
         with pytest.raises(ValueError, match="item 2: perplexity overflows"):
             corpus_perplexity(model, items)
 
+    def test_counts_the_items_the_window_truncates(self):
+        # BOS + 13 question bytes + 2 response bytes fill a 16-token window; one byte more overflows
+        model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=16, seed=3))
+        items = [PerplexityItem("x" * 13, "ab"), PerplexityItem("x" * 14, "ab"), PerplexityItem("x" * 300, "ab")]
+        report = corpus_perplexity(model, items, QuestionTemplate(body="{question}"))
+        assert report.model_overflows == 2 and report.to_dict()["model_overflows"] == 2
+        assert len(report.item_perplexities) == 3
+
     def test_matches_training_loss_on_real_model(self):
         # exp(masked cross entropy over response positions) within float error
         model = DecoderModel(ModelConfig(d_model=32, n_heads=2, n_layers=2,

@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -349,6 +350,22 @@ class TestFreedGraph:
         assert held < 16 * cfg.n_layers * B * T * cfg.d_model * 4 + B * T * cfg.vocab_size * 4, held
         loss.backward()
 
+    def test_fused_qkv_projection_freed_while_the_graph_lives(self, monkeypatch):
+        # v views the [B, T, 3d] query_key_value output; attention keeps a copy of v's third alone
+        model = adapted_model(dropout=0.05, targets=["query_key_value"], attention_layout="fused-qkv")
+        refs, real = [], model._linear
+
+        def linear(name, x, rng):
+            out = real(name, x, rng)
+            if name.endswith("query_key_value"):
+                refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(model, "_linear", linear)
+        loss = self.loss_of_step(model)
+        assert len(refs) == model.config.n_layers and all(ref() is None for ref in refs)
+        loss.backward()
+
     def test_only_the_loss_and_the_leaves_keep_anything(self):
         model = adapted_model(dropout=0.05)
         loss = self.loss_of_step(model)
@@ -356,7 +373,7 @@ class TestFreedGraph:
         inner = [n for n in nodes[1:] if n.parents]
         assert inner
         loss.backward()
-        assert loss.grad is not None and loss._parents == () and loss._backward_fn is None
+        assert loss.grad is not None and loss._node.parents == () and loss._backward_fn is None
         for node in inner:
             assert node.grad is None and node.backward_fn is None and node.parents == ()
         for adapter in model.adapters.values():
