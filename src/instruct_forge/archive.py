@@ -1,4 +1,4 @@
-"""Binary tensor archive, and the one route that checkpoints take through it.
+"""Binary tensor archive, the checkpoint route through it, and ``write_atomic``, the one file writer.
 
 Layout: 8-byte magic, little-endian uint64 manifest length, JSON manifest,
 then raw little-endian float payloads back to back. The manifest records
@@ -28,40 +28,42 @@ class ArchiveError(ValueError):
     """Corrupt, truncated, or inconsistent archive file."""
 
 
-def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
-    """Write to a temporary file beside ``path``, then rename it over ``path``:
-    a failed or interrupted write leaves any previous file untouched."""
-    entries = []
-    offset = 0
-    payloads = []
-    for name, arr in arrays.items():
-        dtype = "<f8" if np.asarray(arr).dtype == np.float64 else "<f4"
-        arr = np.ascontiguousarray(arr, dtype=dtype)   # copies only to convert or to make contiguous
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "elem_size": arr.dtype.itemsize,
-            "dtype": dtype,
-            "offset": offset,
-        })
-        payloads.append(arr)
-        offset += arr.nbytes
-    manifest = json.dumps({"meta": meta or {}, "entries": entries, "payload_size": offset}).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+def write_atomic(path, chunks) -> None:
+    """Write the bytes-like ``chunks`` to a temporary file beside ``path``, fsync it, rename it over
+    ``path`` and fsync the directory: a failed or interrupted write leaves any previous file whole."""
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(manifest)))
-            fh.write(manifest)
-            for arr in payloads:
-                fh.write(arr)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+        if hasattr(os, "O_DIRECTORY"):  # so that the new name itself survives a power loss
+            fd = os.open(tmp.parent, os.O_RDONLY | os.O_DIRECTORY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:  # name the caller's path, not the temporary one
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
+
+
+def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
+    """Write ``arrays`` and ``meta`` to ``path`` through ``write_atomic``."""
+    entries, payloads, offset = [], [], 0
+    for name, arr in arrays.items():
+        dtype = "<f8" if np.asarray(arr).dtype == np.float64 else "<f4"
+        arr = np.ascontiguousarray(arr, dtype=dtype)   # copies only to convert or to make contiguous
+        entries.append({"name": name, "shape": list(arr.shape), "elem_size": arr.dtype.itemsize, "dtype": dtype,
+                        "offset": offset})
+        payloads.append(arr)
+        offset += arr.nbytes
+    manifest = json.dumps({"meta": meta or {}, "entries": entries, "payload_size": offset}).encode("utf-8")
+    write_atomic(path, [MAGIC, struct.pack("<Q", len(manifest)), manifest, *payloads])
 
 
 def _is_count(value) -> bool:

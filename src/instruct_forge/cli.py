@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+from .archive import write_atomic
 from .evaluation import VERSIONS, ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
 from .lora import LoraConfig, inject, load_adapters, save_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
@@ -29,10 +30,17 @@ from .sampling import GenerationParams, generate
 from .training import MASK_POLICIES, TrainConfig, train
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from exc
+
+
 def load_config_file(path) -> dict:
     """Parse "section.key = value" lines; a '#' at a line's start or after whitespace starts a comment."""
     cfg = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
@@ -134,7 +142,7 @@ def _emit(settings: dict, notes: dict, payload: str, report=None) -> int:
     as ``--config`` lines (lists comma-joined, unset values left out), ``notes``
     (paths and counts) as comments, and ``payload``."""
     if report:
-        Path(report).write_text(payload, encoding="utf-8")
+        write_atomic(report, [payload.encode("utf-8")])
     lines = ["# effective-config"]
     lines += [f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
               for key, value in settings.items() if value is not None]
@@ -198,8 +206,8 @@ def cmd_train(args, cfg) -> int:
     for epoch, arrays in enumerate(adapters):
         save_adapters(model, out / f"adapters-epoch{epoch}.ifta", arrays)
     model.save_checkpoint(out / "model.ifta")
-    with open(out / "train-report.jsonl", "a", encoding="utf-8") as fh:
-        fh.write("".join(f"{line}\n" for line in lines))
+    log = out / "train-report.jsonl"   # earlier runs' lines, then this run's
+    write_atomic(log, [log.read_bytes() if log.exists() else b"", *(f"{line}\n".encode("utf-8") for line in lines)])
     notes = {"data": args.data, "out": args.out,
              "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)}
     return _emit(settings, notes, "\n".join(lines))
@@ -225,8 +233,7 @@ def cmd_eval(args, cfg) -> int:
 
 
 def cmd_ppl(args, cfg) -> int:
-    template = QuestionTemplate(body=Path(args.template).read_text(encoding="utf-8")) \
-        if args.template else QuestionTemplate()
+    template = QuestionTemplate(body=_read_text(args.template)) if args.template else QuestionTemplate()
     model = _load_model(args)
     items = read_jsonl(args.items, lambda o: PerplexityItem(question=o["question"], response=o["response"]))
     if not items:

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .archive import write_atomic
+
 CATEGORIES = frozenset({
     "commonsense",
     "summarization",
@@ -118,9 +120,7 @@ def load_records(path) -> tuple[list[InstructionRecord], dict]:
 
 
 def save_records(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            fh.write(r.to_json() + "\n")
+    write_atomic(path, (f"{r.to_json()}\n".encode("utf-8") for r in records))
 
 
 def filter_by_category(records, excluded) -> list[InstructionRecord]:

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import struct
 import subprocess
 import sys
@@ -220,6 +221,25 @@ class TestCrashSafeSave:
             save_archive(path, {"w": np.ones(4)}, meta={"kind": "new"})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="no directory descriptors")
+    def test_fsyncs_the_file_then_its_directory(self, tmp_path, monkeypatch):
+        # the rename is durable only once the directory that holds the new name is synced
+        synced, fsync = [], os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd)) or fsync(fd))
+        save_archive(tmp_path / "ckpt.ifta", arrays())
+        assert [stat.S_ISDIR(st.st_mode) for st in synced] == [False, True]
+        assert synced[1].st_ino == tmp_path.stat().st_ino
+
+    def test_failed_rename_names_the_target(self, tmp_path):
+        # the error names the caller's path, not the temporary file's
+        target = tmp_path / "taken"
+        target.mkdir()
+        (target / "x").write_text("", encoding="utf-8")
+        with pytest.raises(OSError) as err:
+            save_archive(target, arrays())
+        assert err.value.filename == str(target) and ".tmp" not in str(err.value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_replaces_existing_file(self, tmp_path):
         path = tmp_path / "ckpt.ifta"

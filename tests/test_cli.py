@@ -3,6 +3,8 @@ import json
 import math
 import os
 import platform
+import resource
+import signal
 import subprocess
 import sys
 from dataclasses import asdict
@@ -904,7 +906,7 @@ class TestFailsBeforeOutput:
                   "ppl": ["--items", str(items)]}[command]
         report = tmp_path / "missing_dir" / "r.json"
         argv = [command, "--model", str(untrained_model), *inputs, "--report", str(report)]
-        self.assert_failed_silently(capsys, argv, "No such file or directory")
+        self.assert_failed_silently(capsys, argv, f"No such file or directory: '{report}'")
 
     @pytest.mark.parametrize("seq_len", ["0", "-7"])
     def test_eval_seq_len_below_one(self, tmp_path, capsys, untrained_model, seq_len):
@@ -1060,6 +1062,86 @@ class TestFailsBeforeOutput:
         assert (out / "train-report.jsonl").read_text(encoding="utf-8") == '{"epoch": 0}\n'
         load_adapters(DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64)),
                       out / "adapters-epoch0.ifta")
+
+    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
+        # used to print only the codec's message, which names no file
+        cfg = tmp_path / "cfg"
+        cfg.write_bytes(b"\xffseed = 1\n")
+        argv = ["--config", str(cfg), "build-dataset", "--output", str(tmp_path / "o.jsonl")]
+        self.assert_failed_silently(capsys, argv, f"{cfg}: not UTF-8")
+
+    def test_template_that_is_not_utf8(self, tmp_path, capsys, untrained_model):
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        template = tmp_path / "template.txt"
+        template.write_bytes(b"\xff{question}")
+        argv = ["ppl", "--model", str(untrained_model), "--items", str(items), "--template", str(template)]
+        self.assert_failed_silently(capsys, argv, f"{template}: not UTF-8")
+
+
+def run_with_file_size_limit(argv, limit):
+    """Run the CLI in a child process that may not grow a file past ``limit`` bytes:
+    a write past it fails with EFBIG, as on a full disk. Only the child is limited."""
+    def limit_file_size():
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "instruct_forge.cli", *argv], env=env, capture_output=True,
+                          text=True, timeout=120, preexec_fn=limit_file_size)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
+class TestFailedWriteKeepsTheOldFile:
+    """An output write that fails part way: one `error:` line naming the output, the old file whole, no temp file."""
+
+    def assert_kept(self, run, path, before):
+        assert run.returncode == 1 and run.stdout == "", run.stderr
+        assert path.read_bytes() == before
+        assert list(path.parent.glob("*.tmp")) == []
+        lines = run.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "File too large" in lines[0], lines
+        assert f"'{path}'" in lines[0], lines
+
+    @pytest.mark.parametrize("command", ["eval", "ppl"])
+    def test_report(self, tmp_path, untrained_model, command):
+        # the report used to be truncated and left as a 64-byte fragment
+        items = tmp_path / "items.jsonl"
+        write_jsonl(items, [{"question": "q", "response": "r"}])
+        inputs = {"eval": ["--tasks", str(TestEval().tasks_file(tmp_path, n=1)), "--shots", "0"],
+                  "ppl": ["--items", str(items)]}[command]
+        report = tmp_path / "r.json"
+        report.write_text('{"an": "earlier report"}', encoding="utf-8")
+        run = run_with_file_size_limit([command, "--model", str(untrained_model), *inputs, "--report", str(report)],
+                                       64)
+        self.assert_kept(run, report, b'{"an": "earlier report"}')
+
+    def test_build_dataset_output(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(8))
+        output = tmp_path / "out.jsonl"
+        output.write_text('{"instruction": "old", "output": "old"}\n', encoding="utf-8")
+        before = output.read_bytes()
+        run = run_with_file_size_limit(["build-dataset", "--input", str(data), "--output", str(output)], 64)
+        self.assert_kept(run, output, before)
+
+    def test_train_report_over_an_earlier_run(self, tmp_path, capsys):
+        # the checkpoints fit under the limit and the report's new lines do not:
+        # they used to be appended in part, and the file no longer parsed
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
+        assert main(argv) == 0
+        capsys.readouterr()
+        log = out / "train-report.jsonl"
+        lines = log.read_bytes()
+        log.write_bytes(lines * (2 * (out / "model.ifta").stat().st_size // len(lines) + 1))   # many earlier runs
+        before = log.read_bytes()
+        run = run_with_file_size_limit([*argv, "--seed", "1"], len(before) + 16)
+        self.assert_kept(run, log, before)
+
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
 # faults that took. argv[1] == "main" first runs cli.main (an eval that exits 1).

@@ -219,6 +219,19 @@ class TestCache:
         m.logits(ids[:10], cache=m.new_cache())
         assert np.array_equal(m.logits(ids), before)
 
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_prefill_caches_values_without_the_projection_they_came_from(self, layout):
+        # fused qkv's v is a third of the [1, T, 3d] projection: a cached view kept the q and k columns alive
+        m = adapted_model(layout)
+        ids = np.random.default_rng(11).integers(0, 259, 40).tolist()
+        cache = m.new_cache()
+        assert np.array_equal(m.logits(ids, cache=cache), m.logits(ids))
+        for k, v in cache:
+            if layout == "fused-qkv":
+                assert v.base is None
+            else:   # the head view of v_proj's own output stays a view: no copy
+                assert v.base.nbytes == v.nbytes
+
     # one node per op at the default size (4 layers): 18 a layer on split-qv,
     # 19 on fused-qkv (its three slices), plus embedding, final norm, lm_head
     # and the [1, 1, V] -> [1, V] reshape
