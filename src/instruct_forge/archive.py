@@ -28,32 +28,38 @@ class ArchiveError(ValueError):
     """Corrupt, truncated, or inconsistent archive file."""
 
 
-def write_atomic(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` to a temporary file beside ``path``, fsync it, rename it over
-    ``path`` and fsync the directory: a failed or interrupted write leaves any previous file whole."""
-    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+def write_atomic(files: dict) -> None:
+    """Write each ``{path: bytes-like chunks}`` entry to a temporary file beside ``path`` and fsync it;
+    only once every file is written, rename each over its path and fsync each directory once. A failed
+    or interrupted write leaves every previous file whole, and its error names the caller's path."""
+    pending = {}   # caller's path: its temporary file
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if hasattr(os, "O_DIRECTORY"):  # so that the new name itself survives a power loss
-            fd = os.open(tmp.parent, os.O_RDONLY | os.O_DIRECTORY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+        for path, chunks in files.items():
+            pending[path] = tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+            with open(tmp, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for path, tmp in pending.items():
+            os.replace(tmp, path)
+        if hasattr(os, "O_DIRECTORY"):  # so that the new names themselves survive a power loss
+            for directory, path in {tmp.parent: path for path, tmp in pending.items()}.items():
+                fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        for tmp in pending.values():
+            tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.errno is not None:  # name the caller's path, not the temporary one
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
 
 
-def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
-    """Write ``arrays`` and ``meta`` to ``path`` through ``write_atomic``."""
+def archive_chunks(arrays: dict, meta: dict | None = None) -> list:
+    """The bytes of an archive of ``arrays`` and ``meta``, as chunks for ``write_atomic``."""
     entries, payloads, offset = [], [], 0
     for name, arr in arrays.items():
         dtype = "<f8" if np.asarray(arr).dtype == np.float64 else "<f4"
@@ -63,7 +69,12 @@ def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
         payloads.append(arr)
         offset += arr.nbytes
     manifest = json.dumps({"meta": meta or {}, "entries": entries, "payload_size": offset}).encode("utf-8")
-    write_atomic(path, [MAGIC, struct.pack("<Q", len(manifest)), manifest, *payloads])
+    return [MAGIC, struct.pack("<Q", len(manifest)), manifest, *payloads]
+
+
+def save_archive(path, arrays: dict, meta: dict | None = None) -> None:
+    """Write ``arrays`` and ``meta`` to ``path`` through ``write_atomic``."""
+    write_atomic({path: archive_chunks(arrays, meta)})
 
 
 def _is_count(value) -> bool:

@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 from typing import Callable
 
-from .archive import write_atomic
+from .archive import archive_chunks, write_atomic
 from .evaluation import VERSIONS, ChoiceTask, PerplexityItem, QuestionTemplate, corpus_perplexity, run_choice_eval
-from .lora import LoraConfig, inject, load_adapters, save_adapters, trainable_param_count
+from .lora import LoraConfig, adapter_checkpoint, inject, load_adapters, trainable_param_count
 from .model import LAYOUTS, DecoderModel, ModelConfig, _keep_freed_memory, load_checkpoint
 from .records import (CATEGORIES, convert_qa_pair, convert_typo_pair, dataset_stats, filter_by_category, load_records,
                       read_jsonl, save_records)
@@ -142,7 +142,7 @@ def _emit(settings: dict, notes: dict, payload: str, report=None) -> int:
     as ``--config`` lines (lists comma-joined, unset values left out), ``notes``
     (paths and counts) as comments, and ``payload``."""
     if report:
-        write_atomic(report, [payload.encode("utf-8")])
+        write_atomic({report: [payload.encode("utf-8")]})
     lines = ["# effective-config"]
     lines += [f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
               for key, value in settings.items() if value is not None]
@@ -199,15 +199,16 @@ def cmd_train(args, cfg) -> int:
     records = load_records(args.data)[0]
     inject(model, lora_cfg)
     report, adapters = train(model, records, train_cfg)
-    # publish only a finished run: a failure above leaves --out as it was
+    # publish only a finished run, in one write_atomic: a failure leaves --out as it was
     lines = [json.dumps(entry, allow_nan=False) for entry in report]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for epoch, arrays in enumerate(adapters):
-        save_adapters(model, out / f"adapters-epoch{epoch}.ifta", arrays)
-    model.save_checkpoint(out / "model.ifta")
+    files = {out / f"adapters-epoch{epoch}.ifta": archive_chunks(*adapter_checkpoint(model, arrays))
+             for epoch, arrays in enumerate(adapters)}
+    files[out / "model.ifta"] = archive_chunks(*model.checkpoint())
     log = out / "train-report.jsonl"   # earlier runs' lines, then this run's
-    write_atomic(log, [log.read_bytes() if log.exists() else b"", *(f"{line}\n".encode("utf-8") for line in lines)])
+    files[log] = [log.read_bytes() if log.exists() else b"", *(f"{line}\n".encode("utf-8") for line in lines)]
+    write_atomic(files)
     notes = {"data": args.data, "out": args.out,
              "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)}
     return _emit(settings, notes, "\n".join(lines))

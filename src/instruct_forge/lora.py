@@ -123,9 +123,9 @@ def merge_all(model) -> DecoderModel:
     return merged
 
 
-def save_adapters(model, path, arrays=None) -> None:
-    """Write ``arrays`` (``{tensor name: array}`` of every A and B, as ``train``
-    returns per epoch) or, when None, the model's current A and B."""
+def adapter_checkpoint(model, arrays=None) -> tuple[dict, dict]:
+    """(arrays, meta) of an adapter checkpoint: ``arrays`` (``{tensor name: array}`` of every
+    A and B, as ``train`` returns per epoch) or, when None, the model's current A and B."""
     if not model.adapters:
         raise LoraConfigError("model has no adapters to save")
     meta = {
@@ -135,7 +135,12 @@ def save_adapters(model, path, arrays=None) -> None:
     }
     if arrays is None:
         arrays = {t.name: t.data for t in adapter_parameters(model)}
-    save_archive(path, arrays, meta=meta)
+    return arrays, meta
+
+
+def save_adapters(model, path, arrays=None) -> None:
+    """Write ``adapter_checkpoint(model, arrays)`` to ``path``."""
+    save_archive(path, *adapter_checkpoint(model, arrays))
 
 
 def load_adapters(model, path):

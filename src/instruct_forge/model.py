@@ -240,9 +240,12 @@ class DecoderModel:
 
     # -- checkpointing --------------------------------------------------------
 
+    def checkpoint(self) -> tuple[dict, dict]:
+        """(arrays, meta) of this model's checkpoint: each tensor of ``params`` under its own name."""
+        return {t.name: t.data for t in self.params.values()}, {"kind": "decoder-model", "config": asdict(self.config)}
+
     def save_checkpoint(self, path) -> None:
-        save_archive(path, {t.name: t.data for t in self.params.values()},
-                     meta={"kind": "decoder-model", "config": asdict(self.config)})
+        save_archive(path, *self.checkpoint())
 
 
 def load_checkpoint(path) -> DecoderModel:

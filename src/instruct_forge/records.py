@@ -120,7 +120,7 @@ def load_records(path) -> tuple[list[InstructionRecord], dict]:
 
 
 def save_records(records, path) -> None:
-    write_atomic(path, (f"{r.to_json()}\n".encode("utf-8") for r in records))
+    write_atomic({path: (f"{r.to_json()}\n".encode("utf-8") for r in records)})
 
 
 def filter_by_category(records, excluded) -> list[InstructionRecord]:

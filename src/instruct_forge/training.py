@@ -111,9 +111,6 @@ def _encode_example(record, template, tokenizer, config):
     # tail-keep truncation preserves the response span
     keep = min(len(inputs), config.train_seq_len)
     inputs, targets, mask = inputs[-keep:], targets[-keep:], mask[-keep:]
-    if not mask.any():
-        logger.warning("dropping record: no unmasked positions after truncation")
-        return None
     return inputs, targets, mask
 
 

@@ -241,6 +241,28 @@ class TestCrashSafeSave:
         assert err.value.filename == str(target) and ".tmp" not in str(err.value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
+    def test_several_files_are_renamed_only_once_every_one_is_written(self, tmp_path):
+        # a failure at the second file leaves the first file's earlier bytes, and no temporary file
+        first, second = tmp_path / "first", tmp_path / "second"
+        first.write_bytes(b"old")
+
+        def full_disk():
+            yield b"part"
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError) as err:
+            archive.write_atomic({first: [b"new"], second: full_disk()})
+        assert err.value.filename == str(second)
+        assert first.read_bytes() == b"old" and sorted(p.name for p in tmp_path.iterdir()) == ["first"]
+
+    @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="no directory descriptors")
+    def test_fsyncs_every_file_then_their_directory_once(self, tmp_path, monkeypatch):
+        synced, fsync = [], os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(os.fstat(fd)) or fsync(fd))
+        archive.write_atomic({tmp_path / "a": [b"1"], tmp_path / "b": [b"2"]})
+        assert [stat.S_ISDIR(st.st_mode) for st in synced] == [False, False, True]
+        assert [p.read_bytes() for p in sorted(tmp_path.iterdir())] == [b"1", b"2"]
+
     def test_replaces_existing_file(self, tmp_path):
         path = tmp_path / "ckpt.ifta"
         save_archive(path, arrays(), meta={"kind": "old"})

@@ -13,12 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from instruct_forge import cli, training
+from instruct_forge import archive, cli, training
 from instruct_forge.archive import save_archive
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
 from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate,
                                        assemble_fewshot_prompt, corpus_perplexity)
-from instruct_forge.lora import load_adapters, save_adapters
+from instruct_forge.lora import load_adapters
 from instruct_forge.model import DecoderModel, ModelConfig, load_checkpoint
 from instruct_forge.prompts import render_prompt, template_for
 from instruct_forge.records import CATEGORIES, InstructionRecord, load_records
@@ -1040,28 +1040,36 @@ class TestFailsBeforeOutput:
             assert capsys.readouterr().out == ""
         assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == before
 
-    def test_failure_while_publishing_leaves_whole_files(self, tmp_path, capsys, monkeypatch):
-        # a full disk at the second file: the first stays whole, and nothing after it is written
+    def publish_failing_at(self, tmp_path, capsys, monkeypatch, failing):
+        # a full disk at one of the files a two-epoch run publishes over a one-epoch run
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
         out = tmp_path / "run"
-        out.mkdir()
-        (out / "train-report.jsonl").write_text('{"epoch": 0}\n', encoding="utf-8")
-        saved = []
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        def full_disk(model, path, arrays=None):
-            saved.append(path)
-            if len(saved) == 2:
+        def full_disk(path, mode):
+            fh = open(path, mode)
+            if Path(path).name.startswith(f"{failing}."):
+                fh.write(b"part")
+                fh.close()
                 raise OSError(28, "No space left on device")
-            save_adapters(model, path, arrays)
+            return fh
 
-        monkeypatch.setattr(cli, "save_adapters", full_disk)
-        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]
-        self.assert_failed_silently(capsys, argv, "No space left on device")
-        assert sorted(p.name for p in out.iterdir()) == ["adapters-epoch0.ifta", "train-report.jsonl"]
-        assert (out / "train-report.jsonl").read_text(encoding="utf-8") == '{"epoch": 0}\n'
-        load_adapters(DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64)),
-                      out / "adapters-epoch0.ifta")
+        monkeypatch.setattr(archive, "open", full_disk, raising=False)
+        self.assert_failed_silently(capsys, [*argv, "--epochs", "2", "--seed", "1"], f"'{out / failing}'")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_failure_while_publishing_leaves_whole_files(self, tmp_path, capsys, monkeypatch):
+        # the files before the failing one used to be replaced, and those after it not written
+        self.publish_failing_at(tmp_path, capsys, monkeypatch, "adapters-epoch1.ifta")
+
+    @pytest.mark.parametrize("failing", ["adapters-epoch0.ifta", "model.ifta", "train-report.jsonl"])
+    def test_failure_at_the_first_or_a_later_file_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch,
+                                                                         failing):
+        self.publish_failing_at(tmp_path, capsys, monkeypatch, failing)
 
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
         # used to print only the codec's message, which names no file
@@ -1138,9 +1146,11 @@ class TestFailedWriteKeepsTheOldFile:
         log = out / "train-report.jsonl"
         lines = log.read_bytes()
         log.write_bytes(lines * (2 * (out / "model.ifta").stat().st_size // len(lines) + 1))   # many earlier runs
-        before = log.read_bytes()
-        run = run_with_file_size_limit([*argv, "--seed", "1"], len(before) + 16)
-        self.assert_kept(run, log, before)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        run = run_with_file_size_limit([*argv, "--seed", "1"], len(before[log.name]) + 16)
+        self.assert_kept(run, log, before[log.name])
+        # the checkpoints fit, and used to be replaced beside the earlier runs' report
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page

@@ -8,6 +8,7 @@ import inspect
 import types
 
 import instruct_forge
+from instruct_forge import archive, lora
 
 QUESTION_BODY = "Write a response to answer the following question.\\n\\n### Question:\\n{question}\\n\\n### Response:\\n"
 
@@ -40,6 +41,7 @@ API = {
     "DecoderModel.new_cache": "(self)",
     "DecoderModel.forward": "(self, tokens, cache=None, last=None, rng=None)",
     "DecoderModel.logits": "(self, ids, cache=None, last=None)",
+    "DecoderModel.checkpoint": "(self)",
     "DecoderModel.save_checkpoint": "(self, path)",
     "ContextOverflowError": "(ValueError)",
     "load_checkpoint": "(path)",
@@ -105,3 +107,20 @@ def exported() -> dict:
 
 def test_public_api_is_pinned():
     assert exported() == API
+
+
+# The checkpoint writers of the modules that ``instruct_forge`` does not re-export;
+# ``save_archive``, ``save_adapters`` and ``DecoderModel.save_checkpoint`` are what the
+# benchmark calls and traces.
+WRITERS = {
+    "archive.write_atomic": "(files)",
+    "archive.archive_chunks": "(arrays, meta=None)",
+    "archive.save_archive": "(path, arrays, meta=None)",
+    "lora.adapter_checkpoint": "(model, arrays=None)",
+    "lora.save_adapters": "(model, path, arrays=None)",
+}
+
+
+def test_checkpoint_writers_are_pinned():
+    modules = {"archive": archive, "lora": lora}
+    assert {name: shape(getattr(modules[name.split(".")[0]], name.split(".")[1])) for name in WRITERS} == WRITERS

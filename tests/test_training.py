@@ -3,6 +3,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
@@ -15,6 +17,7 @@ from instruct_forge.records import InstructionRecord, save_records
 from instruct_forge.tokenizer import BOS, EOS, PAD, ByteTokenizer
 from instruct_forge.training import (
     AdamW,
+    DroppedBatchError,
     TrainConfig,
     build_batch,
     train,
@@ -131,6 +134,33 @@ class TestJapaneseRows:
                 assert list(targets[mask]) == output   # the first supervised target is the output's first byte
             else:
                 assert mask[:n].all() and list(targets[:n][-len(output):]) == output
+
+
+TEXT = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=40)
+RECORD = st.builds(InstructionRecord, TEXT, TEXT, st.none() | TEXT)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recs=st.lists(RECORD, min_size=1, max_size=4), seq_len=st.integers(1, 300),
+       policy=st.sampled_from(["response-only", "full-sequence"]))
+def test_every_kept_row_has_a_supervised_target(recs, seq_len, policy):
+    # BOS and EOS leave prompt and response at least a token each, and tail-keep
+    # keeps every response target of a record whose response fits train_seq_len
+    responses = [len(TOK.encode(r.output)) + 1 for r in recs]
+    kept = [n for n in responses if n <= seq_len]
+    config = TrainConfig(train_seq_len=seq_len, mask_policy=policy)
+    if not kept:
+        with pytest.raises(DroppedBatchError):
+            build_batch(recs, None, TOK, config)
+        return
+    batch = build_batch(recs, None, TOK, config)
+    assert batch.dropped == len(recs) - len(kept) and len(batch.loss_mask) == len(kept)
+    for n, mask, targets in zip(kept, batch.loss_mask, batch.targets):
+        assert mask.any()
+        if policy == "response-only":
+            assert mask.sum() == n
+        else:
+            assert mask.sum() == (targets != PAD).sum()
 
 
 class TestTrainStep:
