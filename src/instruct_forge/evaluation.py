@@ -10,14 +10,16 @@ Models are consumed through one protocol, the one ``DecoderModel`` has:
 ``logits(ids, cache=None, last=None)`` returning the [T, V] array of logit
 rows, or only the last n with ``last=n``; ``new_cache()``, an empty cache
 that ``logits(ids, cache=...)`` extends in place; and ``max_seq_len``.
-Scoring asks only for the logit rows that predict the continuation, and
-choice classification runs a shared prompt once for all its choices.
+Scoring asks only for the logit rows that predict the continuation. The
+items of one call that fit the window run their common token prefix once,
+and choice classification runs a shared prompt once for all its choices.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,16 +226,28 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
     return _context(assemble_fewshot_prompt(task, spec)), [TOKENIZER.encode(c) for c in task.choices]
 
 
-def _choice_scores(model, ctx: list, conts: list) -> list[float]:
-    """Each encoded choice's summed log-likelihood after the encoded context."""
-    if len(ctx) + max(map(len, conts)) > model.max_seq_len:
-        return [_score(model, ctx, cont) for cont in conts]
+def _score_items(model, items) -> list[list[float]]:
+    """Each ``(context ids, [continuation ids])`` item's summed continuation log-likelihoods. An item that
+    overflows the window is scored as by ``score_continuation``. When two or more fit, their longest common
+    token prefix, short of at least each context's last token, runs once into a cache that each item branches."""
+    fits = [len(ctx) + max(map(len, conts)) <= model.max_seq_len for ctx, conts in items]
+    shared = [ctx for (ctx, _), fit in zip(items, fits) if fit]
+    P = min(len(os.path.commonprefix(shared)), min(map(len, shared)) - 1) if len(shared) > 1 else 0
     cache = model.new_cache()
-    last = model.logits(ctx, cache=cache, last=1)
+    if P:
+        model.logits(shared[0][:P], cache=cache, last=1)
     scores = []
-    for cont in conts:
-        rows = last if len(cont) == 1 else np.concatenate([last, model.logits(cont[:-1], cache=list(cache))])
-        scores.append(_continuation_logp(rows, cont))
+    for (ctx, conts), fit in zip(items, fits):
+        if not fit:
+            scores.append([_score(model, ctx, cont) for cont in conts])
+        elif len(conts) == 1:   # one forward, as ``_score`` runs it
+            rows = model.logits(ctx[P:] + conts[0][:-1], cache=list(cache) if P else None, last=len(conts[0]))
+            scores.append([_continuation_logp(rows, conts[0])])
+        else:   # the context's last row once, then each choice on a branch of its cache
+            branch = list(cache)
+            last = model.logits(ctx[P:], cache=branch, last=1)
+            scores.append([_continuation_logp(last if len(c) == 1 else np.concatenate(
+                [last, model.logits(c[:-1], cache=list(branch))]), c) for c in conts])
     return scores
 
 
@@ -246,7 +260,7 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
     Otherwise each choice is scored as by ``score_continuation``, whose left
     truncation depends on the choice's length.
     """
-    return int(np.argmax(_choice_scores(model, *_encode_task(task, spec))))
+    return int(np.argmax(_score_items(model, [_encode_task(task, spec)])[0]))
 
 
 # -- perplexity ---------------------------------------------------------------
@@ -259,14 +273,14 @@ def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = N
     if not items:
         raise ValueError("corpus_perplexity requires at least one item")
     template = prompt_template or QuestionTemplate()
+    encoded = [(_context(template.render(item.question)), [TOKENIZER.encode(item.response)]) for item in items]
     total_nll = 0.0
     total_tokens = 0
     overflows = 0
     per_item = []
-    for i, item in enumerate(items, start=1):
-        ctx, cont = _context(template.render(item.question)), TOKENIZER.encode(item.response)
+    for i, ((ctx, (cont,)), (logp,)) in enumerate(zip(encoded, _score_items(model, encoded)), start=1):
         overflows += len(ctx) + len(cont) > model.max_seq_len
-        nll, n = -_score(model, ctx, cont), len(cont)
+        nll, n = -logp, len(cont)
         try:
             per_item.append(math.exp(nll / n))
         except OverflowError:
@@ -304,15 +318,13 @@ def run_choice_eval(model, tasks, shots, tuning_seq_len: int | None = None) -> E
     report = EvalReport()
     for k in shots:
         spec = FewShotSpec(k=k, demonstrations=demos[:k])
-        correct = 0
-        for task in queries:
-            ctx, conts = _encode_task(task, spec)
+        encoded = [_encode_task(task, spec) for task in queries]
+        for ctx, conts in encoded:
             needed = len(ctx) + max(map(len, conts))
             if tuning_seq_len is not None and needed > tuning_seq_len:
                 report.tuning_overflows += 1
             if needed > model.max_seq_len:
                 report.model_overflows += 1
-            if int(np.argmax(_choice_scores(model, ctx, conts))) == task.gold:
-                correct += 1
-        report.accuracy[k] = correct / len(queries)
+        scores = _score_items(model, encoded)
+        report.accuracy[k] = sum(int(np.argmax(s)) == task.gold for s, task in zip(scores, queries)) / len(queries)
     return report

@@ -255,6 +255,20 @@ class TestCrashSafeSave:
         assert err.value.filename == str(second)
         assert first.read_bytes() == b"old" and sorted(p.name for p in tmp_path.iterdir()) == ["first"]
 
+    def test_a_failed_rename_puts_back_the_files_renamed_before_it(self, tmp_path):
+        # a directory at the third path fails its rename; the first two used to stay renamed
+        old, new, taken = tmp_path / "old", tmp_path / "new", tmp_path / "taken"
+        old.write_bytes(b"old")
+        taken.mkdir()
+        (taken / "x").write_bytes(b"")
+        with pytest.raises(OSError) as err:
+            archive.write_atomic({old: [b"1"], new: [b"2"], taken: [b"3"]})
+        assert err.value.filename == str(taken)
+        assert old.read_bytes() == b"old" and sorted(p.name for p in tmp_path.iterdir()) == ["old", "taken"]
+        archive.write_atomic({old: [b"1"], new: [b"2"]})   # and a write that succeeds leaves no second name
+        assert [p.read_bytes() for p in sorted(tmp_path.iterdir()) if p.is_file()] == [b"2", b"1"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["new", "old", "taken"]
+
     @pytest.mark.skipif(not hasattr(os, "O_DIRECTORY"), reason="no directory descriptors")
     def test_fsyncs_every_file_then_their_directory_once(self, tmp_path, monkeypatch):
         synced, fsync = [], os.fsync

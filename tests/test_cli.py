@@ -1071,6 +1071,21 @@ class TestFailsBeforeOutput:
                                                                          failing):
         self.publish_failing_at(tmp_path, capsys, monkeypatch, failing)
 
+    def test_a_directory_at_model_ifta_leaves_out_as_it_was(self, tmp_path, capsys):
+        # the rename over model.ifta fails; adapters-epoch0.ifta, renamed before it, used to stay replaced
+        data = tmp_path / "d.jsonl"
+        write_jsonl(data, dataset_rows(4))
+        out = tmp_path / "run"
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
+        assert main(argv) == 0
+        capsys.readouterr()
+        (out / "model.ifta").unlink()
+        (out / "model.ifta").mkdir()
+        (out / "model.ifta" / "kept").write_bytes(b"x")
+        before = sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*"))
+        self.assert_failed_silently(capsys, [*argv, "--seed", "1"], f"'{out / 'model.ifta'}'")
+        assert sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*")) == before
+
     def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
         # used to print only the codec's message, which names no file
         cfg = tmp_path / "cfg"

@@ -13,8 +13,10 @@ from instruct_forge.evaluation import (
     FewShotSpec,
     PerplexityItem,
     QuestionTemplate,
-    _choice_scores,
+    _continuation_logp,
     _encode_task,
+    _score,
+    _score_items,
     assemble_fewshot_prompt,
     classify_by_likelihood,
     corpus_perplexity,
@@ -194,7 +196,7 @@ class TestSharedPromptScoring:
         task = ChoiceTask("pick one", {"Input": "which?"}, ("entailment", "b", "neutral"), gold=0, version=version)
         for k, demo in ((0, ()), (1, demos(version)[:1]), (3, demos(version)), (3, demos(version)[:1] * 3)):
             spec = FewShotSpec(k=k, demonstrations=demo)
-            got = _choice_scores(model, *_encode_task(task, spec))
+            got = _score_items(model, [_encode_task(task, spec)])[0]
             expected = [score_continuation(model, assemble_fewshot_prompt(task, spec), c) for c in task.choices]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-5)
             assert classify_by_likelihood(model, task, spec) == int(np.argmax(expected))
@@ -207,13 +209,131 @@ class TestSharedPromptScoring:
         real = model.logits
         monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
                             fed.append((len(ids), last)) or real(ids, cache, last))
-        _choice_scores(model, *_encode_task(task, FewShotSpec(k=0)))
+        _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
         # the prompt's last row only; the one-token choice needs no extra rows
         assert fed == [(prompt_len, 1), (2, None), (4, None)]
         fed.clear()
         model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
-        _choice_scores(model, *_encode_task(task, FewShotSpec(k=0)))
+        _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
         assert fed == [(prompt_len + 2, 3), (prompt_len, 1), (prompt_len + 3, 5)]   # each choice's rows only
+
+
+def small_model(max_seq_len=256, layout="split-qv"):
+    return DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=max_seq_len,
+                                    attention_layout=layout, seed=3))
+
+
+def record_logits(model, monkeypatch) -> list:
+    """Every ``model.logits`` call from now on, as (ids, whether a cache was passed, last)."""
+    fed, real = [], model.logits
+    monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
+                        fed.append((list(ids), cache is not None, last)) or real(ids, cache, last))
+    return fed
+
+
+def whole_context_choice_scores(model, ctx, conts):
+    """A lone fitting choice item's route: the whole context into a cache for its last row,
+    then each choice on a branch of it."""
+    cache = model.new_cache()
+    last = model.logits(ctx, cache=cache, last=1)
+    return [_continuation_logp(last if len(c) == 1 else np.concatenate([last, model.logits(c[:-1], cache=list(cache))]),
+                               c) for c in conts]
+
+
+_HEAD, TAIL = QuestionTemplate().body.split("{question}")
+HEADER = [BOS] + TOK.encode(_HEAD)   # the ids that every default-template item's context starts with
+PPL_ITEMS = [PerplexityItem("Why is the sky blue?", "Light scatters."), PerplexityItem("How far?", "Two miles."),
+             PerplexityItem("What is 2 + 2?", "4"), PerplexityItem("空はなぜ青い?", "光が散乱するから。")]
+
+
+def item_logps(report, items) -> list:
+    """Each item's summed response log-likelihood, from its perplexity in ``report``."""
+    return [-math.log(p) * len(TOK.encode(i.response)) for p, i in zip(report.item_perplexities, items)]
+
+
+class TestSharedPrefix:
+    def test_ppl_feeds_the_common_prefix_once(self, monkeypatch):
+        # the 67-token header used to run once per item
+        model = small_model()
+        fed = record_logits(model, monkeypatch)
+        corpus_perplexity(model, PPL_ITEMS)
+        assert fed[0] == (HEADER, True, 1)
+        assert len(fed) == 1 + len(PPL_ITEMS)
+        for (ids, cached, last), item in zip(fed[1:], PPL_ITEMS):
+            cont = TOK.encode(item.response)
+            assert (ids, cached, last) == (TOK.encode(item.question + TAIL) + cont[:-1], True, len(cont))
+
+    def test_eval_feeds_each_shot_counts_prefix_once(self, monkeypatch):
+        model = small_model(max_seq_len=512)
+        tasks = [ChoiceTask("pick", {"Input": f"item {i}"}, ("xx", "y"), gold=0, version="v0.2") for i in range(5)]
+        fed = record_logits(model, monkeypatch)
+        run_choice_eval(model, tasks, shots=[0, 1])
+        prefixes = [ids for ids, cached, last in fed if cached and last == 1 and ids[0] == BOS]
+        # k=0 and k=1 each: one prefix run, then per query its own tail and one branch for "xx"
+        assert len(prefixes) == 2 and len(fed) == 2 + 4 * 2 + 4 * 2
+        for k, prefix in zip((0, 1), prefixes):
+            spec = FewShotSpec(k, tuple(tasks[:k]))
+            contexts = [_encode_task(t, spec)[0] for t in tasks[1:]]
+            assert prefix == contexts[0][:len(prefix)] and all(c[:len(prefix)] == prefix for c in contexts)
+            assert len({c[len(prefix)] for c in contexts}) > 1   # the longest common prefix, no shorter
+
+    def test_lone_and_overflowing_items_score_as_before(self):
+        model = small_model()
+        lone = PerplexityItem("Why?", "Because.")
+        over = PerplexityItem("x" * 200, "Too long.")
+        expected = [math.exp(-score_continuation(model, QuestionTemplate().render(i.question), i.response)
+                             / len(i.response)) for i in (lone, over)]
+        assert corpus_perplexity(model, [lone]).item_perplexities == expected[:1]
+        report = corpus_perplexity(model, [PPL_ITEMS[1], over, PPL_ITEMS[2]])
+        assert report.item_perplexities[1] == expected[1] and report.model_overflows == 1
+        report = corpus_perplexity(model, [lone, over])   # the only item that fits has no one to share with
+        assert report.item_perplexities == expected and report.model_overflows == 1
+        task = ChoiceTask("pick one", {"Input": "which?"}, ("entailment", "b", "neutral"), gold=0, version="v0.2")
+        ctx, conts = _encode_task(task, FewShotSpec(k=0))
+        assert _score_items(model, [(ctx, conts)]) == [whole_context_choice_scores(model, ctx, conts)]
+        too_long = _encode_task(dataclasses.replace(task, fields={"Input": "z" * 300}), FewShotSpec(k=0))
+        assert _score_items(model, [too_long, (ctx, conts)]) == [
+            [_score(model, too_long[0], c) for c in too_long[1]], whole_context_choice_scores(model, ctx, conts)]
+
+    def test_identical_contexts_leave_each_item_a_token(self, monkeypatch):
+        model = small_model()
+        items = [PerplexityItem("Same?", r) for r in ("Yes.", "No.", "Maybe so.")]
+        fed = record_logits(model, monkeypatch)
+        report = corpus_perplexity(model, items)
+        ctx = HEADER + TOK.encode("Same?" + TAIL)
+        assert fed[0] == (ctx[:-1], True, 1)
+        assert [ids for ids, _, _ in fed[1:]] == [ctx[-1:] + TOK.encode(i.response)[:-1] for i in items]
+        expected = [score_continuation(model, QuestionTemplate().render(i.question), i.response) for i in items]
+        np.testing.assert_allclose(item_logps(report, items), expected, rtol=0, atol=1e-5)
+
+    def test_contexts_of_bos_alone_share_nothing(self, monkeypatch):
+        model = small_model()
+        fed = record_logits(model, monkeypatch)
+        items = [PerplexityItem("", "ab"), PerplexityItem("", "cd")]
+        report = corpus_perplexity(model, items, QuestionTemplate(body="{question}"))
+        assert fed == [([BOS, ord("a")], False, 2), ([BOS, ord("c")], False, 2)]
+        assert report.item_perplexities == [math.exp(-score_continuation(model, "", i.response) / 2) for i in items]
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_items_that_share_only_bos(self, layout, monkeypatch):
+        model = adapted_model(layout)
+        template = QuestionTemplate(body="{question}")
+        items = [PerplexityItem("alpha", "one"), PerplexityItem("beta", "two"), PerplexityItem("日本", "三")]
+        fed = record_logits(model, monkeypatch)
+        report = corpus_perplexity(model, items, template)
+        assert fed[0] == ([BOS], True, 1) and len(fed) == 4
+        expected = [score_continuation(model, i.question, i.response) for i in items]
+        np.testing.assert_allclose(item_logps(report, items), expected, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_two_runs_give_the_same_bits(self, layout):
+        model = adapted_model(layout)
+        tasks = [query(v) for v in ("v0.2", "v0.3")] * 2
+        encoded = [_encode_task(t, FewShotSpec(1, demos(t.version)[:1])) for t in tasks] \
+            + [([BOS] + TOK.encode(QuestionTemplate().render(i.question)), [TOK.encode(i.response)]) for i in PPL_ITEMS]
+        first = _score_items(model, encoded)
+        assert _score_items(model, encoded) == first
+        assert corpus_perplexity(model, PPL_ITEMS).to_dict() == corpus_perplexity(model, PPL_ITEMS).to_dict()
 
 
 class TestPerplexity:

@@ -1,0 +1,120 @@
+"""The model and its scorer against ``reference.py``, a float64 transformer that shares no code with them."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fixture_tasks import adapted_model, nli_task
+from instruct_forge import lora
+from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate, _encode_task,
+                                       _score_items, corpus_perplexity, run_choice_eval)
+from instruct_forge.model import DecoderModel, ModelConfig
+from instruct_forge.tokenizer import BOS, ByteTokenizer
+from reference import reference_logits, reference_score, weight
+
+TOK = ByteTokenizer()
+U = 2.0 ** -24   # float32 unit roundoff
+LAMBDA = 6.0     # the probabilistic bound's confidence parameter
+
+
+def float32_bound(model, T: int) -> float:
+    """How far a float32 logit of a T-token input may sit from the float64 reference.
+
+    A logit depends on K rounding steps along its longest path, each with
+    relative error at most u = 2**-24. Per layer: ln1's two d-term means (2d),
+    the d-term q/k/v projection, rotary (4, one of them the float32 table),
+    the hd-term scores, softmax's T-term sum, the T-term weighted sum of
+    values, the d-term output projection, ln2 (2d), the MLP's d- and
+    d_ff-term projections, gelu (8) and two residual adds; then the final
+    norm (2d) and the d-term head. So K = L(7d + hd + 2T + d_ff + 14) + 3d.
+
+    Taken as independent and mean-zero, those errors sum to a relative error
+    below LAMBDA * sqrt(K) * u with probability at least 1 - 2K exp(-LAMBDA²/2)
+    (Higham and Mary, SIAM J. Sci. Comput. 41(5), 2019): over 0.999 at
+    LAMBDA = 6 for any K below 30,000 (the default model's K is 7,224 at
+    T = 512). A relative error e of the head's input moves a logit by at most
+    e |w|_2 |x|_2 (Cauchy-Schwarz), with w the head's row and
+    |x|_2 <= sqrt(d) max|gain| + |bias|_2 for the final norm's output x.
+
+    The bound is first order and takes every stage to pass relative error on
+    without gain. The models below keep well inside it: each case's largest
+    measured error sits 43 to 640 times under it.
+    """
+    cfg = model.config
+    K = cfg.n_layers * (7 * cfg.d_model + cfg.d_model // cfg.n_heads + 2 * T + cfg.d_ff + 14) + 3 * cfg.d_model
+    gain, bias = weight(model, "final_norm.gain"), weight(model, "final_norm.bias")
+    x_norm = math.sqrt(cfg.d_model) * np.abs(gain).max() + np.linalg.norm(bias)
+    return LAMBDA * math.sqrt(K) * U * np.linalg.norm(weight(model, "lm_head"), axis=1).max() * x_norm
+
+
+ALL_TARGETS = {"split-qv": ["q_proj", "k_proj", "v_proj", "o_proj", "up_proj", "down_proj", "lm_head"],
+               "fused-qkv": ["query_key_value", "dense", "up_proj", "down_proj", "lm_head"]}
+
+
+def model_with(layout: str, adapters: str):
+    """A default-size model with no adapters, live q/v adapters, or live adapters on every projection."""
+    if adapters == "attention":
+        return adapted_model(layout)
+    model = DecoderModel(ModelConfig(attention_layout=layout, seed=5))
+    if adapters == "all":
+        lora.inject(model, lora.LoraConfig(target_names=ALL_TARGETS[layout]))
+        rng = np.random.default_rng(5)
+        for adapter in model.adapters.values():
+            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+    return model
+
+
+@pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+@pytest.mark.parametrize("adapters", ["none", "attention", "all"])
+def test_logits_agree_within_the_float32_bound(layout, adapters):
+    model = model_with(layout, adapters)
+    ids = np.random.default_rng(0).integers(0, 256, model.max_seq_len)
+    for T, last in ((1, None), (37, None), (37, 5), (model.max_seq_len, 3)):
+        ref = reference_logits(model, ids[:T])
+        got = model.logits(ids[:T], last=last)
+        assert got.shape == (last or T, ref.shape[1])
+        assert np.abs(got - ref[T - len(got):]).max() <= float32_bound(model, T)
+
+
+def jnli_task(premise, hypothesis, gold, version):
+    return ChoiceTask(instruction="前提と仮説の関係を含意、矛盾、中立の中から回答してください。",
+                      fields={"前提": premise, "仮説": hypothesis}, choices=("含意", "矛盾", "中立"), gold=gold,
+                      version=version, answer_label="関係")
+
+
+JNLI = [("二人の女性が芝生でフリスビーを取ろうとしている。", "女性たちはフリスビーを取ろうとしている。", 0),
+        ("男性が自転車で通りを走っている。", "男性はベッドで寝ている。", 1),
+        ("子供が赤い風船を持っている。", "子供は祭りで風船をもらった。", 2),
+        ("猫が窓辺で眠っている。", "動物が休んでいる。", 0)]
+PPL = [PerplexityItem("Why is the sky blue?", "Sunlight scatters off the air."),
+       PerplexityItem("日本の首都はどこですか?", "東京です。"),
+       PerplexityItem("富士山の高さは?", "三千七百七十六メートルです。"),
+       PerplexityItem("x" * 480, "An item too long for the window."),
+       PerplexityItem("What is two plus two?", "Four.")]
+
+
+@pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+def test_shared_prefix_scores_match_the_reference(layout):
+    model = adapted_model(layout)
+    template = QuestionTemplate()
+    ppl = [([BOS] + TOK.encode(template.render(i.question)), [TOK.encode(i.response)]) for i in PPL]
+    tasks = [jnli_task(*row, version="v0.2") for row in JNLI]
+    k1 = [_encode_task(t, FewShotSpec(1, tasks[:1])) for t in tasks[1:]]   # share the instruction and the demo
+    v03 = [_encode_task(jnli_task(*row, version="v0.3"), FewShotSpec(0)) for row in JNLI[1:]]
+    english = [_encode_task(nli_task("A dog runs.", "An animal moves.", 0, version), FewShotSpec(0))
+               for version in ("v0.2", "v0.3")]   # share BOS alone
+    expected = {}
+    for name, items in (("ppl", ppl), ("k1", k1), ("v03", v03), ("english", english)):
+        expected[name] = [[reference_score(model, ctx, cont) for cont in conts] for ctx, conts in items]
+        np.testing.assert_allclose(np.concatenate(_score_items(model, items)), np.concatenate(expected[name]),
+                                   rtol=0, atol=1e-5)
+    # the public entry points score the same items through the same routine
+    report = corpus_perplexity(model, PPL, template)
+    assert report.model_overflows == 1
+    logps = [-math.log(p) * len(cont[0]) for p, (_, cont) in zip(report.item_perplexities, ppl)]
+    np.testing.assert_allclose(logps, np.concatenate(expected["ppl"]), rtol=0, atol=1e-5)
+    scores = expected["k1"]
+    assert all(sorted(s)[-1] - sorted(s)[-2] > 1e-4 for s in scores)   # no near-tie that may round either way
+    accuracy = np.mean([int(np.argmax(s)) == t.gold for s, t in zip(scores, tasks[1:])])
+    assert run_choice_eval(model, tasks, shots=[1]).accuracy == {1: accuracy}
