@@ -336,6 +336,37 @@ class TestElementwise:
         ad.tsum(out).backward()
         assert x.grad.shape == x.shape
 
+    # 37 rows in blocks of 1 and of 5 (the last holds 2); 42 rows of a 4-D input in blocks of 1 and of 5
+    @pytest.mark.parametrize("shape", [(37, 13), (2, 3, 7, 16)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_row_blocks_bit_identical_to_one_block(self, monkeypatch, shape, dtype):
+        rng = np.random.default_rng(22)
+        x, g = (rand(rng, *shape).astype(dtype) * 3 for _ in range(2))
+        results = []
+        for budget in (math.prod(shape), 1, 5 * shape[-1]):
+            monkeypatch.setattr(ad, "_GELU_BLOCK", budget)
+            results.append(forward_backward(ad.gelu, [x], g))
+        for blocked in results[1:]:
+            assert_all_equal(blocked, results[0])
+
+    def test_gelu_backward_holds_its_output_and_a_few_blocks(self):
+        # the whole-array chain held three [8, 256, 256] float32 buffers: its output and two temporaries
+        shape = (8, 256, 256)
+        rng = np.random.default_rng(23)
+        x = ad.scale(Tensor(rand(rng, *shape).astype(np.float32), requires_grad=True), 1.0)
+        g = rand(rng, *shape).astype(np.float32)
+        out = ad.gelu(x)
+        block_bytes = ad._GELU_BLOCK * 4
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == shape and x.grad.dtype == np.float32
+        assert peak <= x.grad.nbytes + 4 * block_bytes, peak
+
     def test_no_mutation(self):
         x = np.array([1.0, 2.0])
         t = Tensor(x.copy())

@@ -334,6 +334,26 @@ class TestBlockedAttention:
             np.testing.assert_allclose(bg, g, rtol=0, atol=1e-5 * np.abs(g).max())
 
 
+class TestBlockedGelu:
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_row_blocks_do_not_change_logits_or_adapter_gradients(self, monkeypatch, layout):
+        ids = np.random.default_rng(7).integers(0, 256, (3, 48))
+        mask = np.arange(48) < np.array([[48], [30], [9]])   # right-padded rows
+        ids[~mask] = PAD
+        results = []
+        for budget in (ad._GELU_BLOCK, 1):    # default (one block of 144 rows), then 1-row blocks
+            monkeypatch.setattr(ad, "_GELU_BLOCK", budget)
+            m = adapted_model(layout)
+            logits = m.forward(ids)
+            ad.softmax_cross_entropy(logits, np.roll(ids, -1, axis=1), mask).backward()
+            results.append((logits.data, [t.grad for a in m.adapters.values() for t in (a.A, a.B)]))
+        (logits, grads), (blocked_logits, blocked_grads) = results
+        assert np.array_equal(blocked_logits, logits)
+        for g, bg in zip(grads, blocked_grads, strict=True):
+            assert np.abs(g).max() > 0
+            assert np.array_equal(bg, g)
+
+
 class TestGraphFreeLogits:
     """``logits()`` runs under ``ad.no_grad()``: same numbers, no graph, no leaked state."""
 
