@@ -653,6 +653,12 @@ def _attn_probs(qb: np.ndarray, kt: np.ndarray, s: float, tri, m=None, z=None):
     return p, m, z
 
 
+def compact(a: np.ndarray) -> np.ndarray:
+    """``a``, or a copy of it when it views a larger array, so that keeping it keeps only its own bytes
+    (fused qkv's ``v`` views the whole projection)."""
+    return a.copy(order="K") if isinstance(a.base, np.ndarray) and a.base.nbytes > a.nbytes else a
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     """``softmax(s * q @ kᵀ + triu(-1e9, k=S-T+1)) @ v`` for [..., T, h] ``q``
     and [..., S, h] ``k``, ``v``.
@@ -667,12 +673,12 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     head dims up to 24; at 32 and more some block shapes differ in the last
     bits).
 
-    A graph node keeps q, k, v (a copy of a ``v`` that views a larger array,
-    as fused qkv's does) and each block's row max and row sum, [..., r, 1]
-    each, instead of the block's [..., r, n] probabilities (FlashAttention-2's
-    row statistics), and no kᵀ. Backward rebuilds the contiguous kᵀ, then the
-    probabilities with the forward's own kernel, ``_attn_probs``, on the same
-    operands, so they and every gradient match keeping them bit for bit.
+    A graph node keeps q, k, ``compact(v)`` and each block's row max and row
+    sum, [..., r, 1] each, instead of the block's [..., r, n] probabilities
+    (FlashAttention-2's row statistics), and no kᵀ. Backward rebuilds the
+    contiguous kᵀ, then the probabilities with the forward's own kernel,
+    ``_attn_probs``, on the same operands, so they and every gradient match
+    keeping them bit for bit.
     """
     T, S = q.shape[-2], k.shape[-2]
     if k.shape[:-2] != q.shape[:-2] or k.shape[-1] != q.shape[-1] or v.shape[:-1] != k.shape[:-1]:
@@ -697,8 +703,8 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
         np.matmul(p, vd[..., :n, :], out=out[..., r0:r1, :])
         if grad:
             blocks.append((r0, r1, n, m, z))
-    if grad and isinstance(vd.base, np.ndarray) and vd.base.nbytes > vd.nbytes:
-        vd = vd.copy(order="K")  # fused qkv's v views the whole projection: keep its third alone
+    if grad:
+        vd = compact(vd)
 
     def backward_fn(g):
         g = np.ascontiguousarray(g)  # merge_heads passes a swapped view

@@ -61,11 +61,11 @@ def _ints(raw: str) -> list[int]:
 
 @dataclasses.dataclass(frozen=True)
 class Setting:
-    """One settings row. The default is field ``field`` of a default ``owner``,
-    else ``literal`` parsed like a file value, else None."""
+    """One settings row; its flag is ``--`` and the key's last segment, ``_`` as ``-``.
+    The default is field ``field`` of a default ``owner``, else ``literal``
+    parsed like a file value, else None."""
 
     key: str
-    flag: str
     parse: Callable[[str], object]
     commands: tuple[str, ...]
     owner: type | None = None
@@ -92,29 +92,28 @@ class Setting:
 
 TRAIN, EVAL, GENERATE = ("train",), ("eval",), ("generate",)
 SETTINGS = (
-    Setting("build.exclude", "--exclude", _csv, ("build-dataset",), help="comma-separated categories to drop"),
-    Setting("model.d_model", "--d-model", int, TRAIN, ModelConfig, "d_model"),
-    Setting("model.n_heads", "--n-heads", int, TRAIN, ModelConfig, "n_heads"),
-    Setting("model.n_layers", "--n-layers", int, TRAIN, ModelConfig, "n_layers"),
-    Setting("model.max_seq_len", "--max-seq-len", int, TRAIN, ModelConfig, "max_seq_len"),
-    Setting("model.layout", "--layout", str, TRAIN, ModelConfig, "attention_layout", LAYOUTS),
-    Setting("train.lr", "--lr", float, TRAIN, TrainConfig, "learning_rate"),
-    Setting("train.batch", "--batch", int, TRAIN, TrainConfig, "batch_size"),
-    Setting("train.epochs", "--epochs", int, TRAIN, TrainConfig, "epochs"),
-    Setting("train.seq_len", "--seq-len", int, TRAIN, TrainConfig, "train_seq_len"),
-    Setting("train.mask_policy", "--mask-policy", str, TRAIN, TrainConfig, "mask_policy", MASK_POLICIES),
-    Setting("lora.rank", "--rank", int, TRAIN, LoraConfig, "r"),
-    Setting("lora.alpha", "--alpha", float, TRAIN, LoraConfig, "alpha"),
-    Setting("lora.dropout", "--dropout", float, TRAIN, LoraConfig, "dropout"),
-    Setting("lora.targets", "--targets", _csv, TRAIN, LoraConfig, "target_names"),
-    Setting("eval.shots", "--shots", _ints, EVAL, literal="1,2,3", help="comma-separated, e.g. 1,2,3"),
-    Setting("eval.prompt_version", "--prompt-version", str, EVAL, choices=VERSIONS),
-    Setting("eval.seq_len", "--seq-len", int, EVAL, help="tuning length for overflow counting"),
-    Setting("generate.temperature", "--temperature", float, GENERATE, GenerationParams, "temperature"),
-    Setting("generate.repetition_penalty", "--repetition-penalty", float, GENERATE, GenerationParams,
-            "repetition_penalty"),
-    Setting("generate.max_new_tokens", "--max-new-tokens", int, GENERATE, GenerationParams, "max_new_tokens"),
-    Setting("seed", "--seed", int, TRAIN + GENERATE, TrainConfig, "seed"),
+    Setting("build.exclude", _csv, ("build-dataset",), help="comma-separated categories to drop"),
+    Setting("model.d_model", int, TRAIN, ModelConfig, "d_model"),
+    Setting("model.n_heads", int, TRAIN, ModelConfig, "n_heads"),
+    Setting("model.n_layers", int, TRAIN, ModelConfig, "n_layers"),
+    Setting("model.max_seq_len", int, TRAIN, ModelConfig, "max_seq_len"),
+    Setting("model.layout", str, TRAIN, ModelConfig, "attention_layout", LAYOUTS),
+    Setting("train.lr", float, TRAIN, TrainConfig, "learning_rate"),
+    Setting("train.batch", int, TRAIN, TrainConfig, "batch_size"),
+    Setting("train.epochs", int, TRAIN, TrainConfig, "epochs"),
+    Setting("train.seq_len", int, TRAIN, TrainConfig, "train_seq_len"),
+    Setting("train.mask_policy", str, TRAIN, TrainConfig, "mask_policy", MASK_POLICIES),
+    Setting("lora.rank", int, TRAIN, LoraConfig, "r"),
+    Setting("lora.alpha", float, TRAIN, LoraConfig, "alpha"),
+    Setting("lora.dropout", float, TRAIN, LoraConfig, "dropout"),
+    Setting("lora.targets", _csv, TRAIN, LoraConfig, "target_names"),
+    Setting("eval.shots", _ints, EVAL, literal="1,2,3", help="comma-separated, e.g. 1,2,3"),
+    Setting("eval.prompt_version", str, EVAL, choices=VERSIONS),
+    Setting("eval.seq_len", int, EVAL, help="tuning length for overflow counting"),
+    Setting("generate.temperature", float, GENERATE, GenerationParams, "temperature"),
+    Setting("generate.repetition_penalty", float, GENERATE, GenerationParams, "repetition_penalty"),
+    Setting("generate.max_new_tokens", int, GENERATE, GenerationParams, "max_new_tokens"),
+    Setting("seed", int, TRAIN + GENERATE, TrainConfig, "seed"),
 )
 
 
@@ -123,7 +122,7 @@ def resolve(command: str, args, cfg: dict, defaults: dict | None = None) -> dict
     (seed only), through ``Setting.cast``, else ``defaults`` (by key) > the row's default."""
     settings = {}
     for s in (s for s in SETTINGS if command in s.commands):
-        raw = getattr(args, s.flag[2:].replace("-", "_"))
+        raw = getattr(args, s.key.rsplit(".", 1)[-1])
         if raw is None:
             raw = cfg.get(s.key, os.environ.get("INSTRUCT_FORGE_SEED") if s.key == "seed" else None)
         settings[s.key] = (defaults or {}).get(s.key, s.default()) if raw is None else s.cast(raw)
@@ -274,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         for s in SETTINGS:
             if command in s.commands:
-                p.add_argument(s.flag, metavar=f"{{{','.join(s.choices)}}}" if s.choices else None, help=s.help)
+                flag = "--" + s.key.rsplit(".", 1)[-1].replace("_", "-")
+                p.add_argument(flag, metavar=f"{{{','.join(s.choices)}}}" if s.choices else None, help=s.help)
         if model:
             p.add_argument("--model", required=True)
             p.add_argument("--adapters")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import log_softmax
+from .records import require_utf8
 from .tokenizer import BOS, TOKENIZER
 
 VERSIONS = ("v0.2", "v0.3")   # the few-shot prompt layouts of ``assemble_fewshot_prompt``
@@ -65,6 +66,7 @@ class ChoiceTask:
         if not all(isinstance(t, str) for t in texts) or not isinstance(self.constraints, (str, type(None))):
             raise ValueError("instruction, constraints, answer_label, field names and values, "
                              "and choices must be strings")
+        require_utf8("a task text", *texts, self.constraints or "")
         if isinstance(self.gold, bool) or not isinstance(self.gold, numbers.Integral):
             raise ValueError(f"gold must be an integer index, got {self.gold!r}")
         object.__setattr__(self, "choices", tuple(self.choices))
@@ -101,6 +103,8 @@ class PerplexityItem:
     def __post_init__(self):
         if not isinstance(self.question, str) or not isinstance(self.response, str):
             raise ValueError("question and response must be strings")
+        require_utf8("question", self.question)
+        require_utf8("response", self.response)
         if not self.response:
             raise ValueError("response must be non-empty")
 
@@ -198,17 +202,6 @@ def _context(prompt: str) -> list:
     return [BOS] + TOKENIZER.encode(prompt)
 
 
-def _score(model, ctx: list, cont: list) -> float:
-    """``score_continuation`` for an encoded context (BOS and prompt) and continuation."""
-    ids = ctx + cont
-    max_len = model.max_seq_len
-    if len(ids) > max_len:
-        if len(cont) + 1 > max_len:
-            raise ValueError(f"continuation of {len(cont)} tokens cannot fit the {max_len}-token context")
-        ids = ids[-max_len:]
-    return _continuation_logp(model.logits(ids[:-1], last=len(cont)), cont)
-
-
 def score_continuation(model, prompt: str, continuation: str) -> float:
     """Summed log-likelihood of the continuation tokens given the prompt.
 
@@ -218,7 +211,7 @@ def score_continuation(model, prompt: str, continuation: str) -> float:
     cont = TOKENIZER.encode(continuation)
     if not cont:
         raise ValueError("continuation encodes to zero tokens")
-    return _score(model, _context(prompt), cont)
+    return _score_items(model, [(_context(prompt), [cont])])[0][0]
 
 
 def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
@@ -228,9 +221,14 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
 
 def _score_items(model, items) -> list[list[float]]:
     """Each ``(context ids, [continuation ids])`` item's summed continuation log-likelihoods. An item that
-    overflows the window is scored as by ``score_continuation``. When two or more fit, their longest common
-    token prefix, short of at least each context's last token, runs once into a cache that each item branches."""
-    fits = [len(ctx) + max(map(len, conts)) <= model.max_seq_len for ctx, conts in items]
+    overflows the window scores each continuation alone on the window's last ids, so the continuation's length
+    sets the context's left truncation. When two or more items fit, their longest common token prefix, short of
+    at least each context's last token, runs once into a cache that each item branches."""
+    max_len = model.max_seq_len
+    too_long = next((len(c) for _, conts in items for c in conts if len(c) >= max_len), None)
+    if too_long:
+        raise ValueError(f"continuation of {too_long} tokens cannot fit the {max_len}-token context")
+    fits = [len(ctx) + max(map(len, conts)) <= max_len for ctx, conts in items]
     shared = [ctx for (ctx, _), fit in zip(items, fits) if fit]
     P = min(len(os.path.commonprefix(shared)), min(map(len, shared)) - 1) if len(shared) > 1 else 0
     cache = model.new_cache()
@@ -239,8 +237,8 @@ def _score_items(model, items) -> list[list[float]]:
     scores = []
     for (ctx, conts), fit in zip(items, fits):
         if not fit:
-            scores.append([_score(model, ctx, cont) for cont in conts])
-        elif len(conts) == 1:   # one forward, as ``_score`` runs it
+            scores.append([_continuation_logp(model.logits((ctx + c)[-max_len:-1], last=len(c)), c) for c in conts])
+        elif len(conts) == 1:   # one forward
             rows = model.logits(ctx[P:] + conts[0][:-1], cache=list(cache) if P else None, last=len(conts[0]))
             scores.append([_continuation_logp(rows, conts[0])])
         else:   # the context's last row once, then each choice on a branch of its cache
@@ -257,8 +255,8 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
 
     When the prompt and its longest choice fit the window, the prompt runs
     once into a K/V cache and each choice runs on its own branch of it.
-    Otherwise each choice is scored as by ``score_continuation``, whose left
-    truncation depends on the choice's length.
+    Otherwise each choice runs alone on the window's last ids, so its length
+    sets the prompt's left truncation.
     """
     return int(np.argmax(_score_items(model, [_encode_task(task, spec)])[0]))
 
@@ -269,7 +267,7 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
 def corpus_perplexity(model, items, prompt_template: QuestionTemplate | None = None) -> EvalReport:
     """Each item's response-only perplexity, exp of its mean response NLL, and the pooled
     exp(total response NLL / total response tokens); an item whose perplexity overflows is a ``ValueError``.
-    ``model_overflows`` counts the items longer than the model's window, which ``_score`` left-truncates."""
+    ``model_overflows`` counts the items longer than the model's window, which are left-truncated."""
     if not items:
         raise ValueError("corpus_perplexity requires at least one item")
     template = prompt_template or QuestionTemplate()

@@ -218,8 +218,7 @@ class DecoderModel:
                 if cache[i] is not None:
                     k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
                     v = Tensor(np.concatenate([cache[i][1], v.data], axis=2))
-                view = isinstance(v.data.base, np.ndarray) and v.data.base.nbytes > v.data.nbytes
-                cache[i] = (k.data, v.data.copy(order="K") if view else v.data)  # fused qkv's v: keep its third alone
+                cache[i] = (k.data, ad.compact(v.data))  # fused qkv's v: keep its third alone
             ctx = ad.merge_heads(ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd)))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")
             h = ad.add(h, self._linear(out_name, ctx, rng))

@@ -32,6 +32,14 @@ class RecordError(ValueError):
     """A record violates the schema; carries a line number when loading."""
 
 
+def require_utf8(name: str, *texts: str) -> None:
+    """A RecordError naming ``name`` when one of ``texts`` holds a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        raise RecordError(f"{name} holds a lone surrogate, which UTF-8 cannot encode") from None
+
+
 @dataclass(frozen=True)
 class InstructionRecord:
     """One instruction/input/response triple with task-category metadata."""
@@ -49,10 +57,7 @@ class InstructionRecord:
                 continue
             if not isinstance(value, str):
                 raise RecordError(f"{name} must be a string, got {type(value).__name__}")
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError:
-                raise RecordError(f"{name} holds a lone surrogate, which UTF-8 cannot encode") from None
+            require_utf8(name, value)
         if not self.instruction:
             raise RecordError("instruction must be non-empty")
         if not self.output:

@@ -544,6 +544,11 @@ REQUIRED = {
 }
 
 
+def flag_of(setting) -> str:
+    """A settings row's option string: ``--`` and its key's last segment, ``_`` as ``-``."""
+    return "--" + setting.key.rsplit(".", 1)[-1].replace("_", "-")
+
+
 def sample_value(setting) -> str:
     """A raw value for ``setting`` that differs from its default."""
     if setting.choices:
@@ -557,7 +562,7 @@ class TestSettingsTable:
         monkeypatch.delenv("INSTRUCT_FORGE_SEED", raising=False)
         raw = sample_value(setting)
         for command in setting.commands:
-            flagged = build_parser().parse_args([command, *REQUIRED[command], setting.flag, raw])
+            flagged = build_parser().parse_args([command, *REQUIRED[command], flag_of(setting), raw])
             bare = build_parser().parse_args([command, *REQUIRED[command]])
             from_flag = resolve(command, flagged, {})[setting.key]
             assert from_flag == resolve(command, bare, {setting.key: raw})[setting.key]
@@ -596,7 +601,7 @@ class TestSettingsTable:
         argv = ["train", "--data", str(tmp_path / "d.jsonl"), "--out", str(out)]
         if source == "flag":
             key, value = text.strip().split(" = ")
-            argv += [next(s.flag for s in SETTINGS if s.key == key), value]
+            argv += [next(flag_of(s) for s in SETTINGS if s.key == key), value]
         else:
             (tmp_path / "cfg").write_text(text, encoding="utf-8")
             argv = ["--config", str(tmp_path / "cfg"), *argv]
@@ -804,6 +809,8 @@ class TestMalformedRows:
         ({**GOOD_TASK, "gold": "0"}, "gold must be an integer"),
         ({k: v for k, v in GOOD_TASK.items() if k != "gold"}, "missing required field 'gold'"),
         ({**GOOD_TASK, "choices": ["", "no"]}, "choices must be non-empty"),
+        # used to fail while encoding the prompt, naming neither file nor line
+        ({**GOOD_TASK, "fields": {"Input": "\ud800"}}, "a task text holds a lone surrogate"),
     ])
     def test_eval_tasks(self, tmp_path, capsys, base_model, row, message):
         tasks = tmp_path / "tasks.jsonl"
@@ -818,6 +825,7 @@ class TestMalformedRows:
     @pytest.mark.parametrize("row, message", [
         (["q", "r"], "expected a JSON object, got list"),
         ({"question": "q", "response": 5}, "question and response must be strings"),
+        ({"question": "\ud800", "response": "r"}, "question holds a lone surrogate"),
     ])
     def test_ppl_items(self, tmp_path, capsys, base_model, row, message):
         items = tmp_path / "items.jsonl"
@@ -875,7 +883,7 @@ class TestNonFiniteSettings:
         argv = {"train": ["train", "--data", str(data), "--out", str(out), *TINY],
                 "generate": ["generate", "--model", str(untrained_model), "--prompt", "Once"]}[command]
         if source == "flag":
-            argv.append(f"{setting.flag}={value}")
+            argv.append(f"{flag_of(setting)}={value}")
         else:
             (tmp_path / "cfg").write_text(f"{setting.key} = {value}\n", encoding="utf-8")
             argv = ["--config", str(tmp_path / "cfg"), *argv]

@@ -15,7 +15,6 @@ from instruct_forge.evaluation import (
     QuestionTemplate,
     _continuation_logp,
     _encode_task,
-    _score,
     _score_items,
     assemble_fewshot_prompt,
     classify_by_likelihood,
@@ -166,6 +165,10 @@ class TestScoreContinuation:
         model.max_seq_len = 4
         with pytest.raises(ValueError, match="context"):
             score_continuation(model, "p", "abcdef")
+        # an overflowing task whose longest choice cannot fit fails the same way
+        task = ChoiceTask("pick", {"Input": "x"}, ("a", "abcdef"), gold=0, version="v0.2")
+        with pytest.raises(ValueError, match="continuation of 6 tokens cannot fit the 4-token context"):
+            classify_by_likelihood(model, task, FewShotSpec(k=0))
 
     def test_additive_over_tokens(self):
         model = two_byte_model()
@@ -231,6 +234,11 @@ def record_logits(model, monkeypatch) -> list:
     return fed
 
 
+def window_scores(model, ctx, conts):
+    """An overflowing item's route: each continuation alone on the last ``max_seq_len`` ids of the context and it."""
+    return [_continuation_logp(model.logits((ctx + c)[-model.max_seq_len:][:-1], last=len(c)), c) for c in conts]
+
+
 def whole_context_choice_scores(model, ctx, conts):
     """A lone fitting choice item's route: the whole context into a cache for its last row,
     then each choice on a branch of it."""
@@ -281,8 +289,10 @@ class TestSharedPrefix:
         model = small_model()
         lone = PerplexityItem("Why?", "Because.")
         over = PerplexityItem("x" * 200, "Too long.")
-        expected = [math.exp(-score_continuation(model, QuestionTemplate().render(i.question), i.response)
+        # a lone item is one forward over its context and response, an overflowing one over their last window
+        expected = [math.exp(-window_scores(model, HEADER + TOK.encode(i.question + TAIL), [TOK.encode(i.response)])[0]
                              / len(i.response)) for i in (lone, over)]
+        assert len(HEADER + TOK.encode(over.question + TAIL + over.response)) > model.max_seq_len
         assert corpus_perplexity(model, [lone]).item_perplexities == expected[:1]
         report = corpus_perplexity(model, [PPL_ITEMS[1], over, PPL_ITEMS[2]])
         assert report.item_perplexities[1] == expected[1] and report.model_overflows == 1
@@ -293,7 +303,7 @@ class TestSharedPrefix:
         assert _score_items(model, [(ctx, conts)]) == [whole_context_choice_scores(model, ctx, conts)]
         too_long = _encode_task(dataclasses.replace(task, fields={"Input": "z" * 300}), FewShotSpec(k=0))
         assert _score_items(model, [too_long, (ctx, conts)]) == [
-            [_score(model, too_long[0], c) for c in too_long[1]], whole_context_choice_scores(model, ctx, conts)]
+            window_scores(model, *too_long), whole_context_choice_scores(model, ctx, conts)]
 
     def test_identical_contexts_leave_each_item_a_token(self, monkeypatch):
         model = small_model()
