@@ -193,8 +193,6 @@ def cmd_train(args, cfg) -> int:
     train_cfg = _build(TrainConfig, settings)
     lora_cfg = _build(LoraConfig, settings)
     model = base or DecoderModel(_build(ModelConfig, settings, seed=settings["seed"]))
-    if train_cfg.train_seq_len > model.config.max_seq_len:
-        raise ValueError(f"train seq_len {train_cfg.train_seq_len} > model max_seq_len {model.config.max_seq_len}")
     records = load_records(args.data)[0]
     inject(model, lora_cfg)
     report, adapters = train(model, records, train_cfg)

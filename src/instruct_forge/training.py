@@ -91,27 +91,33 @@ class AdamW:
 
 
 def _encode_example(record, template, tokenizer, config):
-    """Token row, target row, and mask row for one record, or None if dropped."""
+    """The record's ids from BOS to EOS, tail-kept to ``train_seq_len + 1``, as
+    one uint16 array (every id is below ``VOCAB_SIZE``), and the index of its
+    first supervised target; None when its response exceeds ``train_seq_len``.
+    """
     tpl = template if template is not None else template_for(record)
     # the training render is the inference render followed by the output
     prompt = [BOS] + tokenizer.encode(render_prompt(record, tpl, include_response=False))
     full = prompt + tokenizer.encode(record.output) + [EOS]
-    prompt_len = len(prompt)
-    response_len = len(full) - prompt_len
+    response_len = len(full) - len(prompt)
     if response_len > config.train_seq_len:
-        logger.warning("dropping record: response (%d tokens) exceeds train_seq_len %d",
-                       response_len, config.train_seq_len)
         return None
-    inputs = np.asarray(full[:-1], dtype=np.int64)
-    targets = np.asarray(full[1:], dtype=np.int64)
-    if config.mask_policy == "response-only":
-        mask = np.arange(1, len(full)) >= prompt_len
-    else:
-        mask = np.ones(len(full) - 1, dtype=bool)
     # tail-keep truncation preserves the response span
-    keep = min(len(inputs), config.train_seq_len)
-    inputs, targets, mask = inputs[-keep:], targets[-keep:], mask[-keep:]
-    return inputs, targets, mask
+    ids = np.asarray(full[-(config.train_seq_len + 1):], dtype=np.uint16)
+    return ids, len(ids) - 1 - response_len if config.mask_policy == "response-only" else 0
+
+
+def _pad(rows) -> TrainingBatch:
+    """Shift, right-pad and mask ``_encode_example`` rows into one batch."""
+    L = max(len(ids) for ids, _ in rows) - 1
+    tokens = np.full((len(rows), L), PAD, dtype=np.int64)
+    targets = np.full((len(rows), L), PAD, dtype=np.int64)
+    mask = np.zeros((len(rows), L), dtype=bool)
+    for i, (ids, first) in enumerate(rows):
+        n = len(ids) - 1
+        tokens[i, :n], targets[i, :n] = ids[:-1], ids[1:]
+        mask[i, first:n] = True
+    return TrainingBatch(tokens=tokens, targets=targets, loss_mask=mask)
 
 
 def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBatch:
@@ -121,26 +127,13 @@ def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBa
     """
     if not records:
         raise ValueError("build_batch requires at least one record")
-    rows = []
-    dropped = 0
-    for record in records:
-        row = _encode_example(record, template, tokenizer, config)
-        if row is None:
-            dropped += 1
-        else:
-            rows.append(row)
-    if not rows:
+    rows = [_encode_example(record, template, tokenizer, config) for record in records]
+    kept = [row for row in rows if row is not None]
+    if not kept:
         raise DroppedBatchError("every record in the batch was dropped")
-    L = max(len(r[0]) for r in rows)
-    B = len(rows)
-    tokens = np.full((B, L), PAD, dtype=np.int64)
-    targets = np.full((B, L), PAD, dtype=np.int64)
-    mask = np.zeros((B, L), dtype=bool)
-    for i, (inp, tgt, m) in enumerate(rows):
-        tokens[i, : len(inp)] = inp
-        targets[i, : len(tgt)] = tgt
-        mask[i, : len(m)] = m
-    return TrainingBatch(tokens=tokens, targets=targets, loss_mask=mask, dropped=dropped)
+    batch = _pad(kept)
+    batch.dropped = len(rows) - len(kept)
+    return batch
 
 
 def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
@@ -178,36 +171,40 @@ def train_step(model, batch: TrainingBatch, optimizer: AdamW) -> float:
 def train(model, records, config: TrainConfig, template: PromptTemplate | None = None) -> tuple[list[dict], list[dict]]:
     """Epochs of shuffled mini-batches; writes nothing.
 
-    Returns one report dict per epoch, and per epoch the adapters'
-    ``{tensor name: array}`` of A and B as that epoch left them. A batch whose
-    every record is dropped counts as dropped; any other error of a batch
-    reaches the caller.
+    Encodes each record once, before the first step, with one warning for the
+    dropped ones; each epoch pads the kept rows of each ``batch_size`` chunk of
+    its seeded permutation. Raises ``ValueError`` before any step when
+    ``train_seq_len`` exceeds the model's window, a record cannot be rendered,
+    or every record is dropped. Returns one report dict per epoch, and per
+    epoch the adapters' ``{tensor name: array}`` of A and B as it left them.
     """
     if not records:
         raise ValueError("train requires a non-empty dataset")
     if not model.adapters:
         raise ValueError("train requires a model with injected adapters")
+    if config.train_seq_len > model.max_seq_len:
+        raise ValueError(f"train seq_len {config.train_seq_len} > model max_seq_len {model.max_seq_len}")
+    rows = [_encode_example(record, template, TOKENIZER, config) for record in records]
+    dropped = sum(row is None for row in rows)
+    if dropped == len(rows):
+        raise ValueError(f"every record was dropped: each response exceeds train_seq_len {config.train_seq_len}")
+    if dropped:
+        logger.warning("dropped %d of %d records: the response exceeds train_seq_len %d",
+                       dropped, len(rows), config.train_seq_len)
     model.rng = np.random.default_rng(config.seed + 13)
     optimizer = AdamW(adapter_parameters(model), lr=config.learning_rate)
     report, adapters = [], []
     for epoch in range(config.epochs):
-        rng = np.random.default_rng(config.seed + epoch)
-        order = rng.permutation(len(records))
+        order = np.random.default_rng(config.seed + epoch).permutation(len(rows))
         losses = []
-        dropped = 0
         start = time.monotonic()
-        for lo in range(0, len(records), config.batch_size):
-            chunk = [records[i] for i in order[lo : lo + config.batch_size]]
-            try:
-                batch = build_batch(chunk, template, TOKENIZER, config)
-            except DroppedBatchError:
-                dropped += len(chunk)
-                continue
-            dropped += batch.dropped
-            losses.append(train_step(model, batch, optimizer))
+        for lo in range(0, len(rows), config.batch_size):
+            chunk = [rows[i] for i in order[lo : lo + config.batch_size] if rows[i] is not None]
+            if chunk:
+                losses.append(train_step(model, _pad(chunk), optimizer))
         report.append({
             "epoch": epoch,
-            "mean_loss": float(np.mean(losses)) if losses else None,
+            "mean_loss": float(np.mean(losses)),
             "steps": len(losses),
             "dropped": dropped,
             "seconds": time.monotonic() - start,

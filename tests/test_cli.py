@@ -247,16 +247,17 @@ class TestTrain:
         assert rc == 1
         assert "seq_len" in capsys.readouterr().err
 
-    def test_epoch_with_every_record_dropped_is_strict_json(self, tmp_path, capsys):
+    def test_every_record_dropped_fails_before_writing(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, [{**row, "output": "x" * 100} for row in dataset_rows(4)])  # > --seq-len 64
         out = tmp_path / "run"
         capsys.readouterr()
-        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]) == 0
-        printed = [strict_json(line) for line in capsys.readouterr().out.splitlines() if line.startswith("{")]
-        written = [strict_json(line) for line in (out / "train-report.jsonl").read_text(encoding="utf-8").splitlines()]
-        for entries in (printed, written):
-            assert [(e["mean_loss"], e["steps"], e["dropped"]) for e in entries] == [(None, 0, 4)] * 2
+        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "train_seq_len" in lines[0], lines
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_divergence_stops_before_that_epochs_adapters(self, tmp_path, capsys):
         # the first update makes LoRA B ~1e30; the next forward overflows in layer norm

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from fixture_pretrain import pretrain
 from instruct_forge import autodiff as ad
-from instruct_forge import cli
+from instruct_forge import cli, training
 from instruct_forge.archive import load_archive
 from instruct_forge.lora import LoraConfig, inject, merge_all
 from instruct_forge.model import DecoderModel, ModelConfig
@@ -16,6 +17,7 @@ from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord, save_records
 from instruct_forge.tokenizer import BOS, EOS, PAD, ByteTokenizer
 from instruct_forge.training import (
+    MASK_POLICIES,
     AdamW,
     DroppedBatchError,
     TrainConfig,
@@ -234,7 +236,7 @@ class TestTrainStep:
             adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
         monkeypatch.setattr(ad, "softmax_cross_entropy", nan_loss)
         with pytest.raises(ValueError, match="diverged"):
-            train(model, records(8), TrainConfig(batch_size=4), template=TINY_TEMPLATE)
+            train(model, records(8), TrainConfig(batch_size=4, train_seq_len=128), template=TINY_TEMPLATE)
         ids = np.arange(1, 17)
         first = model.forward([ids]).data[0]
         assert np.array_equal(first, model.forward([ids]).data[0])
@@ -486,10 +488,21 @@ class TestSupervisedTail:
         assert loss == full
 
 
+# at train_seq_len 160 under the default templates: the first and last are kept whole, the two responses
+# past 160 tokens are dropped, and every other record is tail-truncated
+FATES = [InstructionRecord("a", "b", category="other"),
+         InstructionRecord("a" * 60, "bb", category="other"),
+         InstructionRecord("a", "y" * 200, category="other"),
+         *JAPANESE,
+         InstructionRecord("日本語で答えてください。", output="はい" * 20, category="other"),
+         InstructionRecord("日本語で答えてください。", output="はい" * 30, category="other"),
+         InstructionRecord("b", "c", category="other")]
+
+
 class TestTrainLoop:
     def test_steps_per_epoch(self):
         model = adapted_model()
-        report, adapters = train(model, records(16), TrainConfig(epochs=1, batch_size=8),
+        report, adapters = train(model, records(16), TrainConfig(epochs=1, batch_size=8, train_seq_len=128),
                                  template=TINY_TEMPLATE)
         assert len(report) == len(adapters) == 1
         assert report[0]["steps"] == 2
@@ -498,7 +511,7 @@ class TestTrainLoop:
         curves = []
         for _ in range(2):
             model = adapted_model(dropout=0.05)
-            report, _ = train(model, records(16), TrainConfig(epochs=3, batch_size=8, seed=11),
+            report, _ = train(model, records(16), TrainConfig(epochs=3, batch_size=8, seed=11, train_seq_len=128),
                               template=TINY_TEMPLATE)
             curves.append([e["mean_loss"] for e in report])
         assert curves[0] == curves[1]
@@ -507,7 +520,7 @@ class TestTrainLoop:
         adapters = []
         for _ in range(2):
             model = adapted_model(dropout=0.05)
-            train(model, records(16), TrainConfig(epochs=2, batch_size=8, seed=7),
+            train(model, records(16), TrainConfig(epochs=2, batch_size=8, seed=7, train_seq_len=128),
                   template=TINY_TEMPLATE)
             adapters.append({n: (a.A.data.copy(), a.B.data.copy())
                              for n, a in model.adapters.items()})
@@ -517,8 +530,8 @@ class TestTrainLoop:
 
     def test_loss_improves_over_epochs(self):
         model = adapted_model(r=16, targets=WIDE_TARGETS, d_model=64, n_heads=4)
-        report, _ = train(model, records(100), TrainConfig(epochs=10, batch_size=16, learning_rate=3e-3),
-                          template=TINY_TEMPLATE)
+        config = TrainConfig(epochs=10, batch_size=16, learning_rate=3e-3, train_seq_len=128)
+        report, _ = train(model, records(100), config, template=TINY_TEMPLATE)
         assert report[-1]["mean_loss"] < report[0]["mean_loss"]
 
     def test_batch_error_reaches_the_caller(self):
@@ -527,7 +540,54 @@ class TestTrainLoop:
         recs = [InstructionRecord(f"say w{i}", f"w{i}", input=None if i == 3 else f"x{i}", category="other")
                 for i in range(8)]
         with pytest.raises(ValueError, match="requires a record with an input"):
-            train(adapted_model(), recs, TrainConfig(batch_size=8), template=PromptTemplate("with-input"))
+            train(adapted_model(), recs, TrainConfig(batch_size=8, train_seq_len=128),
+                  template=PromptTemplate("with-input"))
+
+    def test_each_record_is_encoded_once_with_one_warning(self, monkeypatch, caplog):
+        rendered, real = [], training.render_prompt
+        monkeypatch.setattr(training, "render_prompt", lambda record, *a, **k: rendered.append(record) or
+                            real(record, *a, **k))
+        caplog.set_level(logging.WARNING)
+        config = TrainConfig(epochs=2, batch_size=3, train_seq_len=160)
+        report, _ = train(adapted_model(max_seq_len=256), FATES, config)
+        assert len(rendered) == len(FATES) and all(a is b for a, b in zip(rendered, FATES))
+        assert [r.getMessage() for r in caplog.records] == ["dropped 2 of 8 records: the response exceeds "
+                                                            "train_seq_len 160"]
+        assert [e["dropped"] for e in report] == [2, 2] and all(e["steps"] > 0 for e in report)
+
+    @pytest.mark.parametrize("policy", MASK_POLICIES)
+    def test_batches_are_build_batch_over_each_permuted_chunk(self, monkeypatch, policy):
+        config = TrainConfig(epochs=2, batch_size=2, train_seq_len=160, mask_policy=policy, seed=3)
+        batches, built, step = [], [], training.train_step
+        monkeypatch.setattr(training, "train_step", lambda model, batch, opt: batches.append(batch) or
+                            step(model, batch, opt))
+        monkeypatch.setattr(training, "build_batch", lambda *a: built.append(a))
+        train(adapted_model(max_seq_len=256, dropout=0.05), FATES, config)
+        monkeypatch.undo()
+        assert built == []   # train encodes its records itself, once
+        expected = []
+        for epoch in range(config.epochs):
+            order = np.random.default_rng(config.seed + epoch).permutation(len(FATES))
+            for lo in range(0, len(FATES), config.batch_size):
+                try:
+                    chunk = [FATES[i] for i in order[lo : lo + config.batch_size]]
+                    expected.append(build_batch(chunk, None, TOK, config))
+                except DroppedBatchError:
+                    pass
+        assert len(batches) == len(expected) > 2 * config.epochs
+        for got, want in zip(batches, expected):
+            for name in ("tokens", "targets", "loss_mask"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+    def test_window_past_the_model_fails_before_any_update(self):
+        model = adapted_model(max_seq_len=200)
+        recs = records(4) + [InstructionRecord("x" * 200, "y", category="other")]
+        before = {name: (a.A.data.copy(), a.B.data.copy()) for name, a in model.adapters.items()}
+        with pytest.raises(ValueError, match="train seq_len 256 > model max_seq_len 200"):
+            train(model, recs, TrainConfig(train_seq_len=256, batch_size=1, seed=2))
+        for name, a in model.adapters.items():
+            assert np.array_equal(a.A.data, before[name][0]) and np.array_equal(a.B.data, before[name][1])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
