@@ -9,7 +9,9 @@ tokens only (the question prompt never enters the sum).
 Models are consumed through one protocol, the one ``DecoderModel`` has:
 ``logits(ids, cache=None, last=None)`` returning the [T, V] array of logit
 rows, or only the last n with ``last=n``; ``new_cache()``, an empty cache
-that ``logits(ids, cache=...)`` extends in place; and ``max_seq_len``.
+that ``logits(ids, cache=...)`` extends, and that ``list(cache)`` branches:
+a call on a branch leaves the positions of its parent and of every other
+branch as they were; and ``max_seq_len``.
 Scoring asks only for the logit rows that predict the continuation. The
 items of one call that fit the window run their common token prefix once,
 and choice classification runs a shared prompt once for all its choices.

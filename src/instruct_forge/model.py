@@ -91,6 +91,33 @@ def _keep_freed_memory() -> bool:
     return mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD) == 1 and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD) == 1
 
 
+class _KVMemory(np.ndarray):
+    """The bytes of one layer's K/V store; its first ``fill`` positions are written."""
+
+    fill = 0
+
+
+def _extend(entry, k: np.ndarray, v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``entry``'s P keys and values, then the [B, H, T, hd] ``k`` and ``v``: views of the first P + T
+    positions of a [2, B, H, size, hd] store. The entry's store grows in place when the entry ends at
+    its fill mark; otherwise (no entry yet, or a branch that another entry has written past) the P
+    positions are first copied into a new store. So no write lands on a position an entry holds."""
+    P = 0 if entry is None else entry[0].shape[2]
+    memory = None if entry is None else entry[0].base.base
+    if memory is not None and memory.fill == P:
+        store = entry[0].base
+    else:
+        B, H, _, hd = k.shape
+        memory = _KVMemory(2 * B * H * size * hd * k.itemsize, np.uint8)
+        store = np.ndarray((2, B, H, size, hd), k.dtype, memory)
+        if P:
+            store[0, :, :, :P], store[1, :, :, :P] = entry
+    n = P + k.shape[2]
+    store[0, :, :, P:n], store[1, :, :, P:n] = k, v
+    memory.fill = n
+    return store[0, :, :, :n], store[1, :, :, :n]
+
+
 class DecoderModel:
     """Causal transformer over byte-level tokens."""
 
@@ -165,9 +192,10 @@ class DecoderModel:
 
         With a ``cache`` from ``new_cache``, the ids continue the P positions
         already in it: each layer attends to the cached keys and values too,
-        and its entry is replaced by one that holds all P + T positions. Entries
-        are replaced, never modified, so ``list(cache)`` branches a cache.
-        Cached keys and values are plain arrays outside the autodiff graph.
+        and its entry is replaced by one that holds all P + T positions (see
+        ``_extend``). No write lands on a position an entry holds, so
+        ``list(cache)`` branches a cache. Cached keys and values are plain
+        arrays outside the autodiff graph.
 
         With ``last=n`` only the logits of the last n positions are computed,
         [B, n, V]; ``last >= T`` gives all T. Every layer still builds
@@ -215,10 +243,9 @@ class DecoderModel:
                 h, cc, ss = ad.last_rows(h, n), cc[T - n:], ss[T - n:]
             q = ad.rotary(ad.split_heads(q, H), cc, ss)
             if cache is not None:
-                if cache[i] is not None:
-                    k = Tensor(np.concatenate([cache[i][0], k.data], axis=2))
-                    v = Tensor(np.concatenate([cache[i][1], v.data], axis=2))
-                cache[i] = (k.data, ad.compact(v.data))  # fused qkv's v: keep its third alone
+                kc, vc = cache[i] = _extend(cache[i], k.data, v.data, cfg.max_seq_len)
+                if P:   # a prefill attends with its own k and v, as an uncached call does
+                    k, v = Tensor(kc), Tensor(vc)
             ctx = ad.merge_heads(ad.causal_attention(q, k, v, 1.0 / math.sqrt(hd)))
             out_name = p + ("attn.dense" if cfg.attention_layout == "fused-qkv" else "attn.o_proj")
             h = ad.add(h, self._linear(out_name, ctx, rng))

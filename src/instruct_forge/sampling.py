@@ -2,6 +2,8 @@
 
 Models are consumed through the one protocol of ``evaluation``:
 ``logits(ids, cache=None, last=None)``, ``new_cache()`` and ``max_seq_len``.
+``generate`` extends one cache step after step and never branches it, so a
+``DecoderModel`` writes each step's keys and values into the same store.
 """
 
 from __future__ import annotations
@@ -40,13 +42,16 @@ class GenerationResult:
 
 def apply_repetition_penalty(logits: np.ndarray, generated_ids, penalty: float) -> np.ndarray:
     """Discount already-generated tokens: positive logits are divided by the
-    penalty, non-positive logits multiplied by it. Other logits untouched."""
+    penalty, non-positive logits multiplied by it. Other logits untouched.
+    ``generated_ids`` is an iterable of ids or an index array (``generate``
+    keeps a boolean mask over the vocabulary); at penalty 1.0 this is a copy."""
     if not 1.0 <= penalty < math.inf:
         raise ValueError(f"repetition penalty must be finite and >= 1, got {penalty}")
     out = np.array(logits, dtype=np.float64, copy=True)
-    ids = np.unique(np.asarray(list(generated_ids), dtype=np.int64))
-    seen = out[ids]
-    out[ids] = np.where(seen > 0, seen / penalty, seen * penalty)
+    if penalty > 1.0:
+        ids = generated_ids if isinstance(generated_ids, np.ndarray) else np.fromiter(generated_ids, np.int64)
+        seen = out[ids]
+        out[ids] = np.where(seen > 0, seen / penalty, seen * penalty)
     return out
 
 
@@ -54,11 +59,11 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
     """Iterative decode; stops at the stop token or max_new_tokens.
 
     Returns only the decoded continuation. The prompt runs once, then only
-    each new token against the model's K/V cache; every call asks for the
-    next-token row only. If the context overflows the model window
-    mid-generation, the oldest tokens are dropped, every later step reruns
-    the whole window on a fresh cache (positions shift), and the result is
-    flagged as truncated.
+    each new token against the model's K/V cache, which grows in place; every
+    call asks for the next-token row only. If the context overflows the model
+    window mid-generation, the oldest tokens are dropped, every later step
+    reruns the whole window on a fresh cache (positions shift), and the result
+    is flagged as truncated.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -72,9 +77,11 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
     for _ in range(params.max_new_tokens):
         if len(ids) > max_len:
             cache, cached, truncated = model.new_cache(), len(ids) - max_len, True
-        logits = model.logits(ids[cached:], cache=cache, last=1)
+        row = model.logits(ids[cached:], cache=cache, last=1)[-1]
         cached = len(ids)
-        row = apply_repetition_penalty(logits[-1], generated, params.repetition_penalty)
+        if not generated:             # the first step: a running mask of the generated ids
+            seen = np.zeros(len(row), dtype=bool)
+        row = apply_repetition_penalty(row, seen, params.repetition_penalty)
         if params.temperature == 0.0:
             nxt = int(np.argmax(row))
         else:
@@ -88,5 +95,6 @@ def generate(model, prompt: str, params: GenerationParams, seed: int = 0) -> Gen
         if nxt == params.stop_token:
             break
         generated.append(nxt)
+        seen[nxt] = True
         ids.append(nxt)
     return GenerationResult(text=TOKENIZER.decode(generated), token_ids=generated, truncated=truncated)

@@ -349,6 +349,19 @@ class TestElementwise:
         for blocked in results[1:]:
             assert_all_equal(blocked, results[0])
 
+    def test_gelu_runs_up_to_two_blocks_whole(self, monkeypatch):
+        # [1, 300, 256] used to run as 256 rows and a ragged 44; whole, it is one chain call each way
+        rng = np.random.default_rng(24)
+        x, g = (rand(rng, 1, 300, 256).astype(np.float32) for _ in range(2))
+        blocked = [np.concatenate([chain(*(a[:, r] for a in args)) for r in (slice(0, 256), slice(256, None))], axis=1)
+                   for chain, args in ((ad._gelu_out, (x,)), (ad._gelu_grad, (x, g)))]
+        calls = []
+        for name in ("_gelu_out", "_gelu_grad"):
+            monkeypatch.setattr(ad, name, lambda *a, chain=getattr(ad, name), name=name, **kw:
+                                calls.append(name) or chain(*a, **kw))
+        assert_all_equal(forward_backward(ad.gelu, [x], g), blocked)
+        assert calls == ["_gelu_out", "_gelu_grad"]
+
     def test_gelu_backward_holds_its_output_and_a_few_blocks(self):
         # the whole-array chain held three [8, 256, 256] float32 buffers: its output and two temporaries
         shape = (8, 256, 256)

@@ -212,6 +212,33 @@ class TestCache:
         np.testing.assert_allclose(from_a, m.logits([1, 2, 3, 4, 5])[3:], atol=1e-6)
         np.testing.assert_allclose(from_b, m.logits([1, 2, 3, 6])[3:], atol=1e-6)
 
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    def test_interleaved_branches_equal_fresh_runs_bit_for_bit(self, layout):
+        m = adapted_model(layout)
+        rng = np.random.default_rng(13)
+        prefix = rng.integers(0, 259, 30).tolist()
+        steps = {"a": rng.integers(0, 259, 4).tolist(), "b": rng.integers(0, 259, 4).tolist()}
+        parent = m.new_cache()
+        m.logits(prefix, cache=parent)
+        snapshot = [(k.copy(), v.copy()) for k, v in parent]
+        branches = {name: list(parent) for name in steps}
+        rows = {name: [] for name in steps}
+        for i in range(4):   # a, b, a, b, ...: each step of one branch follows a write of the other
+            for name, ids in steps.items():
+                rows[name].append(m.logits(ids[i:i + 1], cache=branches[name]))
+        # the first writer grows the parent's store past the parent's entries; the other copies them
+        assert np.shares_memory(branches["a"][0][0], parent[0][0])
+        assert not np.shares_memory(branches["b"][0][0], parent[0][0])
+        for name, ids in steps.items():
+            fresh = m.new_cache()
+            m.logits(prefix, cache=fresh)
+            for t, row in zip(ids, rows[name], strict=True):
+                assert np.array_equal(row, m.logits([t], cache=fresh))
+            for (k, v), (k0, v0) in zip(branches[name], fresh, strict=True):
+                assert np.array_equal(k, k0) and np.array_equal(v, v0)
+        for (k, v), (k0, v0) in zip(parent, snapshot, strict=True):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0) and k.shape[2] == len(prefix)
+
     def test_uncached_forward_is_unchanged_by_caching(self):
         m = adapted_model("split-qv")
         ids = list(range(40))
@@ -226,11 +253,10 @@ class TestCache:
         ids = np.random.default_rng(11).integers(0, 259, 40).tolist()
         cache = m.new_cache()
         assert np.array_equal(m.logits(ids, cache=cache), m.logits(ids))
-        for k, v in cache:
-            if layout == "fused-qkv":
-                assert v.base is None
-            else:   # the head view of v_proj's own output stays a view: no copy
-                assert v.base.nbytes == v.nbytes
+        for k, v in cache:   # both view one layer store of keys and values only, over memory of its own
+            store = v.base
+            assert k.base is store and store.shape == (2, *k.shape[:2], m.max_seq_len, k.shape[3])
+            assert store.base.nbytes == store.nbytes and store.base.base is None
 
     # one node per op at the default size (4 layers): 18 a layer on split-qv,
     # 19 on fused-qkv (its three slices), plus embedding, final norm, lm_head

@@ -10,6 +10,7 @@ from instruct_forge import lora
 from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate, _encode_task,
                                        _score_items, corpus_perplexity, run_choice_eval)
 from instruct_forge.model import DecoderModel, ModelConfig
+from instruct_forge.sampling import GenerationParams, generate
 from instruct_forge.tokenizer import BOS, ByteTokenizer
 from reference import reference_logits, reference_score, weight
 
@@ -52,11 +53,12 @@ ALL_TARGETS = {"split-qv": ["q_proj", "k_proj", "v_proj", "o_proj", "up_proj", "
                "fused-qkv": ["query_key_value", "dense", "up_proj", "down_proj", "lm_head"]}
 
 
-def model_with(layout: str, adapters: str):
-    """A default-size model with no adapters, live q/v adapters, or live adapters on every projection."""
+def model_with(layout: str, adapters: str, max_seq_len: int = 512):
+    """A default-size model with no adapters, live q/v adapters (512-token window only), or live adapters on
+    every projection."""
     if adapters == "attention":
         return adapted_model(layout)
-    model = DecoderModel(ModelConfig(attention_layout=layout, seed=5))
+    model = DecoderModel(ModelConfig(attention_layout=layout, max_seq_len=max_seq_len, seed=5))
     if adapters == "all":
         lora.inject(model, lora.LoraConfig(target_names=ALL_TARGETS[layout]))
         rng = np.random.default_rng(5)
@@ -75,6 +77,23 @@ def test_logits_agree_within_the_float32_bound(layout, adapters):
         got = model.logits(ids[:T], last=last)
         assert got.shape == (last or T, ref.shape[1])
         assert np.abs(got - ref[T - len(got):]).max() <= float32_bound(model, T)
+
+
+@pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+def test_cached_generate_across_the_window_agrees_within_the_float32_bound(layout, monkeypatch):
+    # a 59-token prompt and 12 tokens in a 64-token window: a prefill, cached single tokens up to 64,
+    # then whole windows; each step's row against the reference on the window-clipped context
+    model = model_with(layout, "all", max_seq_len=64)
+    calls, real = [], model.logits
+    monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
+                        calls.append(real(ids, cache, last)) or calls[-1])
+    prompt = ("the cat sat on a mat. " * 3)[:58]
+    out = generate(model, prompt, GenerationParams(max_new_tokens=12, stop_token=-1))
+    assert out.truncated and len(calls) == len(out.token_ids) == 12
+    ids = [BOS] + TOK.encode(prompt) + out.token_ids
+    for step, rows in enumerate(calls):
+        context = ids[:59 + step][-model.max_seq_len:]
+        assert np.abs(rows[-1] - reference_logits(model, context)[-1]).max() <= float32_bound(model, len(context))
 
 
 def jnli_task(premise, hypothesis, gold, version):

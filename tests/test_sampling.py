@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fixture_tasks import adapted_model
+from instruct_forge.autodiff import log_softmax
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.sampling import (
     GenerationParams,
@@ -191,12 +192,17 @@ class TestGenerate:
         assert out.truncated
         assert len(out.token_ids) == 4
 
-def full_context_greedy(model, prompt, n, penalty):
-    """n greedy tokens, with no stop token, rerunning the whole (window-clipped) context every step."""
-    ids, out = [BOS] + list(prompt.encode("utf-8")), []
+def full_context_decode(model, prompt, n, penalty, temperature=0.0, seed=0):
+    """n tokens, with no stop token, rerunning the whole (window-clipped) context every step and
+    penalizing the whole generated list: greedy at temperature 0, else sampled from ``seed``."""
+    ids, out, rng = [BOS] + list(prompt.encode("utf-8")), [], np.random.default_rng(seed)
     for _ in range(n):
         row = apply_repetition_penalty(model.logits(ids[-model.max_seq_len:])[-1], out, penalty)
-        nxt = int(np.argmax(row))
+        if temperature == 0.0:
+            nxt = int(np.argmax(row))
+        else:
+            p = np.exp(log_softmax(row / temperature))
+            nxt = int(rng.choice(len(p), p=p))
         out.append(nxt)
         ids.append(nxt)
     return out
@@ -212,8 +218,16 @@ class TestCachedGenerate:
         prompt = ("the cat sat on a mat. " * 30)[:prompt_len]
         params = GenerationParams(max_new_tokens=n, repetition_penalty=penalty, stop_token=-1)
         out = generate(model, prompt, params)
-        assert out.token_ids == full_context_greedy(model, prompt, n, penalty)
+        assert out.token_ids == full_context_decode(model, prompt, n, penalty)
         assert out.truncated == (1 + prompt_len + n - 1 > model.max_seq_len)
+
+    @pytest.mark.parametrize("prompt_len, n", [(30, 24), (500, 20)])
+    def test_sampling_matches_full_context_sampling(self, model, prompt_len, n):
+        # temperature 0.8 and penalty 1.3: the loop penalizes the whole generated list at every step
+        prompt = ("the cat sat on a mat. " * 30)[:prompt_len]
+        params = GenerationParams(temperature=0.8, max_new_tokens=n, repetition_penalty=1.3, stop_token=-1)
+        out = generate(model, prompt, params, seed=7)
+        assert out.token_ids == full_context_decode(model, prompt, n, 1.3, temperature=0.8, seed=7)
 
     def test_feeds_only_the_new_token_until_the_window_fills(self, model, monkeypatch):
         fed = []
@@ -228,3 +242,19 @@ class TestCachedGenerate:
         # 506 prompt tokens in one pass, six single tokens up to 512, then the full window again on a
         # fresh cache; every call asks for the next-token row only
         assert fed == [(506, "empty", 1)] + [(1, "filled", 1)] * 6 + [(512, "empty", 1)] * 3
+
+    def test_steps_grow_one_store_until_the_window_fills(self, model, monkeypatch):
+        keys = []   # layer 0's cached keys after each call; they keep each store alive
+        real = model.logits
+
+        def spy(ids, cache=None, last=None):
+            rows = real(ids, cache, last)
+            keys.append(cache[0][0])
+            return rows
+
+        monkeypatch.setattr(model, "logits", spy)
+        generate(model, "x" * 505, GenerationParams(max_new_tokens=10, stop_token=-1))
+        assert [k.shape[2] for k in keys] == list(range(506, 513)) + [512] * 3
+        # the prefill and six single tokens up to 512 write one store; past it each step starts a fresh one
+        assert all(np.shares_memory(k, keys[0]) for k in keys[1:7])
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(keys[7:]) for b in keys[:7 + i])
