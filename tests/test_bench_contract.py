@@ -40,3 +40,19 @@ def test_one_round_of_each_workload_passes_its_checks(name, tmp_path, monkeypatc
     checks = workload.checks()
     assert workload.ops and [o for o in workload.ops if not o["ok"]] == []
     assert checks and [c for c in checks if not c[1]] == []
+
+
+def test_a_traced_tune_round_records_each_backward_op(tracer, tmp_path):
+    """The tracer times backward through each op output's ``_backward_fn``: a hook that backward no
+    longer calls would leave that op's ``bwd_s`` at 0 and pass every check of a benchmark run."""
+    workload = importlib.import_module("workloads").WORKLOADS["tune"](1, tmp_path)
+    workload.setup()
+    recorder = tracer.Recorder()
+    instrumentation = tracer.Instrumentation(recorder)
+    instrumentation.install()
+    try:
+        workload.run_round()
+    finally:
+        instrumentation.remove()
+    ops = ("gelu", "layer_norm", "rotary", "softmax_cross_entropy")
+    assert {f"autodiff.{op}.bwd" for op in ops} - set(recorder.arrays()["label"]) == set()

@@ -3,8 +3,6 @@ import json
 import math
 import os
 import platform
-import resource
-import signal
 import subprocess
 import sys
 from dataclasses import asdict
@@ -1109,72 +1107,6 @@ class TestFailsBeforeOutput:
         template.write_bytes(b"\xff{question}")
         argv = ["ppl", "--model", str(untrained_model), "--items", str(items), "--template", str(template)]
         self.assert_failed_silently(capsys, argv, f"{template}: not UTF-8")
-
-
-def run_with_file_size_limit(argv, limit):
-    """Run the CLI in a child process that may not grow a file past ``limit`` bytes:
-    a write past it fails with EFBIG, as on a full disk. Only the child is limited."""
-    def limit_file_size():
-        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
-        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
-
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-m", "instruct_forge.cli", *argv], env=env, capture_output=True,
-                          text=True, timeout=120, preexec_fn=limit_file_size)
-
-
-@pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs RLIMIT_FSIZE and SIGXFSZ")
-class TestFailedWriteKeepsTheOldFile:
-    """An output write that fails part way: one `error:` line naming the output, the old file whole, no temp file."""
-
-    def assert_kept(self, run, path, before):
-        assert run.returncode == 1 and run.stdout == "", run.stderr
-        assert path.read_bytes() == before
-        assert list(path.parent.glob("*.tmp")) == []
-        lines = run.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "File too large" in lines[0], lines
-        assert f"'{path}'" in lines[0], lines
-
-    @pytest.mark.parametrize("command", ["eval", "ppl"])
-    def test_report(self, tmp_path, untrained_model, command):
-        # the report used to be truncated and left as a 64-byte fragment
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}])
-        inputs = {"eval": ["--tasks", str(TestEval().tasks_file(tmp_path, n=1)), "--shots", "0"],
-                  "ppl": ["--items", str(items)]}[command]
-        report = tmp_path / "r.json"
-        report.write_text('{"an": "earlier report"}', encoding="utf-8")
-        run = run_with_file_size_limit([command, "--model", str(untrained_model), *inputs, "--report", str(report)],
-                                       64)
-        self.assert_kept(run, report, b'{"an": "earlier report"}')
-
-    def test_build_dataset_output(self, tmp_path):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(8))
-        output = tmp_path / "out.jsonl"
-        output.write_text('{"instruction": "old", "output": "old"}\n', encoding="utf-8")
-        before = output.read_bytes()
-        run = run_with_file_size_limit(["build-dataset", "--input", str(data), "--output", str(output)], 64)
-        self.assert_kept(run, output, before)
-
-    def test_train_report_over_an_earlier_run(self, tmp_path, capsys):
-        # the checkpoints fit under the limit and the report's new lines do not:
-        # they used to be appended in part, and the file no longer parsed
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "run"
-        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
-        assert main(argv) == 0
-        capsys.readouterr()
-        log = out / "train-report.jsonl"
-        lines = log.read_bytes()
-        log.write_bytes(lines * (2 * (out / "model.ifta").stat().st_size // len(lines) + 1))   # many earlier runs
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
-        run = run_with_file_size_limit([*argv, "--seed", "1"], len(before[log.name]) + 16)
-        self.assert_kept(run, log, before[log.name])
-        # the checkpoints fit, and used to be replaced beside the earlier runs' report
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page
