@@ -8,13 +8,15 @@ tokens only (the question prompt never enters the sum).
 
 Models are consumed through one protocol, the one ``DecoderModel`` has:
 ``logits(ids, cache=None, last=None)`` returning the [T, V] array of logit
-rows, or only the last n with ``last=n``; ``new_cache()``, an empty cache
-that ``logits(ids, cache=...)`` extends, and that ``list(cache)`` branches:
-a call on a branch leaves the positions of its parent and of every other
-branch as they were; and ``max_seq_len``.
+rows for [T] ids and [B, T, V] for a [B, T] batch, or only the last n with
+``last=n``; ``new_cache()``, an empty cache that ``logits(ids, cache=...)``
+extends, B rows at once on a one-row cache too, and that ``list(cache)``
+branches: a call on a branch leaves the positions of its parent and of every
+other branch as they were; and ``max_seq_len``.
 Scoring asks only for the logit rows that predict the continuation. The
 items of one call that fit the window run their common token prefix once,
-and choice classification runs a shared prompt once for all its choices.
+choice classification runs a shared prompt once for all its choices, and
+continuations on one cache entry run as right-padded batches.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .autodiff import log_softmax
 from .records import require_utf8
-from .tokenizer import BOS, TOKENIZER
+from .tokenizer import BOS, PAD, TOKENIZER
 
 VERSIONS = ("v0.2", "v0.3")   # the few-shot prompt layouts of ``assemble_fewshot_prompt``
 
@@ -222,10 +224,11 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
 
 
 def _score_items(model, items) -> list[list[float]]:
-    """Each ``(context ids, [continuation ids])`` item's summed continuation log-likelihoods. An item that
-    overflows the window scores each continuation alone on the window's last ids, so the continuation's length
-    sets the context's left truncation. When two or more items fit, their longest common token prefix, short of
-    at least each context's last token, runs once into a cache that each item branches."""
+    """Each ``(context ids, [continuation ids])`` item's summed continuation log-likelihoods. When two or more items
+    fit the window, their longest common token prefix, short of at least each context's last token, runs once into a
+    cache. A fitting item's one continuation is a row on that cache; an item with more runs its context on a branch
+    of it, and each choice past its first token is a row on the branch. An item that overflows the window scores each
+    continuation alone on the window's last ids, so the continuation's length sets the context's left truncation."""
     max_len = model.max_seq_len
     too_long = next((len(c) for _, conts in items for c in conts if len(c) >= max_len), None)
     if too_long:
@@ -236,19 +239,47 @@ def _score_items(model, items) -> list[list[float]]:
     cache = model.new_cache()
     if P:
         model.logits(shared[0][:P], cache=cache, last=1)
-    scores = []
-    for (ctx, conts), fit in zip(items, fits):
+    scores = [[None] * len(conts) for _, conts in items]
+    rows = {0: [], P: []}   # cached length -> (ids, continuation, item, choice): alone, or on the shared prefix
+    for i, ((ctx, conts), fit) in enumerate(zip(items, fits)):
         if not fit:
-            scores.append([_continuation_logp(model.logits((ctx + c)[-max_len:-1], last=len(c)), c) for c in conts])
-        elif len(conts) == 1:   # one forward
-            rows = model.logits(ctx[P:] + conts[0][:-1], cache=list(cache) if P else None, last=len(conts[0]))
-            scores.append([_continuation_logp(rows, conts[0])])
-        else:   # the context's last row once, then each choice on a branch of its cache
+            rows[0] += [((ctx + c)[-max_len:-1], c, i, j) for j, c in enumerate(conts)]
+        elif len(conts) == 1:
+            rows[P].append((ctx[P:] + conts[0][:-1], conts[0], i, 0))
+        else:   # the context's last row once, then the rest of each choice as a row on the context's branch
             branch = list(cache)
-            last = model.logits(ctx[P:], cache=branch, last=1)
-            scores.append([_continuation_logp(last if len(c) == 1 else np.concatenate(
-                [last, model.logits(c[:-1], cache=list(branch))]), c) for c in conts])
+            head = model.logits(ctx[P:], cache=branch, last=1)
+            rest = {j: logits for (*_, j), logits in
+                    _run_rows(model, branch, len(ctx), [(c[:-1], c, i, j) for j, c in enumerate(conts) if len(c) > 1])}
+            scores[i] = [_continuation_logp(np.concatenate([head, rest[j]]) if j in rest else head, c)
+                         for j, c in enumerate(conts)]
+    for p, group in rows.items():
+        for (_, c, i, j), logits in _run_rows(model, cache if p else None, p, group):
+            scores[i][j] = _continuation_logp(logits, c)
     return scores
+
+
+def _run_rows(model, cache, P: int, rows):
+    """Yields ``(row, logits)`` for each ``(ids, continuation, ...)`` row: the logit rows of its last
+    min(len(ids), len(continuation)) positions after the P positions of ``cache`` (None: no cache). Rows run
+    shortest first as right-padded [B, L] forwards, each on a branch of the cache, a group growing while
+    B × (P + L) <= ``max_seq_len``: no more keys and values than one window's. Attention is causal, so no row
+    sees its pads; ``last`` reaches the group's earliest scored position."""
+    rows = sorted(rows, key=lambda row: len(row[0]))
+    while rows:
+        B = 1
+        while B < len(rows) and (B + 1) * (P + len(rows[B][0])) <= model.max_seq_len:
+            B += 1
+        group, rows = rows[:B], rows[B:]
+        L = len(group[-1][0])
+        skip = [max(len(ids) - len(c), 0) for ids, c, *_ in group]   # each row's unscored positions
+        first = min(skip)
+        batch = np.full((B, L), PAD)
+        for b, (ids, *_) in enumerate(group):
+            batch[b, :len(ids)] = ids
+        logits = model.logits(batch, cache=None if cache is None else list(cache), last=L - first)
+        for b, (row, s) in enumerate(zip(group, skip)):
+            yield row, logits[b, s - first:len(row[0]) - first]
 
 
 def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
@@ -256,9 +287,9 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
     prompt; ties go to the lowest index.
 
     When the prompt and its longest choice fit the window, the prompt runs
-    once into a K/V cache and each choice runs on its own branch of it.
-    Otherwise each choice runs alone on the window's last ids, so its length
-    sets the prompt's left truncation.
+    once into a K/V cache and the choices run as right-padded batches on it
+    (see ``_score_items``). Otherwise each choice runs alone on the window's
+    last ids, so its length sets the prompt's left truncation.
     """
     return int(np.argmax(_score_items(model, [_encode_task(task, spec)])[0]))
 

@@ -98,21 +98,25 @@ class _KVMemory(np.ndarray):
 
 
 def _extend(entry, k: np.ndarray, v: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``entry``'s P keys and values, then the [B, H, T, hd] ``k`` and ``v``: views of the first P + T
-    positions of a [2, B, H, size, hd] store. The entry's store grows in place when the entry ends at
-    its fill mark; otherwise (no entry yet, or a branch that another entry has written past) the P
-    positions are first copied into a new store. So no write lands on a position an entry holds."""
-    P = 0 if entry is None else entry[0].shape[2]
-    memory = None if entry is None else entry[0].base.base
-    if memory is not None and memory.fill == P:
-        store = entry[0].base
-    else:
-        B, H, _, hd = k.shape
+    """``entry``'s P keys and values, then the [B, H, T, hd] ``k`` and ``v``.
+
+    A prefill (no entry) keeps its own ``k`` and ``compact(v)``. Otherwise the result views the first P + T
+    positions of a [2, B, H, size, hd] store. The entry's store grows in place when the entry ends at its fill
+    mark and the store has B rows and room for T more. Otherwise (a prefill's arrays, a branch that another
+    entry has written past, or a batch-1 entry that B > 1 rows continue) the P positions are first copied, a
+    batch-1 entry broadcast to every row, into a new store: ``size`` positions for one row, exactly P + T for
+    more, so a batch holds no more than its own positions. No write lands on a position an entry holds."""
+    if entry is None:
+        return k, ad.compact(v)
+    P, (B, H, T, hd) = entry[0].shape[2], k.shape
+    n = P + T
+    store = entry[0].base
+    memory = getattr(store, "base", None)
+    if not (isinstance(memory, _KVMemory) and memory.fill == P and store.shape[1] == B and store.shape[3] >= n):
+        size = size if B == 1 else n
         memory = _KVMemory(2 * B * H * size * hd * k.itemsize, np.uint8)
         store = np.ndarray((2, B, H, size, hd), k.dtype, memory)
-        if P:
-            store[0, :, :, :P], store[1, :, :, :P] = entry
-    n = P + k.shape[2]
+        store[0, :, :, :P], store[1, :, :, :P] = entry
     store[0, :, :, P:n], store[1, :, :, P:n] = k, v
     memory.fill = n
     return store[0, :, :, :n], store[1, :, :, :n]
@@ -188,14 +192,15 @@ class DecoderModel:
 
     def forward(self, tokens, cache: list | None = None, last: int | None = None,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Causal [B, T, V] logits for a [B, T] batch of ids; ``logits`` takes one sequence.
+        """Causal [B, T, V] logits for a [B, T] batch of ids; ``logits`` returns them without a graph.
 
         With a ``cache`` from ``new_cache``, the ids continue the P positions
         already in it: each layer attends to the cached keys and values too,
         and its entry is replaced by one that holds all P + T positions (see
-        ``_extend``). No write lands on a position an entry holds, so
-        ``list(cache)`` branches a cache. Cached keys and values are plain
-        arrays outside the autodiff graph.
+        ``_extend``). A cache of one row may be continued by B rows, each
+        after the same P positions. No write lands on a position an entry
+        holds, so ``list(cache)`` branches a cache. Cached keys and values
+        are plain arrays outside the autodiff graph.
 
         With ``last=n`` only the logits of the last n positions are computed,
         [B, n, V]; ``last >= T`` gives all T. Every layer still builds
@@ -258,11 +263,13 @@ class DecoderModel:
         return self._linear("lm_head", h, rng)
 
     def logits(self, ids, cache: list | None = None, last: int | None = None) -> np.ndarray:
-        """Logits of one [T] sequence without dropout as a plain [T, V] array, [n, V]
-        with ``last=n``; ``cache`` and ``last`` as in ``forward``. Runs under
-        ``ad.no_grad()``, so no autodiff graph is kept."""
+        """Logits without dropout as a plain array: [T, V] for one [T] sequence, [B, T, V] for a [B, T]
+        batch, [n, V] or [B, n, V] with ``last=n``; ``cache`` and ``last`` as in ``forward``. A batch may
+        continue a batch-1 cache. Runs under ``ad.no_grad()``, so no autodiff graph is kept."""
+        ids = np.asarray(ids, dtype=np.int64)
         with ad.no_grad():
-            return self.forward(np.asarray(ids, dtype=np.int64)[None], cache, last).data[0]
+            out = self.forward(ids if ids.ndim == 2 else ids[None], cache, last).data
+        return out if ids.ndim == 2 else out[0]
 
     # -- checkpointing --------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Decode-time generation: repetition penalty, temperature, greedy argmax.
 
 Models are consumed through the one protocol of ``evaluation``:
-``logits(ids, cache=None, last=None)``, ``new_cache()`` and ``max_seq_len``.
-``generate`` extends one cache step after step and never branches it, so a
-``DecoderModel`` writes each step's keys and values into the same store.
+``logits(ids, cache=None, last=None)`` with ``[T]`` or ``[B, T]`` ids,
+``new_cache()`` and ``max_seq_len``; ``generate`` passes one ``[T]`` sequence.
+It extends one cache step after step and never branches it, so a
+``DecoderModel`` writes each step after the first into the same store.
 """
 
 from __future__ import annotations

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from instruct_forge import autodiff as ad
 from instruct_forge.autodiff import Tensor
 
+from conftest import held_beyond_output
 from gradcheck import (causal_attention_reference, check_op, finite_difference, layer_norm_reference,
                        lora_linear_reference)
 
@@ -19,19 +20,6 @@ NODE_BYTES = 8192
 
 def rand(rng, *shape):
     return rng.uniform(-2, 2, shape)
-
-
-def held_beyond_output(op):
-    """``op()`` and the bytes it holds between forward and backward beyond its
-    output's data, by tracemalloc; operands made before the call do not count."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        out = op()
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    return out, held - out.data.nbytes
 
 
 def forward_backward(op, arrays, g):

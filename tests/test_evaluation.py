@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import traced
 from fixture_tasks import adapted_model, demos, query
 from instruct_forge import autodiff as ad
 from instruct_forge.evaluation import (
@@ -23,7 +24,7 @@ from instruct_forge.evaluation import (
     score_continuation,
 )
 from instruct_forge.model import DecoderModel, ModelConfig
-from instruct_forge.tokenizer import BOS, VOCAB_SIZE, ByteTokenizer
+from instruct_forge.tokenizer import BOS, PAD, VOCAB_SIZE, ByteTokenizer
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOK = ByteTokenizer()
@@ -41,7 +42,9 @@ class RowModel:
         return []
 
     def logits(self, ids, cache=None, last=None):
-        return np.tile(self.row, (min(last or len(ids), len(ids)), 1))
+        """[n, V] rows for [T] ids, [B, n, V] for a [B, T] batch."""
+        *batch, T = np.shape(ids)
+        return np.tile(self.row, (*batch, min(last or T, T), 1))
 
 
 def uniform_model():
@@ -211,14 +214,20 @@ class TestSharedPromptScoring:
         fed = []
         real = model.logits
         monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
-                            fed.append((len(ids), last)) or real(ids, cache, last))
+                            fed.append((np.shape(ids), last)) or real(ids, cache, last))
         _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
-        # the prompt's last row only; the one-token choice needs no extra rows
-        assert fed == [(prompt_len, 1), (2, None), (4, None)]
+        # the prompt's last row only, then "ye" and "mayb" alone, since 2 × (256 + 4) > 512; the one-token
+        # choice needs no row
+        assert prompt_len == 256 and fed == [((prompt_len,), 1), ((1, 2), 2), ((1, 4), 4)]
+        fed.clear()
+        short = dataclasses.replace(task, version="v0.2")   # a 35-token prompt: both rows in one padded batch
+        _score_items(model, [_encode_task(short, FewShotSpec(k=0))])
+        assert fed == [((35,), 1), ((2, 4), 4)]
         fed.clear()
         model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
         _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
-        assert fed == [(prompt_len + 2, 3), (prompt_len, 1), (prompt_len + 3, 5)]   # each choice's rows only
+        # each choice's rows only, shortest first; two windows never fit one window's budget
+        assert fed == [((1, prompt_len), 1), ((1, prompt_len + 2), 3), ((1, prompt_len + 3), 5)]
 
 
 def small_model(max_seq_len=256, layout="split-qv"):
@@ -227,11 +236,17 @@ def small_model(max_seq_len=256, layout="split-qv"):
 
 
 def record_logits(model, monkeypatch) -> list:
-    """Every ``model.logits`` call from now on, as (ids, whether a cache was passed, last)."""
+    """Every ``model.logits`` call from now on, as (ids as nested lists, whether a cache was passed, last)."""
     fed, real = [], model.logits
     monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
-                        fed.append((list(ids), cache is not None, last)) or real(ids, cache, last))
+                        fed.append((np.asarray(ids).tolist(), cache is not None, last)) or real(ids, cache, last))
     return fed
+
+
+def padded(*rows) -> list:
+    """``rows`` as one right-padded batch: each row filled with PAD to the longest."""
+    width = max(map(len, rows))
+    return [list(row) + [PAD] * (width - len(row)) for row in rows]
 
 
 def window_scores(model, ctx, conts):
@@ -265,11 +280,11 @@ class TestSharedPrefix:
         model = small_model()
         fed = record_logits(model, monkeypatch)
         corpus_perplexity(model, PPL_ITEMS)
-        assert fed[0] == (HEADER, True, 1)
-        assert len(fed) == 1 + len(PPL_ITEMS)
-        for (ids, cached, last), item in zip(fed[1:], PPL_ITEMS):
-            cont = TOK.encode(item.response)
-            assert (ids, cached, last) == (TOK.encode(item.question + TAIL) + cont[:-1], True, len(cont))
+        rows = [TOK.encode(i.question + TAIL) + TOK.encode(i.response)[:-1] for i in PPL_ITEMS]
+        assert len(HEADER) == 67 and [len(r) for r in rows] == [50, 33, 30, 61]
+        # shortest first, a group growing while B × (67 + L) <= 256: 30 and 33, then 50 and 61; each group's
+        # last= reaches back to its earliest scored row, the 10 of "Two miles." and the 27 of "光が散乱するから。"
+        assert fed == [(HEADER, True, 1), (padded(rows[2], rows[1]), True, 10), (padded(rows[0], rows[3]), True, 27)]
 
     def test_eval_feeds_each_shot_counts_prefix_once(self, monkeypatch):
         model = small_model(max_seq_len=512)
@@ -311,8 +326,8 @@ class TestSharedPrefix:
         fed = record_logits(model, monkeypatch)
         report = corpus_perplexity(model, items)
         ctx = HEADER + TOK.encode("Same?" + TAIL)
-        assert fed[0] == (ctx[:-1], True, 1)
-        assert [ids for ids, _, _ in fed[1:]] == [ctx[-1:] + TOK.encode(i.response)[:-1] for i in items]
+        rows = [ctx[-1:] + TOK.encode(i.response)[:-1] for i in items]   # 4, 3 and 9 ids after 87 cached
+        assert fed == [(ctx[:-1], True, 1), (padded(rows[1], rows[0]), True, 4), (padded(rows[2]), True, 9)]
         expected = [score_continuation(model, QuestionTemplate().render(i.question), i.response) for i in items]
         np.testing.assert_allclose(item_logps(report, items), expected, rtol=0, atol=1e-5)
 
@@ -321,7 +336,7 @@ class TestSharedPrefix:
         fed = record_logits(model, monkeypatch)
         items = [PerplexityItem("", "ab"), PerplexityItem("", "cd")]
         report = corpus_perplexity(model, items, QuestionTemplate(body="{question}"))
-        assert fed == [([BOS, ord("a")], False, 2), ([BOS, ord("c")], False, 2)]
+        assert fed == [([[BOS, ord("a")], [BOS, ord("c")]], False, 2)]   # one batch, no cache
         assert report.item_perplexities == [math.exp(-score_continuation(model, "", i.response) / 2) for i in items]
 
     @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
@@ -331,7 +346,9 @@ class TestSharedPrefix:
         items = [PerplexityItem("alpha", "one"), PerplexityItem("beta", "two"), PerplexityItem("日本", "三")]
         fed = record_logits(model, monkeypatch)
         report = corpus_perplexity(model, items, template)
-        assert fed[0] == ([BOS], True, 1) and len(fed) == 4
+        rows = [TOK.encode(i.question) + TOK.encode(i.response)[:-1] for i in items]   # 7, 6 and 8 ids
+        # one batch on BOS; last=5 reaches back to beta's first scored row
+        assert fed == [([BOS], True, 1), (padded(rows[1], rows[0], rows[2]), True, 5)]
         expected = [score_continuation(model, i.question, i.response) for i in items]
         np.testing.assert_allclose(item_logps(report, items), expected, rtol=0, atol=1e-5)
 
@@ -344,6 +361,20 @@ class TestSharedPrefix:
         first = _score_items(model, encoded)
         assert _score_items(model, encoded) == first
         assert corpus_perplexity(model, PPL_ITEMS).to_dict() == corpus_perplexity(model, PPL_ITEMS).to_dict()
+
+
+class TestBatchedRows:
+    def test_a_ppl_call_holds_no_more_than_one_window(self):
+        # B rows on the P-token prefix hold B × (P + L) <= 512 positions: no more keys and values than the
+        # window-sized store one branch takes. With B × L <= 512 instead, this call peaked at 4.6 MB against 3.7.
+        model = adapted_model("fused-qkv")
+        text = "the quick brown fox jumps over a lazy dog by the river " * 2
+        items = [PerplexityItem(text[:q] + "?", text[:a] + ".") for q, a in zip(range(20, 84, 2), range(60, 28, -1))]
+        corpus_perplexity(model, items)
+        _, _, window = traced(lambda: model.logits([BOS] * model.max_seq_len))
+        _, _, peak = traced(lambda: corpus_perplexity(model, items))
+        cfg = model.config
+        assert len(items) == 32 and peak <= window + 2 * cfg.n_layers * cfg.max_seq_len * cfg.d_model * 4
 
 
 class TestPerplexity:

@@ -226,9 +226,9 @@ class TestCache:
         for i in range(4):   # a, b, a, b, ...: each step of one branch follows a write of the other
             for name, ids in steps.items():
                 rows[name].append(m.logits(ids[i:i + 1], cache=branches[name]))
-        # the first writer grows the parent's store past the parent's entries; the other copies them
-        assert np.shares_memory(branches["a"][0][0], parent[0][0])
-        assert not np.shares_memory(branches["b"][0][0], parent[0][0])
+        # the parent holds the prefill's own arrays, so each branch copies them into a store of its own
+        assert not any(np.shares_memory(branch[0][0], parent[0][0]) for branch in branches.values())
+        assert not np.shares_memory(branches["a"][0][0], branches["b"][0][0])
         for name, ids in steps.items():
             fresh = m.new_cache()
             m.logits(prefix, cache=fresh)
@@ -238,6 +238,27 @@ class TestCache:
                 assert np.array_equal(k, k0) and np.array_equal(v, v0)
         for (k, v), (k0, v0) in zip(parent, snapshot, strict=True):
             assert np.array_equal(k, k0) and np.array_equal(v, v0) and k.shape[2] == len(prefix)
+
+    @pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+    @pytest.mark.parametrize("written_past", [False, True])
+    def test_a_batch_continues_a_batch_1_cache(self, layout, written_past):
+        # a [2, T] forward on a one-row store at its fill mark used to grow that store in place and fail with
+        # "could not broadcast input array from shape (2,2,3,8) into shape (1,2,3,8)"
+        m = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, attention_layout=layout, seed=3))
+        parent = m.new_cache()
+        m.logits([1, 2, 3], cache=parent)
+        m.logits([4], cache=parent)   # the parent now ends at its store's fill mark
+        snapshot = [(k.copy(), v.copy()) for k, v in parent]
+        if written_past:   # another branch writes past the parent's positions first
+            m.logits([9, 9], cache=list(parent))
+        rows = [[5, 6, 7], [8, 1, 0]]
+        with ad.no_grad():
+            batch = m.forward(rows, cache=list(parent)).data
+        assert batch.shape == (2, 3, m.config.vocab_size)
+        for got, ids in zip(batch, rows):
+            np.testing.assert_allclose(got, m.logits(ids, cache=list(parent)), rtol=0, atol=1e-6)
+        for (k, v), (k0, v0) in zip(parent, snapshot, strict=True):
+            assert np.array_equal(k, k0) and np.array_equal(v, v0) and k.shape == (1, 2, 4, 8)
 
     def test_uncached_forward_is_unchanged_by_caching(self):
         m = adapted_model("split-qv")
@@ -253,7 +274,10 @@ class TestCache:
         ids = np.random.default_rng(11).integers(0, 259, 40).tolist()
         cache = m.new_cache()
         assert np.array_equal(m.logits(ids, cache=cache), m.logits(ids))
-        for k, v in cache:   # both view one layer store of keys and values only, over memory of its own
+        for k, v in cache:   # the prefill's own keys and values, each over memory of its own size
+            assert all(a.base is None or a.base.nbytes == a.nbytes for a in (k, v))
+        m.logits(ids[:1], cache=cache)
+        for k, v in cache:   # the first append moves both into one layer store of keys and values only
             store = v.base
             assert k.base is store and store.shape == (2, *k.shape[:2], m.max_seq_len, k.shape[3])
             assert store.base.nbytes == store.nbytes and store.base.base is None

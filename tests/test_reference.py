@@ -137,3 +137,23 @@ def test_shared_prefix_scores_match_the_reference(layout):
     assert all(sorted(s)[-1] - sorted(s)[-2] > 1e-4 for s in scores)   # no near-tie that may round either way
     accuracy = np.mean([int(np.argmax(s)) == t.gold for s, t in zip(scores, tasks[1:])])
     assert run_choice_eval(model, tasks, shots=[1]).accuracy == {1: accuracy}
+
+
+@pytest.mark.parametrize("layout", ["split-qv", "fused-qkv"])
+def test_batched_rows_match_the_reference(layout, monkeypatch):
+    # PPL's rows on the 67-token header run as padded batches of mixed lengths, Japanese included; the choice
+    # item's three rows run as one batch on its prompt's branch; the overflowing item runs alone
+    model = adapted_model(layout)
+    template = QuestionTemplate()
+    items = [([BOS] + TOK.encode(template.render(i.question)), [TOK.encode(i.response)]) for i in PPL]
+    choices = ("Blue.", "空が青いから。", "Because of Rayleigh scattering.")
+    items.append((items[0][0], [TOK.encode(c) for c in choices]))
+    shapes, real = [], model.logits
+    monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
+                        shapes.append(np.shape(ids)) or real(ids, cache, last))
+    got = _score_items(model, items)
+    # the header; the choice prompt's tail, then its rows; the overflowing item's window; the fitting PPL rows
+    assert shapes == [(67,), (36,), (3, 30), (1, 511), (3, 65), (1, 79)]
+    expected = [[reference_score(model, ctx, cont) for cont in conts] for ctx, conts in items]
+    np.testing.assert_allclose(np.concatenate(got), np.concatenate(expected), rtol=0, atol=1e-5)
+    assert _score_items(model, items) == got

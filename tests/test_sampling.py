@@ -255,6 +255,7 @@ class TestCachedGenerate:
         monkeypatch.setattr(model, "logits", spy)
         generate(model, "x" * 505, GenerationParams(max_new_tokens=10, stop_token=-1))
         assert [k.shape[2] for k in keys] == list(range(506, 513)) + [512] * 3
-        # the prefill and six single tokens up to 512 write one store; past it each step starts a fresh one
-        assert all(np.shares_memory(k, keys[0]) for k in keys[1:7])
+        # the prefill keeps its own keys; the first of six single tokens up to 512 moves them into one store that
+        # the other five grow; past it each step starts afresh
+        assert all(np.shares_memory(k, keys[1]) for k in keys[2:7]) and not np.shares_memory(keys[0], keys[1])
         assert not any(np.shares_memory(a, b) for i, a in enumerate(keys[7:]) for b in keys[:7 + i])
