@@ -624,17 +624,6 @@ def softmax(x: Tensor) -> Tensor:
 # on 8×256 training batches.
 _ATTN_BLOCK = 1 << 17
 
-_TRIANGLES: dict = {}   # dtype -> the largest triangle built; a block's r² is at most _ATTN_BLOCK / heads
-
-
-def _triangle(r: int, dtype) -> np.ndarray:
-    """A read-only -1e9 triangle above the diagonal, at least r × r, in ``dtype``; a block reads its [:r, :r]."""
-    tri = _TRIANGLES.get(dtype)
-    if tri is None or len(tri) < r:
-        tri = _TRIANGLES[dtype] = np.triu(np.full((r, r), -1e9, dtype=dtype), k=1)
-        tri.flags.writeable = False
-    return tri
-
 
 def _transposed(a: np.ndarray, at, n: int, r: int) -> np.ndarray:
     """``a[..., :n, :]ᵀ`` as the operand of an r-row product: a slice of the
@@ -708,7 +697,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     kt = tri = None
     if min(rows, T) > 1:
         kt = np.ascontiguousarray(kd.swapaxes(-1, -2))
-        tri = _triangle(min(rows, T), np.result_type(qd, kd))
+        tri = np.triu(np.full((min(rows, T),) * 2, -1e9, dtype=np.result_type(qd, kd)), k=1)
     blocks = []
     for r0 in range(0, T, rows):
         r1 = min(r0 + rows, T)

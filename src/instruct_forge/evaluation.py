@@ -226,9 +226,10 @@ def _encode_task(task: ChoiceTask, spec: FewShotSpec) -> tuple[list, list]:
 def _score_items(model, items) -> list[list[float]]:
     """Each ``(context ids, [continuation ids])`` item's summed continuation log-likelihoods. When two or more items
     fit the window, their longest common token prefix, short of at least each context's last token, runs once into a
-    cache. A fitting item's one continuation is a row on that cache; an item with more runs its context on a branch
-    of it, and each choice past its first token is a row on the branch. An item that overflows the window scores each
-    continuation alone on the window's last ids, so the continuation's length sets the context's left truncation."""
+    cache. A fitting item's one continuation is a row on that cache; an item with more runs its context, short of
+    the last id, on a branch of it, and each choice, after that id, is a row on the branch. An item that overflows
+    the window scores each continuation alone on the window's last ids, so the continuation's length sets the
+    context's left truncation."""
     max_len = model.max_seq_len
     too_long = next((len(c) for _, conts in items for c in conts if len(c) >= max_len), None)
     if too_long:
@@ -246,13 +247,13 @@ def _score_items(model, items) -> list[list[float]]:
             rows[0] += [((ctx + c)[-max_len:-1], c, i, j) for j, c in enumerate(conts)]
         elif len(conts) == 1:
             rows[P].append((ctx[P:] + conts[0][:-1], conts[0], i, 0))
-        else:   # the context's last row once, then the rest of each choice as a row on the context's branch
+        else:   # the context short of its last id once, on a branch; then each choice is a row on the branch
             branch = list(cache)
-            head = model.logits(ctx[P:], cache=branch, last=1)
-            rest = {j: logits for (*_, j), logits in
-                    _run_rows(model, branch, len(ctx), [(c[:-1], c, i, j) for j, c in enumerate(conts) if len(c) > 1])}
-            scores[i] = [_continuation_logp(np.concatenate([head, rest[j]]) if j in rest else head, c)
-                         for j, c in enumerate(conts)]
+            if len(ctx) - 1 > P:
+                model.logits(ctx[P:-1], cache=branch, last=1)
+            for (_, c, _, j), logits in _run_rows(model, branch, len(ctx) - 1,
+                                                  [(ctx[-1:] + c[:-1], c, i, j) for j, c in enumerate(conts)]):
+                scores[i][j] = _continuation_logp(logits, c)
     for p, group in rows.items():
         for (_, c, i, j), logits in _run_rows(model, cache if p else None, p, group):
             scores[i][j] = _continuation_logp(logits, c)
@@ -261,10 +262,10 @@ def _score_items(model, items) -> list[list[float]]:
 
 def _run_rows(model, cache, P: int, rows):
     """Yields ``(row, logits)`` for each ``(ids, continuation, ...)`` row: the logit rows of its last
-    min(len(ids), len(continuation)) positions after the P positions of ``cache`` (None: no cache). Rows run
-    shortest first as right-padded [B, L] forwards, each on a branch of the cache, a group growing while
-    B × (P + L) <= ``max_seq_len``: no more keys and values than one window's. Attention is causal, so no row
-    sees its pads; ``last`` reaches the group's earliest scored position."""
+    len(continuation) positions after the P positions of ``cache`` (None: no cache). Rows run shortest first as
+    right-padded [B, L] forwards, each on a branch of the cache, a group growing while B × (P + L) <=
+    ``max_seq_len``: no more keys and values than one window's. Attention is causal, so no row sees its pads;
+    ``last`` reaches the group's earliest scored position."""
     rows = sorted(rows, key=lambda row: len(row[0]))
     while rows:
         B = 1
@@ -272,7 +273,7 @@ def _run_rows(model, cache, P: int, rows):
             B += 1
         group, rows = rows[:B], rows[B:]
         L = len(group[-1][0])
-        skip = [max(len(ids) - len(c), 0) for ids, c, *_ in group]   # each row's unscored positions
+        skip = [len(ids) - len(c) for ids, c, *_ in group]   # each row's unscored positions
         first = min(skip)
         batch = np.full((B, L), PAD)
         for b, (ids, *_) in enumerate(group):
@@ -286,10 +287,11 @@ def classify_by_likelihood(model, task: ChoiceTask, spec: FewShotSpec) -> int:
     """The choice with the highest summed log-likelihood after the few-shot
     prompt; ties go to the lowest index.
 
-    When the prompt and its longest choice fit the window, the prompt runs
-    once into a K/V cache and the choices run as right-padded batches on it
-    (see ``_score_items``). Otherwise each choice runs alone on the window's
-    last ids, so its length sets the prompt's left truncation.
+    When the prompt and its longest choice fit the window, the prompt, short
+    of its last id, runs once into a K/V cache, and each choice after that id
+    is a row of right-padded batches on it (see ``_score_items``). Otherwise
+    each choice runs alone on the window's last ids, so its length sets the
+    prompt's left truncation.
     """
     return int(np.argmax(_score_items(model, [_encode_task(task, spec)])[0]))
 

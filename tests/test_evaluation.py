@@ -216,13 +216,13 @@ class TestSharedPromptScoring:
         monkeypatch.setattr(model, "logits", lambda ids, cache=None, last=None:
                             fed.append((np.shape(ids), last)) or real(ids, cache, last))
         _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
-        # the prompt's last row only, then "ye" and "mayb" alone, since 2 × (256 + 4) > 512; the one-token
-        # choice needs no row
-        assert prompt_len == 256 and fed == [((prompt_len,), 1), ((1, 2), 2), ((1, 4), 4)]
+        # the prompt short of its last id, then each choice after that id alone, shortest first, since
+        # 2 × (255 + 3) > 512
+        assert prompt_len == 256 and fed == [((prompt_len - 1,), 1), ((1, 1), 1), ((1, 3), 3), ((1, 5), 5)]
         fed.clear()
-        short = dataclasses.replace(task, version="v0.2")   # a 35-token prompt: both rows in one padded batch
+        short = dataclasses.replace(task, version="v0.2")   # a 35-token prompt: all three rows in one padded batch
         _score_items(model, [_encode_task(short, FewShotSpec(k=0))])
-        assert fed == [((35,), 1), ((2, 4), 4)]
+        assert fed == [((34,), 1), ((3, 5), 5)]
         fed.clear()
         model.config.max_seq_len = prompt_len + 4   # "maybe" no longer fits: per-choice scoring
         _score_items(model, [_encode_task(task, FewShotSpec(k=0))])
@@ -255,12 +255,16 @@ def window_scores(model, ctx, conts):
 
 
 def whole_context_choice_scores(model, ctx, conts):
-    """A lone fitting choice item's route: the whole context into a cache for its last row,
-    then each choice on a branch of it."""
+    """A lone fitting choice item's route when its choices fit one batch: the context short of its last id into a
+    cache, then that id and each choice as a row of one right-padded batch on a branch of it, shortest first."""
     cache = model.new_cache()
-    last = model.logits(ctx, cache=cache, last=1)
-    return [_continuation_logp(last if len(c) == 1 else np.concatenate([last, model.logits(c[:-1], cache=list(cache))]),
-                               c) for c in conts]
+    model.logits(ctx[:-1], cache=cache, last=1)
+    order = sorted(range(len(conts)), key=lambda j: len(conts[j]))
+    logits = model.logits(padded(*(ctx[-1:] + conts[j][:-1] for j in order)), cache=list(cache))
+    scores = [None] * len(conts)
+    for row, j in zip(logits, order):
+        scores[j] = _continuation_logp(row[:len(conts[j])], conts[j])
+    return scores
 
 
 _HEAD, TAIL = QuestionTemplate().body.split("{question}")
@@ -292,7 +296,7 @@ class TestSharedPrefix:
         fed = record_logits(model, monkeypatch)
         run_choice_eval(model, tasks, shots=[0, 1])
         prefixes = [ids for ids, cached, last in fed if cached and last == 1 and ids[0] == BOS]
-        # k=0 and k=1 each: one prefix run, then per query its own tail and one branch for "xx"
+        # k=0 and k=1 each: one prefix run, then per query its own tail and one batch of both choices
         assert len(prefixes) == 2 and len(fed) == 2 + 4 * 2 + 4 * 2
         for k, prefix in zip((0, 1), prefixes):
             spec = FewShotSpec(k, tuple(tasks[:k]))

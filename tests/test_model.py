@@ -219,19 +219,21 @@ class TestCache:
         prefix = rng.integers(0, 259, 30).tolist()
         steps = {"a": rng.integers(0, 259, 4).tolist(), "b": rng.integers(0, 259, 4).tolist()}
         parent = m.new_cache()
-        m.logits(prefix, cache=parent)
+        m.logits(prefix[:-1], cache=parent)
+        m.logits(prefix[-1:], cache=parent)   # an append: the parent now ends at its store's fill mark
         snapshot = [(k.copy(), v.copy()) for k, v in parent]
         branches = {name: list(parent) for name in steps}
         rows = {name: [] for name in steps}
         for i in range(4):   # a, b, a, b, ...: each step of one branch follows a write of the other
             for name, ids in steps.items():
                 rows[name].append(m.logits(ids[i:i + 1], cache=branches[name]))
-        # the parent holds the prefill's own arrays, so each branch copies them into a store of its own
-        assert not any(np.shares_memory(branch[0][0], parent[0][0]) for branch in branches.values())
-        assert not np.shares_memory(branches["a"][0][0], branches["b"][0][0])
+        # the first writer grows the parent's store past the parent's entries; the other copies them
+        assert np.shares_memory(branches["a"][0][0], parent[0][0])
+        assert not np.shares_memory(branches["b"][0][0], parent[0][0])
         for name, ids in steps.items():
             fresh = m.new_cache()
-            m.logits(prefix, cache=fresh)
+            m.logits(prefix[:-1], cache=fresh)
+            m.logits(prefix[-1:], cache=fresh)
             for t, row in zip(ids, rows[name], strict=True):
                 assert np.array_equal(row, m.logits([t], cache=fresh))
             for (k, v), (k0, v0) in zip(branches[name], fresh, strict=True):

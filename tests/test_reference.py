@@ -153,7 +153,7 @@ def test_batched_rows_match_the_reference(layout, monkeypatch):
                         shapes.append(np.shape(ids)) or real(ids, cache, last))
     got = _score_items(model, items)
     # the header; the choice prompt's tail, then its rows; the overflowing item's window; the fitting PPL rows
-    assert shapes == [(67,), (36,), (3, 30), (1, 511), (3, 65), (1, 79)]
+    assert shapes == [(67,), (35,), (3, 31), (1, 511), (3, 65), (1, 79)]
     expected = [[reference_score(model, ctx, cont) for cont in conts] for ctx, conts in items]
     np.testing.assert_allclose(np.concatenate(got), np.concatenate(expected), rtol=0, atol=1e-5)
     assert _score_items(model, items) == got
