@@ -489,13 +489,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """``x @ wᵀ`` for [..., k] ``x`` and a [d, k] weight, as one graph node.
+    """``x @ w.T`` for [..., k] ``x`` and a [d, k] weight, as one graph node.
 
-    The forward equals ``matmul(x, transpose(w))`` bit for bit. The weight
-    gradient is one GEMM over all leading positions,
-    ``g.reshape(-1, d)ᵀ @ x.reshape(-1, k)``. A graph node keeps ``w``, and
-    ``x`` only if ``w`` needs a gradient: a frozen linear's input is freed
-    with its ``Tensor``.
+    The gradients are ``dx = g @ w`` and, one GEMM over all leading
+    positions, ``dw = g.reshape(-1, d).T @ x.reshape(-1, k)``. A graph node
+    keeps ``w``, and ``x`` only if ``w`` needs a gradient: a frozen linear's
+    input is freed with its ``Tensor``.
     """
     if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[1]:
         raise ValueError(f"linear: input {x.shape} does not fit weight {w.shape}")
@@ -515,19 +514,21 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
 
 def lora_linear(x: Tensor, w: Tensor, a: Tensor, b: Tensor, s: float,
                 mask: Optional[np.ndarray] = None, p: float = 0.0) -> Tensor:
-    """``x @ wᵀ + s · ((x ∘ keep) @ aᵀ) @ bᵀ`` for a [d, k] ``w``, [r, k] ``a``
+    """``x @ w.T + (x * keep) @ a.T @ b.T * s`` for a [d, k] ``w``, [r, k] ``a``
     and [d, r] ``b``, as one graph node. ``mask`` is the bool dropout mask of
     ``dropout_mask`` at probability ``p``, and ``keep`` its inverted-scaling
-    factors, 0 or 1/(1-p); ``mask=None`` means no dropout.
+    factors, ``mask.astype(x.dtype) / (1 - p)``; ``mask=None`` means no
+    dropout, and ``x * keep`` is then ``x``.
 
-    The forward rounds as the chain ``add(linear(x, w), scale(linear(linear(
-    dropout(x), a), b), s))`` does: the base GEMM, then ``(u @ bᵀ) * s``, then
-    the add. With ``gs = s · g``, the gradients are ``dB = gsᵀ u``,
-    ``dA = (gs B)ᵀ (x ∘ keep)`` and ``dx = g W + (gs B A) ∘ keep``.
+    Each numpy expression here rounds as written, left to right. With
+    ``u = (x * keep) @ a.T`` and ``gs = g * s``, the gradients are
+    ``db = gs.reshape(-1, d).T @ u.reshape(-1, r)``,
+    ``da = (gs @ b).reshape(-1, r).T @ (x * keep).reshape(-1, k)``,
+    ``dw = g.reshape(-1, d).T @ x.reshape(-1, k)`` and
+    ``dx = g @ w + gs @ b @ a * keep``.
 
-    A graph node keeps ``x``, the bool ``mask`` and the [..., r]
-    ``u = (x ∘ keep) aᵀ``; backward rebuilds ``keep`` and ``x ∘ keep`` with
-    the forward's ops.
+    A graph node keeps ``x``, the bool ``mask`` and the [..., r] ``u``;
+    backward rebuilds ``keep`` and ``x * keep`` with the forward's ops.
     """
     xd, wd, aw, bw = x.data, w.data, a.data, b.data
     if (wd.ndim != 2 or aw.ndim != 2 or xd.ndim < 1 or xd.shape[-1] != wd.shape[1] or aw.shape[1] != wd.shape[1]

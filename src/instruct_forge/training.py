@@ -53,10 +53,6 @@ class TrainingBatch:
     dropped: int = 0
 
 
-class DroppedBatchError(ValueError):
-    """Every record of a batch was dropped."""
-
-
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # AdamW's moment decays and denominator floor
 
 
@@ -123,14 +119,14 @@ def _pad(rows) -> TrainingBatch:
 def build_batch(records, template, tokenizer, config: TrainConfig) -> TrainingBatch:
     """Render, encode, truncate (keeping the tail), pad, shift, and mask.
 
-    Raises ``DroppedBatchError`` when every record is dropped.
+    Raises ``ValueError`` when there is no record, or when every record is dropped.
     """
     if not records:
         raise ValueError("build_batch requires at least one record")
     rows = [_encode_example(record, template, tokenizer, config) for record in records]
     kept = [row for row in rows if row is not None]
     if not kept:
-        raise DroppedBatchError("every record in the batch was dropped")
+        raise ValueError("every record in the batch was dropped")
     batch = _pad(kept)
     batch.dropped = len(rows) - len(kept)
     return batch

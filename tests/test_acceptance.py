@@ -23,8 +23,8 @@ from instruct_forge.evaluation import (
     PerplexityItem,
     QuestionTemplate,
     assemble_fewshot_prompt,
-    classify_by_likelihood,
     corpus_perplexity,
+    run_choice_eval,
 )
 from instruct_forge.lora import LoraConfig, inject, merge_all, trainable_param_count
 from instruct_forge.model import DecoderModel, ModelConfig
@@ -32,7 +32,7 @@ from instruct_forge.prompts import PromptTemplate, render_prompt
 from instruct_forge.records import InstructionRecord, load_records, save_records
 from instruct_forge.sampling import GenerationParams, apply_repetition_penalty, generate
 from instruct_forge.tokenizer import VOCAB_SIZE, ByteTokenizer
-from instruct_forge.training import AdamW, TrainConfig, build_batch, train, train_step
+from instruct_forge.training import AdamW, TrainConfig, _encode_example, _pad, train, train_step
 from test_evaluation import RowModel, two_byte_model, uniform_model
 from test_prompts import no_input_record, with_input_record
 from test_sampling import LoopingModel
@@ -71,9 +71,11 @@ def rand(rng, *shape):
     return rng.normal(size=shape)
 
 
-def test_01_gradient_fidelity():
-    start = time.monotonic()
-    rng = np.random.default_rng(0)
+def gradient_trials(rng):
+    """Acceptance 1's gradcheck trials: zero-argument calls of ``check_op``, at
+    least one per graph op that a train step runs on either attention layout.
+    The head and row ops and attention are reduced by a weighted sum, so that
+    every element of their output has its own gradient."""
     T, h = 3, 4
     angles = np.outer(np.arange(T), [1.0, 0.5])
     cos, sin = np.cos(angles), np.sin(angles)
@@ -82,27 +84,38 @@ def test_01_gradient_fidelity():
     def weighted(w):
         return lambda t: ad.tsum(ad.mul(t, Tensor(w)))
 
-    trials = [
+    def lora(mask=None):
+        # B is drawn non-zero, so each operand's gradient reads the scaling
+        return check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, mask, 0.25),
+                        [rand(rng, 2, 3, 4), rand(rng, 5, 4), rand(rng, 2, 4), rand(rng, 5, 2)])
+
+    return [
         lambda: check_op(ad.add, [rand(rng, 3, 4), rand(rng, 4)]),
-        lambda: check_op(ad.mul, [rand(rng, 3, 4), rand(rng, 3, 4)]),
-        lambda: check_op(lambda t: ad.scale(t, -2.5), [rand(rng, 5)]),
-        lambda: check_op(ad.matmul, [rand(rng, 3, 4), rand(rng, 4, 2)]),
-        lambda: check_op(ad.matmul, [rand(rng, 2, 3, 4), rand(rng, 4, 2)]),
+        lambda: check_op(ad.linear, [rand(rng, 3, 4), rand(rng, 2, 4)]),
+        lambda: check_op(ad.linear, [rand(rng, 2, 3, 4), rand(rng, 2, 4)]),
+        lora,
+        lambda: lora(ad.dropout_mask((2, 3, 4), 0.25, rng)),
         lambda: check_op(ad.gelu, [rand(rng, 3, 4)]),
         lambda: check_op(ad.layer_norm, [rand(rng, 2, 4), rand(rng, 4), rand(rng, 4)]),
-        lambda: check_op(ad.softmax, [rand(rng, 3, 5)], reduce=weighted(rand(rng, 3, 5))),
+        lambda: check_op(lambda x: ad.split_heads(x, 2), [rand(rng, 2, 3, 4)],
+                         reduce=weighted(rand(rng, 2, 2, 3, 2))),
         lambda: check_op(lambda q, k, v: ad.causal_attention(q, k, v, 0.5),
                          [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)],
                          reduce=weighted(rand(rng, 2, 3, 4))),
+        lambda: check_op(ad.merge_heads, [rand(rng, 2, 2, 3, 2)], reduce=weighted(rand(rng, 2, 3, 4))),
         lambda: check_op(lambda t: ad.softmax_cross_entropy(t, [0, 1, 2], [True, False, True]),
                          [rand(rng, 3, 6)], reduce=lambda t: t),
         lambda: check_op(lambda t: ad.embedding(t, [1, 1, 3]),
                          [rand(rng, 4, 3)]),
         lambda: check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)]),
-        lambda: check_op(lambda x: ad.reshape(x, (4, 3)), [rand(rng, 3, 4)]),
-        lambda: check_op(lambda x: ad.transpose(x, (1, 0, 2)), [rand(rng, 2, 3, 4)]),
+        lambda: check_op(lambda x: ad.last_rows(x, 2), [rand(rng, 2, 5, 3)], reduce=weighted(rand(rng, 2, 2, 3))),
         lambda: check_op(lambda x: ad.slice_last(x, 1, 3), [rand(rng, 2, 5)]),
     ]
+
+
+def test_01_gradient_fidelity():
+    start = time.monotonic()
+    trials = gradient_trials(np.random.default_rng(0))
     ok = True
     for i in range(100):
         trials[i % len(trials)]()  # check_op asserts rel err < 1e-3 internally
@@ -130,9 +143,9 @@ def test_03_merge_equivalence_after_training():
                                             max_seq_len=64, seed=1)),
                    LoraConfig(r=4, dropout=0.0, target_names=["q_proj", "v_proj"]))
     recs = [InstructionRecord(f"say w{i}", f"w{i}", category="other") for i in range(4)]
-    batch = build_batch(recs,
-                        PromptTemplate(kind="no-input", body="Q:{instruction}\nA:\n{response}"),
-                        ByteTokenizer(), TrainConfig(train_seq_len=32))
+    template = PromptTemplate(kind="no-input", body="Q:{instruction}\nA:\n{response}")
+    # the batch as train builds it: each record encoded, then the rows padded
+    batch = _pad([_encode_example(r, template, ByteTokenizer(), TrainConfig(train_seq_len=32)) for r in recs])
     opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=3e-3)
     for _ in range(100):
         train_step(model, batch, opt)
@@ -265,18 +278,14 @@ def test_09_tuned_model_beats_chance_on_unseen_task():
           template=PromptTemplate(kind="no-input", body="{instruction}\n-> {response}"))
 
     rng = np.random.default_rng(0)
-    correct = 0
-    n_items = 300
-    for i in range(n_items):
+    tasks = []
+    for i in range(300):
         gold_word = WORDS[int(rng.integers(len(WORDS)))]
         choices = GIBBERISH[:2] + [gold_word]
         rng.shuffle(choices)
-        gold = choices.index(gold_word)
-        task = ChoiceTask("Pick the best option.", {"Item": f"entry {i}"},
-                          tuple(choices), gold=gold, version="v0.2")
-        if classify_by_likelihood(model, task, FewShotSpec(k=0)) == gold:
-            correct += 1
-    accuracy = correct / n_items
+        tasks.append(ChoiceTask("Pick the best option.", {"Item": f"entry {i}"},
+                                tuple(choices), gold=choices.index(gold_word), version="v0.2"))
+    accuracy = run_choice_eval(model, tasks, shots=[0]).accuracy[0]
     ok = accuracy >= 1 / 3 + 0.10
     report(9, f"3-choice accuracy {accuracy:.3f} exceeds chance+10pp (0.433) "
               f"on 300 unseen-format items", ok, time.monotonic() - start, 600)

@@ -119,9 +119,9 @@ class TestAdaptedForward:
         adapter.B.data = rng.normal(size=adapter.B.shape).astype(np.float32)
         x = Tensor(rng.normal(size=(2, 3, 6)).astype(np.float32))
         out = adapter.forward(x, rng=np.random.default_rng(7))
-        path = ad.dropout(x, 0.3, np.random.default_rng(7), training=True)
-        delta = ad.scale(ad.linear(ad.linear(path, adapter.A), adapter.B), adapter.scaling)
-        assert np.array_equal(out.data, ad.add(ad.linear(x, w), delta).data)
+        keep = ad.dropout_mask(x.shape, 0.3, np.random.default_rng(7)).astype(np.float32) / (1.0 - 0.3)
+        delta = (x.data * keep) @ adapter.A.data.T @ adapter.B.data.T * adapter.scaling
+        assert np.array_equal(out.data, x.data @ w.data.T + delta)
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(4)

@@ -1,3 +1,4 @@
+import inspect
 import logging
 import tracemalloc
 import weakref
@@ -8,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_pretrain import pretrain
+from test_acceptance import gradient_trials
 from instruct_forge import autodiff as ad
 from instruct_forge import cli, training
 from instruct_forge.archive import load_archive
-from instruct_forge.lora import LoraConfig, inject, merge_all
+from instruct_forge.lora import LoraConfig, adapter_parameters, inject, merge_all
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.prompts import PromptTemplate, render_prompt, template_for
 from instruct_forge.records import InstructionRecord, save_records
@@ -19,7 +21,6 @@ from instruct_forge.tokenizer import BOS, EOS, PAD, ByteTokenizer
 from instruct_forge.training import (
     MASK_POLICIES,
     AdamW,
-    DroppedBatchError,
     TrainConfig,
     build_batch,
     train,
@@ -152,7 +153,7 @@ def test_every_kept_row_has_a_supervised_target(recs, seq_len, policy):
     kept = [n for n in responses if n <= seq_len]
     config = TrainConfig(train_seq_len=seq_len, mask_policy=policy)
     if not kept:
-        with pytest.raises(DroppedBatchError):
+        with pytest.raises(ValueError, match="every record in the batch was dropped"):
             build_batch(recs, None, TOK, config)
         return
     batch = build_batch(recs, None, TOK, config)
@@ -339,6 +340,45 @@ def test_backward_never_writes_into_an_upstream_gradient(monkeypatch, layout, ta
     for leaf in leaves:
         others = [a for a in arrays if a is not leaf.grad]
         assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
+
+
+# check_op's weighted reducer, the sum of an output times fixed weights: no trial checks these
+REDUCER_OPS = {"mul", "tsum"}
+
+
+def autodiff_ops_of(monkeypatch, body):
+    """The names of the public ``autodiff`` functions that returned a ``Tensor`` while ``body()`` ran."""
+    called = set()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, ad.Tensor):
+                called.add(name)
+            return out
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        for name, fn in vars(ad).items():
+            if inspect.isfunction(fn) and fn.__module__ == ad.__name__ and not name.startswith("_"):
+                patch.setattr(ad, name, spy(name, fn))
+        body()
+    return called
+
+
+def test_acceptance_1_has_a_trial_of_each_op_of_a_train_step(monkeypatch):
+    # adapted and plain projections on both layouts, with dropout masks and a supervised tail to cut
+    live = set()
+    for layout, targets in (("split-qv", ["q_proj", "v_proj", "up_proj", "lm_head"]),
+                            ("fused-qkv", ["query_key_value", "dense", "down_proj"])):
+        model = adapted_model(dropout=0.1, targets=targets, attention_layout=layout)
+        batch = training._pad([training._encode_example(r, TINY_TEMPLATE, TOK, TrainConfig()) for r in records(4)])
+        assert not batch.loss_mask[:, 0].any()   # so the step cuts its last layer to the supervised tail
+        optimizer = AdamW(adapter_parameters(model), lr=1e-3)
+        live |= autodiff_ops_of(monkeypatch, lambda: train_step(model, batch, optimizer))
+    checked = [autodiff_ops_of(monkeypatch, trial) - REDUCER_OPS for trial in gradient_trials(np.random.default_rng(0))]
+    assert all(ops and ops <= live for ops in checked), (checked, live)   # every trial checks a live op
+    assert live <= set().union(*checked), live - set().union(*checked)   # every live op has a trial
 
 
 class TestFreedGraph:
@@ -572,8 +612,8 @@ class TestTrainLoop:
                 try:
                     chunk = [FATES[i] for i in order[lo : lo + config.batch_size]]
                     expected.append(build_batch(chunk, None, TOK, config))
-                except DroppedBatchError:
-                    pass
+                except ValueError as exc:
+                    assert str(exc) == "every record in the batch was dropped"
         assert len(batches) == len(expected) > 2 * config.epochs
         for got, want in zip(batches, expected):
             for name in ("tokens", "targets", "loss_mask"):
