@@ -671,9 +671,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, s: float) -> Tensor:
     first S-T keys are cached positions. Rows run in blocks of about
     ``_ATTN_BLOCK`` score elements; block ``[r0, r1)`` reads only keys
     ``:S-T+r1``, so the masked triangle past it is never computed. With one
-    block the output equals ``matmul(causal softmax of the scores, v)`` bit
-    for bit wherever BLAS rounds the contiguous kᵀ of multi-row blocks like
-    the transposed view (in float32, scipy-openblas 0.3.31 on x86_64 does at
+    block the output equals ``p @ v`` bit for bit, where
+    ``a = q @ k.swapaxes(-1, -2) * s + np.triu(np.full((T, S), -1e9, q.dtype), k=S-T+1)``,
+    ``e = np.exp(a - a.max(-1, keepdims=True))`` and ``p = e / e.sum(-1, keepdims=True)``,
+    wherever BLAS rounds the contiguous kᵀ of multi-row blocks like the
+    transposed view (in float32, scipy-openblas 0.3.31 on x86_64 does at
     head dims up to 24; at 32 and more some block shapes differ in the last
     bits).
 

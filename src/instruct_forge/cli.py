@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import re
@@ -261,7 +262,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it as it was."""
     parser = _Parser(prog="instruct-forge")
     parser.add_argument("--config", help="key = value config file; flags override it")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -63,10 +63,11 @@ class LoraAdapter:
         return self.scaling * (self.B.data @ self.A.data)
 
     def forward(self, x: Tensor, rng: np.random.Generator | None = None) -> Tensor:
-        """x @ W0^T + (alpha/r) * dropout(x) @ A^T @ B^T, as one ``ad.lora_linear`` node.
+        """``x @ W0.T + (x * keep) @ A.T @ B.T * scaling``, as one ``ad.lora_linear`` node.
 
-        Dropout applies only with ``rng``; its bool mask comes from ``ad.dropout_mask``,
-        drawn from ``rng`` as in ``ad.dropout``.
+        Dropout applies only with ``rng`` and a nonzero ``dropout``: the bool mask is
+        ``rng.random(x.shape) >= dropout`` and ``keep = mask.astype(x.dtype) / (1 - dropout)``;
+        otherwise ``x * keep`` is ``x``.
         """
         mask = None
         if rng is not None and self.dropout != 0.0:
@@ -138,9 +139,9 @@ def adapter_checkpoint(model, arrays=None) -> tuple[dict, dict]:
     return arrays, meta
 
 
-def save_adapters(model, path, arrays=None) -> None:
-    """Write ``adapter_checkpoint(model, arrays)`` to ``path``."""
-    save_archive(path, *adapter_checkpoint(model, arrays))
+def save_adapters(model, path) -> None:
+    """Write ``adapter_checkpoint(model)``, the model's current A and B, to ``path``."""
+    save_archive(path, *adapter_checkpoint(model))
 
 
 def load_adapters(model, path):

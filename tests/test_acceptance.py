@@ -4,8 +4,6 @@ The lines are printed straight to the terminal (bypassing capture) so a
 plain ``pytest tests/test_acceptance.py`` run shows every verdict.
 """
 
-import math
-import sys
 import time
 
 import numpy as np
@@ -33,7 +31,7 @@ from instruct_forge.records import InstructionRecord, load_records, save_records
 from instruct_forge.sampling import GenerationParams, apply_repetition_penalty, generate
 from instruct_forge.tokenizer import VOCAB_SIZE, ByteTokenizer
 from instruct_forge.training import AdamW, TrainConfig, _encode_example, _pad, train, train_step
-from test_evaluation import RowModel, two_byte_model, uniform_model
+from test_evaluation import two_byte_model, uniform_model
 from test_prompts import no_input_record, with_input_record
 from test_sampling import LoopingModel
 

@@ -3,10 +3,13 @@ import json
 import math
 import os
 import platform
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from string import Template
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -36,14 +39,28 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def single_error(capsys) -> str:
-    """The one stderr line of a failed command; no traceback, nothing else."""
-    lines = capsys.readouterr().err.strip().splitlines()
+def snapshot(*roots) -> dict:
+    """Every file's sha256 and every directory (as None) under ``roots``, by path."""
+    return {p: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
+            for root in roots for p in root.rglob("*")}
+
+
+def assert_fails(capsys, argv, text, *roots):
+    """The CLI's one failure contract: ``main(argv)`` exits 1 and prints one stderr line, which starts
+    with ``error: `` and holds ``text`` (is ``text``, when ``text`` starts with ``error: ``); stdout
+    stays empty, and no file or directory under ``roots`` is made, changed or removed."""
+    capsys.readouterr()
+    before = snapshot(*roots)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    return lines[0]
+    assert lines[0] == text if text.startswith("error: ") else text in lines[0], (lines[0], text)
+    assert captured.out == ""
+    assert snapshot(*roots) == before
 
 
-TINY = ["--d-model", "16", "--n-heads", "2", "--n-layers", "1", "--max-seq-len", "64", "--seq-len", "64"]
+TINY = "--d-model 16 --n-heads 2 --n-layers 1 --max-seq-len 64 --seq-len 64"
 
 
 def dataset_rows(n=8, category="other"):
@@ -52,17 +69,9 @@ def dataset_rows(n=8, category="other"):
 
 
 @pytest.fixture
-def base_model(tmp_path):
-    """A tiny trained checkpoint plus its adapter file."""
-    data = tmp_path / "data.jsonl"
-    write_jsonl(data, dataset_rows(8))
-    out = tmp_path / "run"
-    rc = main(["train", "--data", str(data), "--out", str(out),
-               "--d-model", "16", "--n-heads", "2", "--n-layers", "1",
-               "--max-seq-len", "64", "--seq-len", "64",
-               "--epochs", "1", "--batch", "8", "--seed", "0"])
-    assert rc == 0
-    return out / "model.ifta", out / "adapters-epoch0.ifta"
+def base_model(inputs):
+    """A tiny trained checkpoint plus its adapter file, shared by the module: read them, never write."""
+    return Path(inputs["model"]), Path(inputs["adapters"])
 
 
 class TestConfigFile:
@@ -167,50 +176,6 @@ class TestBuildDataset:
         assert rc == 0
         assert load_records(out)[1]["total"] == 5
 
-    def test_no_records_fails(self, tmp_path, capsys):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("", encoding="utf-8")
-        rc = main(["build-dataset", "--input", str(empty),
-                   "--output", str(tmp_path / "out.jsonl")])
-        assert rc == 1
-        assert "no records" in capsys.readouterr().err
-
-    def test_everything_excluded_fails(self, tmp_path, capsys):
-        a = tmp_path / "a.jsonl"
-        write_jsonl(a, dataset_rows(3, "qa"))
-        rc = main(["build-dataset", "--input", str(a), "--exclude", "qa",
-                   "--output", str(tmp_path / "out.jsonl")])
-        assert rc == 1
-        assert "filtering" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    def test_unknown_excluded_category_fails_before_output(self, tmp_path, capsys, source):
-        # "qa#x" used to be accepted as a category, and a config file read it as "qa"
-        a = tmp_path / "a.jsonl"
-        write_jsonl(a, dataset_rows(3, "qa"))
-        out = tmp_path / "out.jsonl"
-        argv = ["build-dataset", "--input", str(a), "--output", str(out)]
-        if source == "flag":
-            argv += ["--exclude", "translation,qa#x"]
-        else:
-            (tmp_path / "cfg").write_text("build.exclude = translation,qa#x\n", encoding="utf-8")
-            argv = ["--config", str(tmp_path / "cfg"), *argv]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.err == ("error: build.exclude: unknown categories ['qa#x']; expected some of "
-                                f"{sorted(CATEGORIES)}\n")
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_malformed_line_reports_number(self, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text('{"instruction": "x", "output": "y"}\nnot json\n',
-                       encoding="utf-8")
-        rc = main(["build-dataset", "--input", str(bad),
-                   "--output", str(tmp_path / "out.jsonl")])
-        assert rc == 1
-        assert "line 2" in capsys.readouterr().err
-
 
 class TestTrain:
     def test_writes_model_and_per_epoch_adapters(self, tmp_path):
@@ -227,70 +192,6 @@ class TestTrain:
         assert (out / "adapters-epoch1.ifta").exists()
         model = load_checkpoint(out / "model.ifta")
         assert model.config.d_model == 16
-
-    def test_rank_zero_rejected(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
-                   "--rank", "0"])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
-
-    def test_seq_len_exceeding_context_rejected(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "o"),
-                   "--max-seq-len", "32", "--seq-len", "64",
-                   "--d-model", "16", "--n-heads", "2", "--n-layers", "1"])
-        assert rc == 1
-        assert "seq_len" in capsys.readouterr().err
-
-    def test_every_record_dropped_fails_before_writing(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, [{**row, "output": "x" * 100} for row in dataset_rows(4)])  # > --seq-len 64
-        out = tmp_path / "run"
-        capsys.readouterr()
-        assert main(["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]) == 1
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "train_seq_len" in lines[0], lines
-        assert captured.out == ""
-        assert not out.exists()
-
-    def test_divergence_stops_before_that_epochs_adapters(self, tmp_path, capsys):
-        # the first update makes LoRA B ~1e30; the next forward overflows in layer norm
-        # while the loss stays finite, and the run used to exit 0 and write it all
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(8))
-        out = tmp_path / "run"
-        capsys.readouterr()
-        rc = main(["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *TINY])
-        assert rc == 1
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "diverged" in lines[0], lines
-        assert captured.out == ""  # used to hold the config block, printed before training
-        assert not out.exists()  # epoch 0's adapters and report used to stay
-
-    def test_empty_data_fails_before_out(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        data.write_text("", encoding="utf-8")
-        out = tmp_path / "run"
-        assert main(["train", "--data", str(data), "--out", str(out), *TINY]) == 1
-        assert "train requires a non-empty dataset" in single_error(capsys)
-        assert not out.exists()
-
-    def test_embedding_target_fails_before_output(self, tmp_path, capsys):
-        # used to exit 0 and train an adapter that the forward never applied
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "run"
-        assert main(["train", "--data", str(data), "--out", str(out), "--targets", "embedding", *TINY]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-        assert "matched no parameters: ['embedding']" in captured.err
-        assert captured.out == ""
-        assert not out.exists()
 
     def test_echoes_effective_config(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -375,27 +276,6 @@ class TestPpl:
         assert rc == 0
         assert json.loads(report.read_text(encoding="utf-8"))["model_overflows"] == 1
 
-    def test_template_without_question_slot_fails(self, tmp_path, capsys, base_model):
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}])
-        template = tmp_path / "template.txt"
-        template.write_text("### Response:\n", encoding="utf-8")
-        report = tmp_path / "report.json"
-        capsys.readouterr()
-        rc = main(["ppl", "--model", str(base_model[0]), "--items", str(items),
-                   "--template", str(template), "--report", str(report)])
-        assert rc == 1
-        assert "{question}" in single_error(capsys)
-        assert not report.exists()
-
-    def test_empty_items_fails(self, tmp_path, capsys, base_model):
-        model_path, _ = base_model
-        items_path = tmp_path / "items.jsonl"
-        items_path.write_text("", encoding="utf-8")
-        rc = main(["ppl", "--model", str(model_path), "--items", str(items_path)])
-        assert rc == 1
-        assert "no items" in capsys.readouterr().err
-
 
 class TestGenerate:
     def test_greedy_deterministic(self, tmp_path, capsys, base_model):
@@ -407,12 +287,6 @@ class TestGenerate:
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
-
-    def test_missing_model_fails(self, tmp_path, capsys):
-        rc = main(["generate", "--model", str(tmp_path / "nope.ifta"),
-                   "--prompt", "hi"])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
 
 
 JA_RECORDS = [
@@ -579,55 +453,6 @@ class TestSettingsTable:
         assert resolve("generate", bare, {"seed": "7"})["seed"] == 7
         assert resolve("generate", flagged, {"seed": "7"})["seed"] == 9
 
-    def test_unknown_key_rejected_before_output(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("train.epochs = 1\nbogus.key = 1\n", encoding="utf-8")
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "o"
-        rc = main(["--config", str(cfg), "train", "--data", str(data), "--out", str(out), *TINY])
-        assert rc == 1
-        assert "bogus.key" in single_error(capsys)
-        assert not out.exists()
-
-    @pytest.mark.parametrize("source, text", [
-        *(pytest.param("file", t, id=t) for t in ("train.lr = fast\n", "model.layout = diagonal\n", "no equals sign\n")),
-        *(pytest.param("flag", t, id=f"flag-{t}") for t in ("train.lr = fast\n", "model.layout = diagonal\n")),
-    ])
-    def test_bad_config_value_is_one_error_line(self, tmp_path, capsys, source, text):
-        # a bad flag value used to print argparse's usage block and exit 2
-        out = tmp_path / "o"
-        argv = ["train", "--data", str(tmp_path / "d.jsonl"), "--out", str(out)]
-        if source == "flag":
-            key, value = text.strip().split(" = ")
-            argv += [next(flag_of(s) for s in SETTINGS if s.key == key), value]
-        else:
-            (tmp_path / "cfg").write_text(text, encoding="utf-8")
-            argv = ["--config", str(tmp_path / "cfg"), *argv]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        # a flag and its config key fail with the same line
-        assert line.startswith(f"error: {text.strip()}: " if " = " in text else "error: ")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("argv", [
-        ["train", "--data", "d.jsonl"],
-        ["train", "--data", "d.jsonl", "--out", "o", "--bogus", "1"],
-        ["bogus", "--out", "o"],
-        ["--config"],
-    ], ids=["missing-out", "unknown-flag", "unknown-subcommand", "config-without-path"])
-    def test_bad_argv_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv):
-        # each used to print argparse's usage block and exit 2
-        monkeypatch.chdir(tmp_path)
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: ")
-        assert not (tmp_path / "o").exists()
-
     def test_help_lists_choices(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["train", "--help"])
@@ -635,6 +460,15 @@ class TestSettingsTable:
         out = capsys.readouterr().out
         assert "--layout {fused-qkv,split-qv}" in out
         assert "--mask-policy {response-only,full-sequence}" in out
+
+    def test_two_calls_build_one_parser(self, monkeypatch):
+        built = []
+        add_subparsers = cli._Parser.add_subparsers
+        monkeypatch.setattr(cli._Parser, "add_subparsers",
+                            lambda parser, **kwargs: built.append(parser) or add_subparsers(parser, **kwargs))
+        cli.build_parser.cache_clear()
+        assert main(["--config"]) == main(["--config"]) == 1
+        assert len(built) == 1
 
     def test_config_applies_to_eval(self, tmp_path, capsys, base_model):
         model_path, _ = base_model
@@ -689,7 +523,7 @@ class TestEchoIsAConfig:
             "build-dataset": (["--input", str(data), "--output", str(tmp_path / "out.jsonl")],
                               ["--exclude", "translation,qa"]),
             "train": (["--data", str(data), "--out", str(tmp_path / "run")],
-                      [*TINY, "--rank", "2", "--targets", "q_proj,o_proj", "--lr", "0.01", "--dropout", "0.1",
+                      [*TINY.split(), "--rank", "2", "--targets", "q_proj,o_proj", "--lr", "0.01", "--dropout", "0.1",
                        "--mask-policy", "full-sequence", "--seed", "3", "--epochs", "1", "--batch", "4"]),
             "eval": ([*model, "--tasks", str(TestEval().tasks_file(tmp_path))],
                      ["--shots", "0,2", "--prompt-version", "v0.3", "--seq-len", "40"]),
@@ -715,289 +549,248 @@ class TestEchoIsAConfig:
 
 
 class TestInitFrom:
-    def run(self, tmp_path, base_model, *extra, config=None):
+    def test_checkpoint_config_is_the_model_config(self, tmp_path, capsys, base_model):
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
-        argv = ["train", "--data", str(data), "--out", str(tmp_path / "o"),
-                "--init-from", str(base_model[0]), *extra]
-        if config:
-            (tmp_path / "cfg").write_text(config, encoding="utf-8")
-            argv = ["--config", str(tmp_path / "cfg"), *argv]
-        return main(argv)
-
-    def test_checkpoint_config_is_the_model_config(self, tmp_path, capsys, base_model):
         capsys.readouterr()
-        assert self.run(tmp_path, base_model, "--seq-len", "64", "--d-model", "16") == 0
+        assert main(["train", "--data", str(data), "--out", str(tmp_path / "o"), "--init-from", str(base_model[0]),
+                     "--seq-len", "64", "--d-model", "16"]) == 0
         assert "model.d_model = 16\n" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("extra,config,named", [
-        (["--d-model", "32", "--seq-len", "64"], None, "model.d_model = 32"),
-        (["--seq-len", "64"], "model.layout = fused-qkv\n", "model.layout = fused-qkv"),
-        (["--seq-len", "128"], None, "seq_len 128"),
-    ], ids=["flag", "file", "seq-len"])
-    def test_conflict_fails_before_output(self, tmp_path, capsys, base_model, extra, config, named):
-        capsys.readouterr()
-        assert self.run(tmp_path, base_model, *extra, config=config) == 1
-        assert named in single_error(capsys)
-        assert not (tmp_path / "o").exists()
 
+class Row(NamedTuple):
+    """A bad CLI input and the ``text`` of its one error line (see ``assert_fails``).
 
-class TestBadCheckpoint:
-    @pytest.fixture
-    def garbage(self, tmp_path):
-        path = tmp_path / "garbage.ifta"
-        path.write_bytes(b"IFTA0001" + b"\xff" * 40)
-        return path
-
-    def argv(self, command, model, tmp_path, adapters=None):
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}])
-        extra = ["--adapters", str(adapters)] if adapters else []
-        return {
-            "eval": ["eval", "--model", str(model), "--tasks", str(TestEval().tasks_file(tmp_path)), *extra],
-            "ppl": ["ppl", "--model", str(model), "--items", str(items), *extra],
-            "generate": ["generate", "--model", str(model), "--prompt", "hi", *extra],
-        }[command]
-
-    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
-    def test_corrupt_model(self, tmp_path, capsys, garbage, command):
-        assert main(self.argv(command, garbage, tmp_path)) == 1
-        assert str(garbage) in single_error(capsys)
-
-    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
-    def test_mismatched_adapters(self, tmp_path, capsys, base_model, command):
-        model_path, _ = base_model
-        capsys.readouterr()
-        assert main(self.argv(command, model_path, tmp_path, adapters=model_path)) == 1
-        assert "not an adapter checkpoint" in single_error(capsys)
-
-    @pytest.mark.parametrize("command", ["eval", "ppl", "generate"])
-    def test_adapters_of_another_base_model(self, tmp_path, capsys, base_model, command):
-        # a 2-layer run's adapters on the 1-layer base: layer 1's adapters have nowhere to go
-        model_path, _ = base_model
-        data, run = tmp_path / "data.jsonl", tmp_path / "run2"
-        assert main(["train", "--data", str(data), "--out", str(run), "--d-model", "16", "--n-heads", "2",
-                     "--n-layers", "2", "--max-seq-len", "64", "--seq-len", "64",
-                     "--epochs", "1", "--batch", "8", "--seed", "0"]) == 0
-        capsys.readouterr()
-        assert main(self.argv(command, model_path, tmp_path, adapters=run / "adapters-epoch0.ifta")) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and "adapter names do not match" in lines[0]
-
-    def test_corrupt_init_from(self, tmp_path, capsys, garbage):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "o"
-        assert main(["train", "--data", str(data), "--out", str(out), "--init-from", str(garbage)]) == 1
-        assert str(garbage) in single_error(capsys)
-        assert not out.exists()
+    ``argv`` is shell words. In it and in ``text``, ``$name`` is the path of the prepared input ``name``
+    and ``$config`` that of ``config``, the ``--config`` file written for the row. The test runs in its
+    own directory, so a relative path names a file there."""
+    id: str
+    argv: str
+    text: str
+    config: str | bytes | None = None
 
 
 GOOD_TASK = {"instruction": "pick", "fields": {"Input": "x"}, "choices": ["xx", "yy"], "gold": 0}
+ITEM = {"question": "q", "response": "r"}
 
+# Malformed JSONL rows by name, each with what its error line says after the file and line number.
+BAD_TASKS = {
+    "list": (["not", "an", "object"], "expected a JSON object, got list"),
+    "choices_int": ({**GOOD_TASK, "choices": 5}, "choices must be a list"),
+    "fields_list": ({**GOOD_TASK, "fields": ["a"]}, "fields must be an object"),
+    "gold_str": ({**GOOD_TASK, "gold": "0"}, "gold must be an integer"),
+    "no_gold": ({k: v for k, v in GOOD_TASK.items() if k != "gold"}, "missing required field 'gold'"),
+    "empty_choice": ({**GOOD_TASK, "choices": ["", "no"]}, "choices must be non-empty"),
+    # used to fail while encoding the prompt, naming neither file nor line
+    "surrogate": ({**GOOD_TASK, "fields": {"Input": "\ud800"}}, "a task text holds a lone surrogate"),
+}
+BAD_ITEMS = {
+    "list": (["q", "r"], "expected a JSON object, got list"),
+    "response_int": ({"question": "q", "response": 5}, "question and response must be strings"),
+    "surrogate": ({"question": "\ud800", "response": "r"}, "question holds a lone surrogate"),
+}
+BAD_PAIRS = {
+    "qa_list": ("--qa-pairs", ["q", "a"], "expected a JSON object, got list"),
+    "typo_list": ("--typo-pairs", ["w", "c"], "expected a JSON object, got list"),
+    "typo_int": ("--typo-pairs", {"wrong": 1, "corrected": "x"}, "input must be a string, got int"),
+    "qa_none": ("--qa-pairs", {"question": "q", "answer": None}, "qa pair texts must be non-empty"),
+    "qa_no_answer": ("--qa-pairs", {"question": "q"}, "missing required field 'answer'"),
+}
 
-class TestMalformedRows:
-    """Every JSONL reader: one `error:` line naming the file and line, exit 1, no output."""
+# The prepared input files, by name: a list is written as JSONL, a str as UTF-8, bytes as they are.
+FILES = {
+    "records": dataset_rows(4),
+    "records8": dataset_rows(8),
+    "qa": dataset_rows(3, "qa"),
+    "empty": "",
+    "bad_line": '{"instruction": "x", "output": "y"}\nnot json\n',
+    "long_records": [{**row, "output": "x" * 100} for row in dataset_rows(4)],   # each past --seq-len 64
+    "records_not_utf8": b'{"instruction": "i", "output": "\xff"}\n',
+    "items": [ITEM],
+    "answer": [{"question": "q", "response": "an answer"}],
+    "no_slot": "### Response:\n",
+    "template_not_utf8": b"\xff{question}",
+    "garbage": b"IFTA0001" + b"\xff" * 40,
+    **{f"task_{name}": [GOOD_TASK, GOOD_TASK, row] for name, (row, _) in BAD_TASKS.items()},
+    **{f"item_{name}": [ITEM, row] for name, (row, _) in BAD_ITEMS.items()},
+    **{f"pair_{name}": [row] for name, (_, row, _) in BAD_PAIRS.items()},
+}
 
-    @pytest.mark.parametrize("row, message", [
-        (["not", "an", "object"], "expected a JSON object, got list"),
-        ({**GOOD_TASK, "choices": 5}, "choices must be a list"),
-        ({**GOOD_TASK, "fields": ["a"]}, "fields must be an object"),
-        ({**GOOD_TASK, "gold": "0"}, "gold must be an integer"),
-        ({k: v for k, v in GOOD_TASK.items() if k != "gold"}, "missing required field 'gold'"),
-        ({**GOOD_TASK, "choices": ["", "no"]}, "choices must be non-empty"),
-        # used to fail while encoding the prompt, naming neither file nor line
-        ({**GOOD_TASK, "fields": {"Input": "\ud800"}}, "a task text holds a lone surrogate"),
-    ])
-    def test_eval_tasks(self, tmp_path, capsys, base_model, row, message):
-        tasks = tmp_path / "tasks.jsonl"
-        write_jsonl(tasks, [GOOD_TASK, GOOD_TASK, row])
-        report = tmp_path / "report.json"
-        rc = main(["eval", "--model", str(base_model[0]), "--tasks", str(tasks), "--shots", "1",
-                   "--report", str(report)])
-        assert rc == 1
-        assert f"tasks.jsonl: line 3: {message}" in single_error(capsys)
-        assert not report.exists()
-
-    @pytest.mark.parametrize("row, message", [
-        (["q", "r"], "expected a JSON object, got list"),
-        ({"question": "q", "response": 5}, "question and response must be strings"),
-        ({"question": "\ud800", "response": "r"}, "question holds a lone surrogate"),
-    ])
-    def test_ppl_items(self, tmp_path, capsys, base_model, row, message):
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}, row])
-        rc = main(["ppl", "--model", str(base_model[0]), "--items", str(items)])
-        assert rc == 1
-        assert f"items.jsonl: line 2: {message}" in single_error(capsys)
-
-    @pytest.mark.parametrize("flag, row, message", [
-        ("--qa-pairs", ["q", "a"], "expected a JSON object, got list"),
-        ("--typo-pairs", ["w", "c"], "expected a JSON object, got list"),
-        ("--typo-pairs", {"wrong": 1, "corrected": "x"}, "input must be a string, got int"),
-        ("--qa-pairs", {"question": "q", "answer": None}, "qa pair texts must be non-empty"),
-        ("--qa-pairs", {"question": "q"}, "missing required field 'answer'"),
-    ])
-    def test_build_dataset_pairs(self, tmp_path, capsys, flag, row, message):
-        pairs = tmp_path / "pairs.jsonl"
-        write_jsonl(pairs, [row])
-        out = tmp_path / "out.jsonl"
-        rc = main(["build-dataset", flag, str(pairs), "--output", str(out)])
-        assert rc == 1
-        assert f"pairs.jsonl: line 1: {message}" in single_error(capsys)
-        assert not out.exists()
-
-    def test_records_not_utf8(self, tmp_path, capsys):
-        data = tmp_path / "data.jsonl"
-        data.write_bytes(b'{"instruction": "i", "output": "\xff"}\n')
-        rc = main(["train", "--data", str(data), "--out", str(tmp_path / "run"), *TINY])
-        assert rc == 1
-        assert "data.jsonl: line 1: not UTF-8" in single_error(capsys)
-        assert not (tmp_path / "run").exists()
-
-
+UNKNOWN_CATEGORY = f"error: build.exclude: unknown categories ['qa#x']; expected some of {sorted(CATEGORIES)}"
+BAD_LR = "error: train.lr = fast: could not convert string to float: 'fast'"
+BAD_LAYOUT = "error: model.layout = diagonal: expected one of fused-qkv, split-qv"
+MODEL_INPUTS = {"eval": "--tasks $tasks", "ppl": "--items $items", "generate": "--prompt hi"}
 FLOAT_SETTINGS = [s for s in SETTINGS if s.parse is float]
+SETTING_ARGV = {"train": f"train --data $records --out o {TINY}",
+                "generate": "generate --model $untrained --prompt Once"}
+NON_FINITE = ["nan", "inf", "-inf"]
+
+ROWS = [
+    Row("build-dataset-no-records", "build-dataset --input $empty --output out.jsonl", "error: no records"),
+    Row("build-dataset-all-excluded", "build-dataset --input $qa --exclude qa --output out.jsonl",
+        "error: no records left after filtering"),
+    # "qa#x" used to be accepted as a category, and a config file read it as "qa"
+    Row("build-dataset-unknown-category-flag",
+        "build-dataset --input $qa --output out.jsonl --exclude translation,qa#x", UNKNOWN_CATEGORY),
+    Row("build-dataset-unknown-category-file", "build-dataset --input $qa --output out.jsonl", UNKNOWN_CATEGORY,
+        config="build.exclude = translation,qa#x\n"),
+    Row("build-dataset-malformed-line", "build-dataset --input $bad_line --output out.jsonl",
+        "$bad_line: line 2: invalid JSON"),
+    *(Row(f"build-dataset-{name.replace('_', '-')}", f"build-dataset {flag} $pair_{name} --output out.jsonl",
+          f"pair_{name}: line 1: {message}") for name, (flag, _, message) in BAD_PAIRS.items()),
+    # used to print only the codec's message, which names no file
+    Row("build-dataset-config-not-utf8", "build-dataset --output out.jsonl", "$config: not UTF-8",
+        config=b"\xffseed = 1\n"),
+
+    Row("train-rank-zero", "train --data $records --out o --rank 0", "rank must be an integer >= 1, got 0"),
+    Row("train-seq-len-past-the-window",
+        "train --data $records --out o --d-model 16 --n-heads 2 --n-layers 1 --max-seq-len 32 --seq-len 64",
+        "train seq_len 64 > model max_seq_len 32"),
+    Row("train-every-record-dropped", f"train --data $long_records --out run --epochs 2 {TINY}",
+        "every record was dropped: each response exceeds train_seq_len 64"),
+    # the first update makes LoRA B ~1e30; the next forward overflows in layer norm while the loss stays
+    # finite, and the run used to exit 0 and write it all, after printing the config block
+    Row("train-diverges", f"train --data $records8 --out run --lr 1e30 --epochs 2 {TINY}", "training diverged"),
+    Row("train-empty-data", f"train --data $empty --out run {TINY}", "train requires a non-empty dataset"),
+    # used to exit 0 and train an adapter that the forward never applied
+    Row("train-embedding-target", f"train --data $records --out run --targets embedding {TINY}",
+        "matched no parameters: ['embedding']"),
+    Row("train-records-not-utf8", f"train --data $records_not_utf8 --out run {TINY}",
+        "records_not_utf8: line 1: not UTF-8"),
+    Row("train-unknown-config-key", f"train --data $records --out o {TINY}", "bogus.key",
+        config="train.epochs = 1\nbogus.key = 1\n"),
+    # a bad flag value used to print argparse's usage block and exit 2; a flag and its key fail with one line
+    Row("train-lr-flag-not-a-number", "train --data d.jsonl --out o --lr fast", BAD_LR),
+    Row("train-lr-file-not-a-number", "train --data d.jsonl --out o", BAD_LR, config="train.lr = fast\n"),
+    Row("train-layout-flag-unknown", "train --data d.jsonl --out o --layout diagonal", BAD_LAYOUT),
+    Row("train-layout-file-unknown", "train --data d.jsonl --out o", BAD_LAYOUT, config="model.layout = diagonal\n"),
+    Row("train-config-line-without-equals", "train --data d.jsonl --out o",
+        "error: $config: line 1: expected key = value", config="no equals sign\n"),
+    Row("train-init-from-conflict-flag", "train --data $records --out o --init-from $model --d-model 32 --seq-len 64",
+        "model.d_model = 32"),
+    Row("train-init-from-conflict-file", "train --data $records --out o --init-from $model --seq-len 64",
+        "model.layout = fused-qkv", config="model.layout = fused-qkv\n"),
+    Row("train-init-from-conflict-seq-len", "train --data $records --out o --init-from $model --seq-len 128",
+        "seq_len 128"),
+    Row("train-init-from-garbage", "train --data $records --out o --init-from $garbage", "$garbage"),
+    # the checkpoint's config skips ModelConfig's seed check; numpy used to
+    # reject the seed in the epoch loop, after an empty --out was made
+    *(Row(f"train-seed={seed}-over-a-checkpoint",
+          f"train --data $records --out o --init-from $untrained --seq-len 64 --seed {seed}",
+          f"seed must be >= 0, got {seed}") for seed in ("-1", "-20")),
+    Row("train-out-below-a-file", f"train --data $records --out $records/run {TINY}", "Not a directory"),
+    # 10**15 positions need petabytes, past a 47-bit address space, so the
+    # allocation fails whatever the overcommit policy; both used to print a traceback
+    Row("train-context-too-large", f"train --data $records --out o {TINY} --max-seq-len {10**15}",
+        "Unable to allocate"),
+    Row("generate-stored-context-too-large", "generate --model $huge_context --prompt hi", "Unable to allocate"),
+
+    # each used to print argparse's usage block and exit 2
+    Row("argv-missing-out", "train --data d.jsonl", "the following arguments are required: --out"),
+    Row("argv-unknown-flag", "train --data d.jsonl --out o --bogus 1", "unrecognized arguments: --bogus 1"),
+    Row("argv-unknown-subcommand", "bogus --out o", "argument command: invalid choice: 'bogus'"),
+    Row("argv-config-without-path", "--config", "argument --config: expected one argument"),
+
+    *(Row(f"{command}-garbage-model", f"{command} --model $garbage {args}", "$garbage")
+      for command, args in MODEL_INPUTS.items()),
+    *(Row(f"{command}-model-as-adapters", f"{command} --model $model --adapters $model {args}",
+          "not an adapter checkpoint") for command, args in MODEL_INPUTS.items()),
+    # a 2-layer run's adapters on the 1-layer base: layer 1's adapters have nowhere to go
+    *(Row(f"{command}-adapters-of-another-base", f"{command} --model $model --adapters $other_adapters {args}",
+          "adapter names do not match") for command, args in MODEL_INPUTS.items()),
+
+    *(Row(f"eval-task-{name.replace('_', '-')}", f"eval --model $model --tasks $task_{name} --shots 1 --report r.json",
+          f"task_{name}: line 3: {message}") for name, (_, message) in BAD_TASKS.items()),
+    *(Row(f"{command}-report-in-missing-directory", f"{command} --model $untrained {args} --report missing/r.json",
+          "No such file or directory: 'missing/r.json'")
+      for command, args in {"eval": "--tasks $tasks --shots 0", "ppl": "--items $items"}.items()),
+    # both used to exit 0 and count 3 of 3 queries as tuning overflows
+    *(Row(f"eval-seq-len={seq_len}",
+          f"eval --model $untrained --tasks $tasks --shots 1 --seq-len={seq_len} --report r.json",
+          "tuning_seq_len must be >= 1") for seq_len in ("0", "-7")),
+    # used to fail with "max() arg is an empty sequence" or "k must be >= 0"
+    *(Row(f"eval-shots-{name}", f"eval --model $untrained --tasks $tasks --shots={shots}",
+          "shots must be one or more counts >= 0")
+      for name, shots in {"empty": ",", "negative": "-1", "one-negative": "0,-2"}.items()),
+
+    Row("ppl-template-without-question-slot",
+        "ppl --model $model --items $items --template $no_slot --report report.json",
+        "error: question template has no {question} slot"),
+    Row("ppl-no-items", "ppl --model $model --items $empty", "error: no items"),
+    *(Row(f"ppl-item-{name.replace('_', '-')}", f"ppl --model $model --items $item_{name}",
+          f"item_{name}: line 2: {message}") for name, (_, message) in BAD_ITEMS.items()),
+    # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback
+    Row("ppl-perplexity-overflows", "ppl --model $loud --items $answer --report r.json",
+        "item 1: perplexity overflows"),
+    Row("ppl-template-not-utf8", "ppl --model $untrained --items $items --template $template_not_utf8",
+        "$template_not_utf8: not UTF-8"),
+
+    Row("generate-missing-model", "generate --model nope.ifta --prompt hi", "No such file or directory: 'nope.ifta'"),
+    # Linux hands undecodable argv bytes to Python as lone surrogates
+    Row("generate-prompt-not-utf8", "generate --model $untrained --prompt 'hi \udcff' --max-new-tokens 1",
+        "surrogates not allowed"),
+    # used to print the config block, numpy RuntimeWarnings and "error: Probabilities contain NaN"
+    Row("generate-temperature-too-small", "generate --model $untrained --prompt hi --temperature 1e-310",
+        "temperature 1e-310 is too small: logits / temperature overflows"),
+    # used to fail with numpy's "expected non-negative integer", which names no setting
+    Row("generate-negative-seed", "generate --model $untrained --prompt hi --seed -1", "seed must be >= 0, got -1"),
+
+    # a nan or infinite float setting is rejected by its owning dataclass before any output
+    *(Row(f"{s.key}-flag-{value}", f"{SETTING_ARGV[s.commands[0]]} {flag_of(s)}={value}", s.field)
+      for s in FLOAT_SETTINGS for value in NON_FINITE),
+    *(Row(f"{s.key}-file-{value}", SETTING_ARGV[s.commands[0]], s.field, config=f"{s.key} = {value}\n")
+      for s in FLOAT_SETTINGS for value in NON_FINITE),
+]
 
 
 @pytest.fixture(scope="module")
-def untrained_model(tmp_path_factory):
-    path = tmp_path_factory.mktemp("model") / "model.ifta"
-    DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64)).save_checkpoint(path)
-    return path
-
-
-class TestNonFiniteSettings:
-    """A nan or infinite float setting is rejected by its owning dataclass before any output."""
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("source", ["flag", "file"])
-    @pytest.mark.parametrize("setting", FLOAT_SETTINGS, ids=[s.key for s in FLOAT_SETTINGS])
-    def test_one_error_line_and_no_output(self, tmp_path, capsys, untrained_model, setting, source, value):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "o"
-        (command,) = setting.commands
-        argv = {"train": ["train", "--data", str(data), "--out", str(out), *TINY],
-                "generate": ["generate", "--model", str(untrained_model), "--prompt", "Once"]}[command]
-        if source == "flag":
-            argv.append(f"{flag_of(setting)}={value}")
+def inputs(tmp_path_factory) -> dict:
+    """The path of every prepared input, by name, made once for the module: FILES, ``tasks``, a tiny
+    trained run's ``model`` and ``adapters``, a 2-layer run's ``other_adapters``, an ``untrained``
+    model, a ``loud`` one with lm_head × 1e6, a ``huge_context`` archive that stores a 10**15-position
+    window, and each row's config as ``<row id>.cfg``; ``dir`` holds them all."""
+    d = tmp_path_factory.mktemp("inputs")
+    configs = {f"{row.id}.cfg": row.config for row in ROWS if row.config is not None}
+    for name, content in {**FILES, **configs}.items():
+        if isinstance(content, list):
+            write_jsonl(d / name, content)
         else:
-            (tmp_path / "cfg").write_text(f"{setting.key} = {value}\n", encoding="utf-8")
-            argv = ["--config", str(tmp_path / "cfg"), *argv]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and setting.field in lines[0], lines
-        assert captured.out == ""
-        assert not out.exists()
+            (d / name).write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
+    for layers in (1, 2):
+        assert main(["train", "--data", str(d / "records8"), "--out", str(d / f"run{layers}"), *TINY.split(),
+                     "--n-layers", str(layers), "--epochs", "1", "--batch", "8", "--seed", "0"]) == 0
+    model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64))
+    model.save_checkpoint(d / "untrained")
+    model.params["lm_head"].data *= 1e6
+    model.save_checkpoint(d / "loud")
+    config = {**asdict(ModelConfig(d_model=16, n_heads=2, n_layers=1)), "max_seq_len": 10**15}
+    save_archive(d / "huge_context", {}, meta={"kind": "decoder-model", "config": config})
+    paths = {name: d / name for name in [*FILES, "untrained", "loud", "huge_context"]}
+    paths.update(model=d / "run1" / "model.ifta", adapters=d / "run1" / "adapters-epoch0.ifta",
+                 other_adapters=d / "run2" / "adapters-epoch0.ifta", tasks=TestEval().tasks_file(d, n=4), dir=d)
+    return {name: str(path) for name, path in paths.items()}
 
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_fails_with_one_error_line(row, inputs, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    paths = {**inputs, "config": str(Path(inputs["dir"], f"{row.id}.cfg"))}
+    argv = [Template(word).substitute(paths) for word in shlex.split(row.argv)]
+    if row.config is not None:
+        argv = ["--config", paths["config"], *argv]
+    assert_fails(capsys, argv, Template(row.text).substitute(paths), tmp_path, Path(inputs["dir"]))
 
 
 class TestFailsBeforeOutput:
-    """A bad output path, prompt or setting: one `error:` line, exit 1, nothing on stdout."""
-
-    def assert_failed_silently(self, capsys, argv, named):
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("command", ["eval", "ppl"])
-    def test_report_in_missing_directory(self, tmp_path, capsys, untrained_model, command):
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}])
-        inputs = {"eval": ["--tasks", str(TestEval().tasks_file(tmp_path, n=1)), "--shots", "0"],
-                  "ppl": ["--items", str(items)]}[command]
-        report = tmp_path / "missing_dir" / "r.json"
-        argv = [command, "--model", str(untrained_model), *inputs, "--report", str(report)]
-        self.assert_failed_silently(capsys, argv, f"No such file or directory: '{report}'")
-
-    @pytest.mark.parametrize("seq_len", ["0", "-7"])
-    def test_eval_seq_len_below_one(self, tmp_path, capsys, untrained_model, seq_len):
-        # both used to exit 0 and count 3 of 3 queries as tuning overflows
-        report = tmp_path / "r.json"
-        argv = ["eval", "--model", str(untrained_model), "--tasks", str(TestEval().tasks_file(tmp_path, n=4)),
-                "--shots", "1", f"--seq-len={seq_len}", "--report", str(report)]
-        self.assert_failed_silently(capsys, argv, "tuning_seq_len must be >= 1")
-        assert not report.exists()
-
-    @pytest.mark.parametrize("shots", [",", "-1", "0,-2"])
-    def test_eval_shots_empty_or_negative(self, tmp_path, capsys, untrained_model, shots):
-        # used to fail with "max() arg is an empty sequence" or "k must be >= 0"
-        argv = ["eval", "--model", str(untrained_model), "--tasks", str(TestEval().tasks_file(tmp_path, n=4)),
-                f"--shots={shots}"]
-        self.assert_failed_silently(capsys, argv, "shots")
-
-    def test_prompt_that_is_not_utf8(self, capsys, untrained_model):
-        # Linux hands undecodable argv bytes to Python as lone surrogates
-        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi \udcff", "--max-new-tokens", "1"]
-        self.assert_failed_silently(capsys, argv, "surrogates not allowed")
-
-    def test_temperature_too_small_for_the_logits(self, capsys, untrained_model):
-        # used to print the config block, numpy RuntimeWarnings and "error: Probabilities contain NaN"
-        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi", "--temperature", "1e-310"]
-        self.assert_failed_silently(capsys, argv, "temperature 1e-310 is too small: logits / temperature overflows")
-
-    def test_negative_generate_seed(self, capsys, untrained_model):
-        # used to fail with numpy's "expected non-negative integer", which names no setting
-        argv = ["generate", "--model", str(untrained_model), "--prompt", "hi", "--seed", "-1"]
-        self.assert_failed_silently(capsys, argv, "seed must be >= 0, got -1")
-
-    @pytest.mark.parametrize("seed", ["-1", "-20"])
-    def test_negative_train_seed_over_a_checkpoint(self, tmp_path, capsys, untrained_model, seed):
-        # the checkpoint's config skips ModelConfig's seed check; numpy used to
-        # reject the seed in the epoch loop, after an empty --out was made
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "o"
-        argv = ["train", "--data", str(data), "--out", str(out), "--init-from", str(untrained_model),
-                "--seq-len", "64", "--seed", seed]
-        self.assert_failed_silently(capsys, argv, f"seed must be >= 0, got {seed}")
-        assert not out.exists()
-
-    def test_ppl_item_whose_perplexity_overflows(self, tmp_path, capsys):
-        # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback
-        model = DecoderModel(ModelConfig(d_model=16, n_heads=2, n_layers=1, max_seq_len=64))
-        model.params["lm_head"].data *= 1e6
-        model.save_checkpoint(tmp_path / "model.ifta")
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "an answer"}])
-        report = tmp_path / "r.json"
-        argv = ["ppl", "--model", str(tmp_path / "model.ifta"), "--items", str(items), "--report", str(report)]
-        self.assert_failed_silently(capsys, argv, "item 1: perplexity overflows")
-        assert not report.exists()
-
-    def test_out_below_a_file(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        self.assert_failed_silently(capsys, ["train", "--data", str(data), "--out", str(data / "run"), *TINY],
-                                    "Not a directory")
-
-    # 10**15 positions need petabytes, past a 47-bit address space, so the
-    # allocation fails whatever the overcommit policy; both used to print a traceback
-    def test_context_too_large_to_allocate(self, tmp_path, capsys):
-        data = tmp_path / "d.jsonl"
-        write_jsonl(data, dataset_rows(4))
-        out = tmp_path / "o"
-        argv = ["train", "--data", str(data), "--out", str(out), *TINY, "--max-seq-len", str(10**15)]
-        self.assert_failed_silently(capsys, argv, "Unable to allocate")
-        assert not out.exists()
-
-    def test_stored_context_too_large_to_allocate(self, tmp_path, capsys):
-        path = tmp_path / "m.ifta"
-        config = {**asdict(ModelConfig(d_model=16, n_heads=2, n_layers=1)), "max_seq_len": 10**15}
-        save_archive(path, {}, meta={"kind": "decoder-model", "config": config})
-        self.assert_failed_silently(capsys, ["generate", "--model", str(path), "--prompt", "hi"], "Unable to allocate")
+    """Failures with a setup of their own or a second call: the one contract, and what each leaves in --out."""
 
     def diverge(self, tmp_path, capsys, records, out, *extra):
         # the first update makes LoRA B ~1e30; the next forward overflows
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(records))
-        argv = ["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *extra, *TINY]
-        self.assert_failed_silently(capsys, argv, "training diverged")
+        argv = ["train", "--data", str(data), "--out", str(out), "--lr", "1e30", "--epochs", "2", *extra,
+                *TINY.split()]
+        assert_fails(capsys, argv, "training diverged", tmp_path)
 
     def test_divergence_after_an_epoch_removes_its_outputs(self, tmp_path, capsys):
         # one step an epoch: epoch 0's adapters and report used to stay in --out
@@ -1026,12 +819,12 @@ class TestFailsBeforeOutput:
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
         out = tmp_path / "run"
-        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY]
+        argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY.split()]
         assert main(argv) == 0
         capsys.readouterr()
         before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         if failure == "diverge":
-            self.assert_failed_silently(capsys, [*argv, "--lr", "1e30"], "training diverged")
+            assert_fails(capsys, [*argv, "--lr", "1e30"], "training diverged", tmp_path)
         else:
             real, steps = training.train_step, []
 
@@ -1052,7 +845,7 @@ class TestFailsBeforeOutput:
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
         out = tmp_path / "run"
-        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY.split()]
         assert main(argv) == 0
         capsys.readouterr()
         before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -1066,7 +859,7 @@ class TestFailsBeforeOutput:
             return fh
 
         monkeypatch.setattr(archive, "open", full_disk, raising=False)
-        self.assert_failed_silently(capsys, [*argv, "--epochs", "2", "--seed", "1"], f"'{out / failing}'")
+        assert_fails(capsys, [*argv, "--epochs", "2", "--seed", "1"], f"'{out / failing}'", tmp_path)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_failure_while_publishing_leaves_whole_files(self, tmp_path, capsys, monkeypatch):
@@ -1083,30 +876,15 @@ class TestFailsBeforeOutput:
         data = tmp_path / "d.jsonl"
         write_jsonl(data, dataset_rows(4))
         out = tmp_path / "run"
-        argv = ["train", "--data", str(data), "--out", str(out), *TINY]
+        argv = ["train", "--data", str(data), "--out", str(out), *TINY.split()]
         assert main(argv) == 0
         capsys.readouterr()
         (out / "model.ifta").unlink()
         (out / "model.ifta").mkdir()
         (out / "model.ifta" / "kept").write_bytes(b"x")
         before = sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*"))
-        self.assert_failed_silently(capsys, [*argv, "--seed", "1"], f"'{out / 'model.ifta'}'")
+        assert_fails(capsys, [*argv, "--seed", "1"], f"'{out / 'model.ifta'}'", tmp_path)
         assert sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*")) == before
-
-    def test_config_file_that_is_not_utf8(self, tmp_path, capsys):
-        # used to print only the codec's message, which names no file
-        cfg = tmp_path / "cfg"
-        cfg.write_bytes(b"\xffseed = 1\n")
-        argv = ["--config", str(cfg), "build-dataset", "--output", str(tmp_path / "o.jsonl")]
-        self.assert_failed_silently(capsys, argv, f"{cfg}: not UTF-8")
-
-    def test_template_that_is_not_utf8(self, tmp_path, capsys, untrained_model):
-        items = tmp_path / "items.jsonl"
-        write_jsonl(items, [{"question": "q", "response": "r"}])
-        template = tmp_path / "template.txt"
-        template.write_bytes(b"\xff{question}")
-        argv = ["ppl", "--model", str(untrained_model), "--items", str(items), "--template", str(template)]
-        self.assert_failed_silently(capsys, argv, f"{template}: not UTF-8")
 
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page

@@ -117,7 +117,7 @@ WRITERS = {
     "archive.archive_chunks": "(arrays, meta=None)",
     "archive.save_archive": "(path, arrays, meta=None)",
     "lora.adapter_checkpoint": "(model, arrays=None)",
-    "lora.save_adapters": "(model, path, arrays=None)",
+    "lora.save_adapters": "(model, path)",
 }
 
 
