@@ -636,8 +636,6 @@ ROWS = [
         config="build.exclude = translation,qa#x\n"),
     Row("build-dataset-malformed-line", "build-dataset --input $bad_line --output out.jsonl",
         "$bad_line: line 2: invalid JSON"),
-    *(Row(f"build-dataset-{name.replace('_', '-')}", f"build-dataset {flag} $pair_{name} --output out.jsonl",
-          f"pair_{name}: line 1: {message}") for name, (flag, _, message) in BAD_PAIRS.items()),
     # used to print only the codec's message, which names no file
     Row("build-dataset-config-not-utf8", "build-dataset --output out.jsonl", "$config: not UTF-8",
         config=b"\xffseed = 1\n"),
@@ -699,8 +697,6 @@ ROWS = [
     *(Row(f"{command}-adapters-of-another-base", f"{command} --model $model --adapters $other_adapters {args}",
           "adapter names do not match") for command, args in MODEL_INPUTS.items()),
 
-    *(Row(f"eval-task-{name.replace('_', '-')}", f"eval --model $model --tasks $task_{name} --shots 1 --report r.json",
-          f"task_{name}: line 3: {message}") for name, (_, message) in BAD_TASKS.items()),
     *(Row(f"{command}-report-in-missing-directory", f"{command} --model $untrained {args} --report missing/r.json",
           "No such file or directory: 'missing/r.json'")
       for command, args in {"eval": "--tasks $tasks --shots 0", "ppl": "--items $items"}.items()),
@@ -717,8 +713,6 @@ ROWS = [
         "ppl --model $model --items $items --template $no_slot --report report.json",
         "error: question template has no {question} slot"),
     Row("ppl-no-items", "ppl --model $model --items $empty", "error: no items"),
-    *(Row(f"ppl-item-{name.replace('_', '-')}", f"ppl --model $model --items $item_{name}",
-          f"item_{name}: line 2: {message}") for name, (_, message) in BAD_ITEMS.items()),
     # logits about 1e4 apart put a response's mean NLL past exp's float range; used to print a traceback
     Row("ppl-perplexity-overflows", "ppl --model $loud --items $answer --report r.json",
         "item 1: perplexity overflows"),
@@ -734,13 +728,23 @@ ROWS = [
         "temperature 1e-310 is too small: logits / temperature overflows"),
     # used to fail with numpy's "expected non-negative integer", which names no setting
     Row("generate-negative-seed", "generate --model $untrained --prompt hi --seed -1", "seed must be >= 0, got -1"),
+]
 
-    # a nan or infinite float setting is rejected by its owning dataclass before any output
+# Rows generated from the tables above, one family to a test below; each keeps its earlier test id.
+TASK_ROWS = [Row(f"eval-task-{name.replace('_', '-')}",
+                 f"eval --model $model --tasks $task_{name} --shots 1 --report r.json",
+                 f"task_{name}: line 3: {message}") for name, (_, message) in BAD_TASKS.items()]
+ITEM_ROWS = [Row(f"ppl-item-{name.replace('_', '-')}", f"ppl --model $model --items $item_{name}",
+                 f"item_{name}: line 2: {message}") for name, (_, message) in BAD_ITEMS.items()]
+PAIR_ROWS = [Row(f"build-dataset-{name.replace('_', '-')}", f"build-dataset {flag} $pair_{name} --output out.jsonl",
+                 f"pair_{name}: line 1: {message}") for name, (flag, _, message) in BAD_PAIRS.items()]
+NON_FINITE_ROWS = [
     *(Row(f"{s.key}-flag-{value}", f"{SETTING_ARGV[s.commands[0]]} {flag_of(s)}={value}", s.field)
       for s in FLOAT_SETTINGS for value in NON_FINITE),
     *(Row(f"{s.key}-file-{value}", SETTING_ARGV[s.commands[0]], s.field, config=f"{s.key} = {value}\n")
       for s in FLOAT_SETTINGS for value in NON_FINITE),
 ]
+ALL_ROWS = [*ROWS, *TASK_ROWS, *ITEM_ROWS, *PAIR_ROWS, *NON_FINITE_ROWS]
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +754,7 @@ def inputs(tmp_path_factory) -> dict:
     model, a ``loud`` one with lm_head × 1e6, a ``huge_context`` archive that stores a 10**15-position
     window, and each row's config as ``<row id>.cfg``; ``dir`` holds them all."""
     d = tmp_path_factory.mktemp("inputs")
-    configs = {f"{row.id}.cfg": row.config for row in ROWS if row.config is not None}
+    configs = {f"{row.id}.cfg": row.config for row in ALL_ROWS if row.config is not None}
     for name, content in {**FILES, **configs}.items():
         if isinstance(content, list):
             write_jsonl(d / name, content)
@@ -771,14 +775,44 @@ def inputs(tmp_path_factory) -> dict:
     return {name: str(path) for name, path in paths.items()}
 
 
-@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_fails_with_one_error_line(row, inputs, tmp_path, capsys, monkeypatch):
+def run_row(row, inputs, tmp_path, capsys, monkeypatch):
+    """Run ``row`` in ``tmp_path`` against ``assert_fails``, with the prepared inputs as shared roots."""
     monkeypatch.chdir(tmp_path)
     paths = {**inputs, "config": str(Path(inputs["dir"], f"{row.id}.cfg"))}
     argv = [Template(word).substitute(paths) for word in shlex.split(row.argv)]
     if row.config is not None:
         argv = ["--config", paths["config"], *argv]
     assert_fails(capsys, argv, Template(row.text).substitute(paths), tmp_path, Path(inputs["dir"]))
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
+def test_fails_with_one_error_line(row, inputs, tmp_path, capsys, monkeypatch):
+    run_row(row, inputs, tmp_path, capsys, monkeypatch)
+
+
+class TestMalformedRows:
+    """Every JSONL reader: one `error:` line naming the file and line, exit 1, no output."""
+
+    @pytest.mark.parametrize("row", TASK_ROWS, ids=[f"row{i}-{m}" for i, (_, m) in enumerate(BAD_TASKS.values())])
+    def test_eval_tasks(self, row, inputs, tmp_path, capsys, monkeypatch):
+        run_row(row, inputs, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("row", ITEM_ROWS, ids=[f"row{i}-{m}" for i, (_, m) in enumerate(BAD_ITEMS.values())])
+    def test_ppl_items(self, row, inputs, tmp_path, capsys, monkeypatch):
+        run_row(row, inputs, tmp_path, capsys, monkeypatch)
+
+    @pytest.mark.parametrize("row", PAIR_ROWS,
+                             ids=[f"{flag}-row{i}-{m}" for i, (flag, _, m) in enumerate(BAD_PAIRS.values())])
+    def test_build_dataset_pairs(self, row, inputs, tmp_path, capsys, monkeypatch):
+        run_row(row, inputs, tmp_path, capsys, monkeypatch)
+
+
+class TestNonFiniteSettings:
+    """A nan or infinite float setting is rejected by its owning dataclass before any output."""
+
+    @pytest.mark.parametrize("row", NON_FINITE_ROWS, ids=[row.id for row in NON_FINITE_ROWS])
+    def test_one_error_line_and_no_output(self, row, inputs, tmp_path, capsys, monkeypatch):
+        run_row(row, inputs, tmp_path, capsys, monkeypatch)
 
 
 class TestFailsBeforeOutput:
