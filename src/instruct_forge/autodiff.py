@@ -199,7 +199,7 @@ def _add_grad(n: _Node, g: np.ndarray):
 
     An op output's first gradient is ``g`` itself, not a copy, so it may
     alias the upstream gradient of the op that sent it (``add`` sends the
-    same array to both parents; ``reshape`` and ``transpose`` send views).
+    same array to both parents; ``merge_heads`` sends its parent a view).
     That is sound only while no backward closure writes into its upstream
     ``g``: every closure must build new arrays from ``g``. A leaf's first
     gradient is always a fresh array, so no ``.grad`` the optimizer reads
@@ -405,7 +405,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def split_heads(x: Tensor, H: int) -> Tensor:
-    """[..., T, H·hd] to [..., H, T, hd]: ``reshape`` then ``transpose`` as one node."""
+    """[..., T, H·hd] to [..., H, T, hd], ``x.reshape(..., T, H, hd).swapaxes(-2, -3)``, as one node."""
     if x.ndim < 2 or x.shape[-1] % H != 0:
         raise ValueError(f"split_heads: last dimension of {x.shape} is not a multiple of {H} heads")
     nx, xshape = x._node, x.data.shape

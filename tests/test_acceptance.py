@@ -11,9 +11,7 @@ import pytest
 
 from fixture_pretrain import pretrain
 from fixture_tasks import demos, query
-from gradcheck import check_op
-from instruct_forge import autodiff as ad
-from instruct_forge.autodiff import Tensor
+from gradcheck import TRAIN_STEP_OPS, TRIALS, check_op
 from instruct_forge.cli import main as cli_main
 from instruct_forge.evaluation import (
     ChoiceTask,
@@ -65,60 +63,19 @@ def report(number: int, title: str, ok: bool, elapsed: float, budget: float):
     assert elapsed < budget, f"criterion {number} exceeded {budget}s ({elapsed:.1f}s)"
 
 
-def rand(rng, *shape):
-    return rng.normal(size=shape)
-
-
-def gradient_trials(rng):
-    """Acceptance 1's gradcheck trials: zero-argument calls of ``check_op``, at
-    least one per graph op that a train step runs on either attention layout.
-    The head and row ops and attention are reduced by a weighted sum, so that
-    every element of their output has its own gradient."""
-    T, h = 3, 4
-    angles = np.outer(np.arange(T), [1.0, 0.5])
-    cos, sin = np.cos(angles), np.sin(angles)
-    cc, ss = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
-
-    def weighted(w):
-        return lambda t: ad.tsum(ad.mul(t, Tensor(w)))
-
-    def lora(mask=None):
-        # B is drawn non-zero, so each operand's gradient reads the scaling
-        return check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, mask, 0.25),
-                        [rand(rng, 2, 3, 4), rand(rng, 5, 4), rand(rng, 2, 4), rand(rng, 5, 2)])
-
-    return [
-        lambda: check_op(ad.add, [rand(rng, 3, 4), rand(rng, 4)]),
-        lambda: check_op(ad.linear, [rand(rng, 3, 4), rand(rng, 2, 4)]),
-        lambda: check_op(ad.linear, [rand(rng, 2, 3, 4), rand(rng, 2, 4)]),
-        lora,
-        lambda: lora(ad.dropout_mask((2, 3, 4), 0.25, rng)),
-        lambda: check_op(ad.gelu, [rand(rng, 3, 4)]),
-        lambda: check_op(ad.layer_norm, [rand(rng, 2, 4), rand(rng, 4), rand(rng, 4)]),
-        lambda: check_op(lambda x: ad.split_heads(x, 2), [rand(rng, 2, 3, 4)],
-                         reduce=weighted(rand(rng, 2, 2, 3, 2))),
-        lambda: check_op(lambda q, k, v: ad.causal_attention(q, k, v, 0.5),
-                         [rand(rng, 2, 3, 4), rand(rng, 2, 5, 4), rand(rng, 2, 5, 4)],
-                         reduce=weighted(rand(rng, 2, 3, 4))),
-        lambda: check_op(ad.merge_heads, [rand(rng, 2, 2, 3, 2)], reduce=weighted(rand(rng, 2, 3, 4))),
-        lambda: check_op(lambda t: ad.softmax_cross_entropy(t, [0, 1, 2], [True, False, True]),
-                         [rand(rng, 3, 6)], reduce=lambda t: t),
-        lambda: check_op(lambda t: ad.embedding(t, [1, 1, 3]),
-                         [rand(rng, 4, 3)]),
-        lambda: check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)]),
-        lambda: check_op(lambda x: ad.last_rows(x, 2), [rand(rng, 2, 5, 3)], reduce=weighted(rand(rng, 2, 2, 3))),
-        lambda: check_op(lambda x: ad.slice_last(x, 1, 3), [rand(rng, 2, 5)]),
-    ]
-
-
 def test_01_gradient_fidelity():
     start = time.monotonic()
-    trials = gradient_trials(np.random.default_rng(0))
-    ok = True
+    rows = [key for key in TRIALS if key[0] in TRAIN_STEP_OPS]
+    rng = np.random.default_rng(0)
+    failures = []
     for i in range(100):
-        trials[i % len(trials)]()  # check_op asserts rel err < 1e-3 internally
-    report(1, "gradient fidelity, 100 finite-difference trials",
-           ok, time.monotonic() - start, 60)
+        try:
+            check_op(*rows[i % len(rows)], rng)   # asserts rel. error < 1e-3
+        except Exception as e:   # a failing trial is reported on the verdict line, not as a bare traceback
+            failures.append(f"{type(e).__name__}: {e}")
+    report(1, f"gradient fidelity, {100 - len(failures)} of 100 finite-difference trials pass"
+              + (f"; first failure {failures[0]}" if failures else ""),
+           not failures, time.monotonic() - start, 60)
 
 
 def test_02_lora_zero_init_identity():

@@ -11,8 +11,8 @@ from instruct_forge import autodiff as ad
 from instruct_forge.autodiff import Tensor
 
 from conftest import held_beyond_output
-from gradcheck import (causal_attention_reference, check_op, finite_difference, layer_norm_reference,
-                       lora_linear_reference)
+from gradcheck import (TRIALS, causal_attention_reference, check_op, finite_difference, forward_backward,
+                       layer_norm_reference, lora_linear_reference)
 
 # a graph node, its backward closure and the closure's cells: 1-3 KiB measured
 NODE_BYTES = 8192
@@ -22,12 +22,9 @@ def rand(rng, *shape):
     return rng.uniform(-2, 2, shape)
 
 
-def forward_backward(op, arrays, g):
-    """``op(*arrays)``'s data, then each operand's gradient of ``sum(op(*arrays) * g)``."""
-    tensors = [Tensor(a, requires_grad=True) for a in arrays]
-    out = op(*tensors)
-    ad.tsum(ad.mul(out, Tensor(g))).backward()
-    return [out.data] + [t.grad for t in tensors]
+def cases(op):
+    """The cases of ``TRIALS``' rows of ``op``: the ids of the test that runs them."""
+    return [case for name, case in TRIALS if name == op]
 
 
 def assert_all_equal(got, ref):
@@ -61,19 +58,16 @@ class TestMatmul:
             ad.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
     def test_gradients(self):
-        rng = np.random.default_rng(1)
-        check_op(ad.matmul, [rand(rng, 3, 4), rand(rng, 4, 2)])
+        check_op("matmul")
 
     def test_batched_gradients(self):
-        rng = np.random.default_rng(2)
-        check_op(ad.matmul, [rand(rng, 2, 3, 4), rand(rng, 4, 2)])
+        check_op("matmul", "batched")
 
 
 class TestLinear:
-    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
-    def test_gradients(self, x_shape):
-        rng = np.random.default_rng(11)
-        check_op(ad.linear, [rand(rng, *x_shape), rand(rng, 3, 4)])
+    @pytest.mark.parametrize("case", cases("linear"))
+    def test_gradients(self, case):
+        check_op("linear", case)
 
     def test_matches_matmul_of_transpose(self):
         rng = np.random.default_rng(12)
@@ -111,12 +105,9 @@ class TestLoraLinear:
         """The inverted-scaling factors of ``mask``: 0 or 1/(1-p)."""
         return mask.astype(dtype) / (1.0 - self.P)
 
-    @pytest.mark.parametrize("x_shape", [(6, 4), (2, 3, 4)])
-    @pytest.mark.parametrize("dropout", [False, True])
-    def test_gradients(self, x_shape, dropout):
-        rng = np.random.default_rng(31)
-        mask = self.mask(rng, x_shape) if dropout else None
-        check_op(lambda x, w, a, b: ad.lora_linear(x, w, a, b, 1.5, mask, self.P), self.operands(rng, x_shape))
+    @pytest.mark.parametrize("case", cases("lora_linear"))
+    def test_gradients(self, case):
+        check_op("lora_linear", case)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gradients_bit_identical_to_keeping_the_masked_input(self, dtype):
@@ -183,11 +174,10 @@ class TestLoraLinear:
 
 
 class TestHeads:
-    @pytest.mark.parametrize("shape", [(6, 12), (2, 5, 12)])
-    def test_gradients(self, shape):
-        rng = np.random.default_rng(35)
-        check_op(lambda x: ad.split_heads(x, 3), [rand(rng, *shape)])
-        check_op(ad.merge_heads, [rand(rng, *shape[:-2], 3, shape[-2], 4)])
+    @pytest.mark.parametrize("case", cases("split_heads"))
+    def test_gradients(self, case):
+        check_op("split_heads", case)
+        check_op("merge_heads", case)
 
     def test_equal_reshape_then_transpose(self):
         rng = np.random.default_rng(36)
@@ -208,21 +198,16 @@ class TestHeads:
 
 
 class TestLastRows:
-    @pytest.mark.parametrize("shape", [(5, 3), (2, 5, 3), (2, 2, 5, 3)])
-    @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_gradient(self, shape, n):
-        rng = np.random.default_rng(37)
-        w = Tensor(rand(rng, *shape[:-2], n, shape[-1]))   # weighted, so each kept element's gradient differs
-        check_op(lambda x: ad.last_rows(x, n), [rand(rng, *shape)], reduce=lambda t: ad.tsum(ad.mul(t, w)))
+    @pytest.mark.parametrize("case", cases("last_rows"))
+    def test_gradient(self, case):
+        check_op("last_rows", case)
 
     def test_forward_and_gradient_are_the_row_slice(self):
         rng = np.random.default_rng(38)
-        x = Tensor(rand(rng, 2, 6, 4), requires_grad=True)
-        g = rand(rng, 2, 2, 4)
-        out = ad.last_rows(x, 2)
-        ad.tsum(ad.mul(out, Tensor(g))).backward()
-        assert np.array_equal(out.data, x.data[:, -2:])
-        assert np.array_equal(x.grad[:, -2:], g) and not x.grad[:, :-2].any()
+        x, g = rand(rng, 2, 6, 4), rand(rng, 2, 2, 4)
+        out, dx = forward_backward(lambda t: ad.last_rows(t, 2), [x], g)
+        assert np.array_equal(out, x[:, -2:])
+        assert np.array_equal(dx[:, -2:], g) and not dx[:, :-2].any()
 
     @pytest.mark.parametrize("shape,n", [((4, 3), 0), ((4, 3), 5), ((4,), 1)])
     def test_bad_row_counts_rejected(self, shape, n):
@@ -250,11 +235,8 @@ class TestElementwise:
         assert abs(x.grad[0] - num[0]) / abs(num[0]) < 1e-4
 
     def test_gradients(self):
-        rng = np.random.default_rng(3)
-        check_op(ad.add, [rand(rng, 3, 4), rand(rng, 4)])
-        check_op(ad.mul, [rand(rng, 3, 4), rand(rng, 3, 4)])
-        check_op(lambda t: ad.scale(t, -2.5), [rand(rng, 5)])
-        check_op(ad.gelu, [rand(rng, 3, 4)])
+        for op in ("add", "mul", "scale", "gelu"):
+            check_op(op)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_gelu_bit_identical_to_formula(self, dtype):
@@ -266,12 +248,10 @@ class TestElementwise:
         d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
         dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * d_inner
 
-        tx = Tensor(x, requires_grad=True)
-        out = ad.gelu(tx)
-        ad.tsum(ad.mul(out, Tensor(g))).backward()
-        assert out.data.dtype == dtype
-        assert np.array_equal(out.data, 0.5 * x * (1.0 + t))
-        assert np.array_equal(tx.grad, g * dx)
+        out, got = forward_backward(ad.gelu, [x], g)
+        assert out.dtype == dtype
+        assert np.array_equal(out, 0.5 * x * (1.0 + t))
+        assert np.array_equal(got, g * dx)
 
     def test_gelu_graph_keeps_only_its_input(self):
         # keeping the [4, 128, 256] tanh term held 512 KiB
@@ -347,8 +327,7 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
     def test_gradients(self):
-        rng = np.random.default_rng(4)
-        check_op(lambda x, g, b: ad.layer_norm(x, g, b), [rand(rng, 2, 4), rand(rng, 4), rand(rng, 4)])
+        check_op("layer_norm")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bit_identical_to_mean_var_formula(self, dtype):
@@ -362,14 +341,12 @@ class TestLayerNorm:
         gd = g * gain
         dx = inv * (gd - gd.mean(axis=-1, keepdims=True) - xhat * (gd * xhat).mean(axis=-1, keepdims=True))
 
-        tx, tgain, tbias = (Tensor(a, requires_grad=True) for a in (x, gain, bias))
-        out = ad.layer_norm(tx, tgain, tbias)
-        ad.tsum(ad.mul(out, Tensor(g))).backward()
-        assert out.data.dtype == dtype
-        assert np.array_equal(out.data, xhat * gain + bias)
-        assert np.array_equal(tx.grad, dx)
-        assert np.array_equal(tgain.grad, (g * xhat).sum(axis=(0, 1)))
-        assert np.array_equal(tbias.grad, g.sum(axis=(0, 1)))
+        out, got_dx, dgain, dbias = forward_backward(ad.layer_norm, [x, gain, bias], g)
+        assert out.dtype == dtype
+        assert np.array_equal(out, xhat * gain + bias)
+        assert np.array_equal(got_dx, dx)
+        assert np.array_equal(dgain, (g * xhat).sum(axis=(0, 1)))
+        assert np.array_equal(dbias, g.sum(axis=(0, 1)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(6, 48), (2, 3, 5, 32)])
@@ -424,10 +401,7 @@ class TestSoftmaxCrossEntropy:
             assert abs(loss.item() - math.log(v)) < 1e-6
 
     def test_gradients(self):
-        rng = np.random.default_rng(6)
-        logits = rand(rng, 4, 5)
-        check_op(lambda t: ad.softmax_cross_entropy(t, [0, 1, 2, 3], [True, True, False, True]),
-                 [logits], reduce=lambda x: x)
+        check_op("softmax_cross_entropy")
 
 
 class TestLogSoftmax:
@@ -495,10 +469,6 @@ class TestBackward:
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
         ad.tsum(x).backward()
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
-
-    def test_matmul_sum_matches_finite_differences(self):
-        rng = np.random.default_rng(7)
-        check_op(ad.matmul, [rand(rng, 3, 4), rand(rng, 4, 3)])
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -620,51 +590,34 @@ class TestSavedArrays:
         assert np.array_equal(grad, self.run(self.KEPT[name], drop=False)[0])
 
 
-MIXED_OPS = {
-    "add": (ad.add, [(3, 4), (4,)]),
-    "mul": (ad.mul, [(3, 4), (3, 4)]),
-    "matmul": (ad.matmul, [(2, 3, 4), (4, 5)]),
-    "linear": (ad.linear, [(2, 3, 4), (5, 4)]),
-    "lora_linear": (lambda x, w, a, b: ad.lora_linear(x, w, a, b, 0.5), [(2, 3, 4), (5, 4), (2, 4), (5, 2)]),
-    "layer_norm": (ad.layer_norm, [(3, 4), (4,), (4,)]),
-    "causal_attention": (lambda q, k, v: ad.causal_attention(q, k, v, 0.5), [(2, 3, 4), (2, 5, 4), (2, 5, 4)]),
-}
+# each op's first row, for the ops of more than one operand
+FIRST_ROWS = {op: TRIALS[op, cases(op)[0]] for op, _ in TRIALS}
+MULTI_OPERAND = [op for op, build in FIRST_ROWS.items() if len(build(np.random.default_rng(0))[1]) > 1]
 
 
-@pytest.mark.parametrize("name", MIXED_OPS)
-def test_any_float64_operand_gives_float64(name):
+@pytest.mark.parametrize("op", MULTI_OPERAND)
+def test_any_float64_operand_gives_float64(op):
     """NumPy's promotion is the one dtype rule: float64 if any operand is, else float32."""
-    op, shapes = MIXED_OPS[name]
-    rng = np.random.default_rng(21)
-    for wide in range(len(shapes)):
-        tensors = [Tensor(rand(rng, *shape).astype(np.float64 if i == wide else np.float32), requires_grad=True)
-                   for i, shape in enumerate(shapes)]
-        out = op(*tensors)
+    fn, arrays = FIRST_ROWS[op](np.random.default_rng(21))
+    for wide in range(len(arrays)):
+        tensors = [Tensor(a.astype(np.float64 if i == wide else np.float32), requires_grad=True)
+                   for i, a in enumerate(arrays)]
+        out = fn(*tensors)
         assert out.data.dtype == np.float64
         ad.tsum(out).backward()
         assert [t.grad.dtype for t in tensors] == [t.data.dtype for t in tensors]
-    assert op(*(Tensor(rand(rng, *shape).astype(np.float32)) for shape in shapes)).data.dtype == np.float32
+    assert fn(*(Tensor(a.astype(np.float32)) for a in arrays)).data.dtype == np.float32
 
 
 class TestShapeOps:
     def test_gradients(self):
-        rng = np.random.default_rng(9)
-        check_op(lambda x: ad.reshape(x, (4, 3)), [rand(rng, 3, 4)])
-        check_op(lambda x: ad.transpose(x, (1, 0, 2)), [rand(rng, 2, 3, 4)])
-        check_op(lambda x: ad.slice_last(x, 1, 3), [rand(rng, 2, 5)])
-        # plain sum of a softmax is constant; weight the outputs instead
-        w = rand(rng, 3, 5)
-        check_op(ad.softmax, [rand(rng, 3, 5)], reduce=lambda t: ad.tsum(ad.mul(t, Tensor(w))))
+        for op in ("reshape", "transpose", "slice_last", "softmax", "embedding"):
+            check_op(op)
 
     def test_rotary_gradient(self):
-        rng = np.random.default_rng(10)
-        T, h = 3, 4
-        angles = np.outer(np.arange(T), [1.0, 0.5])
-        cos, sin = np.cos(angles), np.sin(angles)
-        cc, ss = np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1)
-        check_op(lambda x: ad.rotary(x, cc, ss), [rand(rng, 2, T, h)])
+        check_op("rotary")
         with pytest.raises(ValueError, match="wide"):   # half-width tables
-            ad.rotary(Tensor(rand(rng, 2, T, h)), cos, sin)
+            ad.rotary(Tensor(np.ones((2, 3, 4))), np.ones((3, 2)), np.ones((3, 2)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_rotary_bit_identical_to_formula(self, dtype):
@@ -680,12 +633,11 @@ class TestShapeOps:
         ref = np.concatenate([x1 * cos - x2 * sin, x1 * sin + x2 * cos], axis=-1)
         ref_dx = np.concatenate([g1 * cos + g2 * sin, -g1 * sin + g2 * cos], axis=-1)
 
-        tx = Tensor(x, requires_grad=True)
-        out = ad.rotary(tx, np.concatenate([cos, cos], axis=-1), np.concatenate([-sin, sin], axis=-1))
-        ad.tsum(ad.mul(out, Tensor(g))).backward()
-        assert out.data.dtype == dtype and out.data.flags.c_contiguous
-        assert np.array_equal(out.data, ref)
-        assert np.array_equal(tx.grad, ref_dx)
+        out, dx = forward_backward(lambda t: ad.rotary(t, np.concatenate([cos, cos], axis=-1),
+                                                       np.concatenate([-sin, sin], axis=-1)), [x], g)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        assert np.array_equal(out, ref)
+        assert np.array_equal(dx, ref_dx)
 
     def test_embedding_gradient_scatters(self):
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
@@ -713,18 +665,9 @@ def unfused_attention(q, k, v, s):
 
 
 class TestCausalAttention:
-    # an element budget of 1 runs one query row per block; 28 runs blocks of
-    # 3 + 1 rows for [2, 4, h] queries and of 2 + 1 rows for [2, 3, h] ones
-    @pytest.mark.parametrize("budget", [None, 1, 28])
-    @pytest.mark.parametrize("T,S", [(4, 4), (3, 7)])
-    def test_gradients(self, monkeypatch, budget, T, S):
-        if budget is not None:
-            monkeypatch.setattr(ad, "_ATTN_BLOCK", budget)
-        rng = np.random.default_rng(13)
-        w = Tensor(rand(rng, 2, T, 4))
-        check_op(lambda q, k, v: ad.causal_attention(q, k, v, 0.7),
-                 [rand(rng, 2, T, 4), rand(rng, 2, S, 4), rand(rng, 2, S, 4)],
-                 reduce=lambda t: ad.tsum(ad.mul(t, w)))
+    @pytest.mark.parametrize("case", cases("causal_attention"))
+    def test_gradients(self, case):
+        check_op("causal_attention", case)
 
     # (1, 300) is a cached decode step: a one-row product must round like the chain's
     @pytest.mark.parametrize("T,S", [(6, 6), (3, 8), (1, 300)])

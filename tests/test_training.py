@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixture_pretrain import pretrain
-from test_acceptance import gradient_trials
+from gradcheck import TRAIN_STEP_OPS, TRIALS, check_op
 from instruct_forge import autodiff as ad
 from instruct_forge import cli, training
 from instruct_forge.archive import load_archive
@@ -342,7 +342,7 @@ def test_backward_never_writes_into_an_upstream_gradient(monkeypatch, layout, ta
         assert not any(np.may_share_memory(leaf.grad, a) for a in others), leaf.name
 
 
-# check_op's weighted reducer, the sum of an output times fixed weights: no trial checks these
+# the ops of check_op's reducer, sum(out * w), which every row calls besides its own op
 REDUCER_OPS = {"mul", "tsum"}
 
 
@@ -376,9 +376,11 @@ def test_acceptance_1_has_a_trial_of_each_op_of_a_train_step(monkeypatch):
         assert not batch.loss_mask[:, 0].any()   # so the step cuts its last layer to the supervised tail
         optimizer = AdamW(adapter_parameters(model), lr=1e-3)
         live |= autodiff_ops_of(monkeypatch, lambda: train_step(model, batch, optimizer))
-    checked = [autodiff_ops_of(monkeypatch, trial) - REDUCER_OPS for trial in gradient_trials(np.random.default_rng(0))]
-    assert all(ops and ops <= live for ops in checked), (checked, live)   # every trial checks a live op
-    assert live <= set().union(*checked), live - set().union(*checked)   # every live op has a trial
+    assert live == TRAIN_STEP_OPS, live ^ TRAIN_STEP_OPS
+    assert TRAIN_STEP_OPS <= {op for op, _ in TRIALS}
+    for op, case in TRIALS:
+        ops = autodiff_ops_of(monkeypatch, lambda: check_op(op, case))
+        assert op in ops and ops - REDUCER_OPS <= {op}, (op, case, ops)
 
 
 class TestFreedGraph:
