@@ -59,6 +59,12 @@ def adapted_model(layout="split-qv", seed=4):
     model = DecoderModel(ModelConfig(attention_layout=layout, seed=seed))
     targets = ["query_key_value"] if layout == "fused-qkv" else ["q_proj", "v_proj"]
     lora.inject(model, lora.LoraConfig(target_names=targets))
+    return live_adapters(model, seed)
+
+
+def live_adapters(model, seed):
+    """``model`` with each adapter's B drawn from N(0, 0.05) by ``default_rng(seed)``, in injection order; a zero
+    B hides every gradient of A and every adapter from the logits."""
     rng = np.random.default_rng(seed)
     for adapter in model.adapters.values():
         adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)

@@ -22,7 +22,7 @@ from instruct_forge.evaluation import (
     corpus_perplexity,
     run_choice_eval,
 )
-from instruct_forge.lora import LoraConfig, inject, merge_all, trainable_param_count
+from instruct_forge.lora import LoraConfig, adapter_parameters, inject, merge_all, trainable_param_count
 from instruct_forge.model import DecoderModel, ModelConfig
 from instruct_forge.prompts import PromptTemplate, render_prompt
 from instruct_forge.records import InstructionRecord, load_records, save_records
@@ -101,7 +101,7 @@ def test_03_merge_equivalence_after_training():
     template = PromptTemplate(kind="no-input", body="Q:{instruction}\nA:\n{response}")
     # the batch as train builds it: each record encoded, then the rows padded
     batch = _pad([_encode_example(r, template, ByteTokenizer(), TrainConfig(train_seq_len=32)) for r in recs])
-    opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=3e-3)
+    opt = AdamW(adapter_parameters(model), lr=3e-3)
     for _ in range(100):
         train_step(model, batch, opt)
     ids = list(range(1, 17))

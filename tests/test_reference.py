@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fixture_tasks import adapted_model, nli_task
+from fixture_tasks import adapted_model, live_adapters, nli_task
 from instruct_forge import lora
 from instruct_forge.evaluation import (ChoiceTask, FewShotSpec, PerplexityItem, QuestionTemplate, _encode_task,
                                        _score_items, corpus_perplexity, run_choice_eval)
@@ -60,10 +60,7 @@ def model_with(layout: str, adapters: str, max_seq_len: int = 512):
         return adapted_model(layout)
     model = DecoderModel(ModelConfig(attention_layout=layout, max_seq_len=max_seq_len, seed=5))
     if adapters == "all":
-        lora.inject(model, lora.LoraConfig(target_names=ALL_TARGETS[layout]))
-        rng = np.random.default_rng(5)
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        live_adapters(lora.inject(model, lora.LoraConfig(target_names=ALL_TARGETS[layout])), 5)
     return model
 
 

@@ -5,10 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixture_pretrain import pretrain
+from fixture_tasks import live_adapters
 from gradcheck import TRAIN_STEP_OPS, TRIALS, check_op
 from instruct_forge import autodiff as ad
 from instruct_forge import cli, training
@@ -50,48 +51,27 @@ def records(n, tag="w"):
     return [InstructionRecord(f"say {tag}{i}", f"{tag}{i}", category="other") for i in range(n)]
 
 
+def padded(recs, config=None, template=TINY_TEMPLATE):
+    """The batch ``train`` steps on for ``recs``: ``_pad`` over the rows ``_encode_example`` keeps."""
+    rows = (training._encode_example(r, template, TOK, config or TrainConfig()) for r in recs)
+    return training._pad([row for row in rows if row is not None])
+
+
+def assert_same_batch(got, want):
+    for name in ("tokens", "targets", "loss_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 class TestBuildBatch:
-    def test_shapes_and_shift(self):
-        cfg = TrainConfig(train_seq_len=16, batch_size=2)
-        batch = build_batch(records(2), TINY_TEMPLATE, TOK, cfg)
-        assert batch.tokens.shape == batch.targets.shape == batch.loss_mask.shape
-        assert batch.tokens.shape[0] == 2
-        assert batch.tokens.shape[1] <= 16
-        for row_tok, row_tgt in zip(batch.tokens, batch.targets):
-            n = int((row_tok != PAD).sum())
-            np.testing.assert_array_equal(row_tgt[: n - 1], row_tok[1:n])
-
-    def test_response_only_mask_hand_positions(self):
-        # "Q:ab\nA:\n" is 8 bytes; full stream = BOS + 8 prompt + "cd" + EOS
-        rec = InstructionRecord("ab", "cd", category="other")
-        cfg = TrainConfig(train_seq_len=32, mask_policy="response-only")
-        batch = build_batch([rec], TINY_TEMPLATE, TOK, cfg)
-        expected = [False] * 8 + [True] * 3
-        np.testing.assert_array_equal(batch.loss_mask[0], expected)
-        np.testing.assert_array_equal(batch.targets[0][-3:], [ord("c"), ord("d"), EOS])
-
-    def test_full_sequence_mask(self):
-        rec = InstructionRecord("ab", "cd", category="other")
-        cfg = TrainConfig(train_seq_len=32, mask_policy="full-sequence")
-        batch = build_batch([rec], TINY_TEMPLATE, TOK, cfg)
-        assert batch.loss_mask[0].all()
-
-    def test_truncation_keeps_tail(self):
-        rec = InstructionRecord("x" * 100, "yz", category="other")
-        cfg = TrainConfig(train_seq_len=16)
-        batch = build_batch([rec], TINY_TEMPLATE, TOK, cfg)
-        assert batch.tokens.shape[1] == 16
-        # the response (and EOS) must survive tail-keep truncation
-        np.testing.assert_array_equal(batch.targets[0][-3:], [ord("y"), ord("z"), EOS])
-        assert batch.loss_mask[0][-3:].all()
+    """``train`` never calls ``build_batch``: it is ``padded`` plus a dropped count and two raises."""
 
     def test_overlong_response_dropped(self):
-        good = InstructionRecord("a", "ok", category="other")
-        bad = InstructionRecord("a", "y" * 50, category="other")
-        cfg = TrainConfig(train_seq_len=16)
-        batch = build_batch([good, bad], TINY_TEMPLATE, TOK, cfg)
+        recs = [*records(2), InstructionRecord("a", "y" * 50, category="other"), InstructionRecord("a" * 9, "b")]
+        config = TrainConfig(train_seq_len=16)
+        batch = build_batch(recs, TINY_TEMPLATE, TOK, config)
         assert batch.dropped == 1
-        assert batch.tokens.shape[0] == 1
+        assert_same_batch(batch, padded(recs, config))
 
     def test_all_dropped_raises(self):
         bad = InstructionRecord("a", "y" * 50, category="other")
@@ -102,13 +82,6 @@ class TestBuildBatch:
         with pytest.raises(ValueError):
             build_batch([], TINY_TEMPLATE, TOK, TrainConfig())
 
-    def test_mask_false_on_padding(self):
-        recs = [InstructionRecord("a", "b", category="other"),
-                InstructionRecord("a" * 20, "bb", category="other")]
-        batch = build_batch(recs, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
-        pad_positions = batch.targets == PAD
-        assert not batch.loss_mask[pad_positions].any()
-
 
 JAPANESE = [
     InstructionRecord("次の文章を要約してください。", input="今日は晴れです。明日は雨が降るでしょう。",
@@ -116,60 +89,46 @@ JAPANESE = [
     InstructionRecord("日本の首都はどこですか？", output="東京です。", category="qa"),
 ]
 
-
-class TestJapaneseRows:
-    """Multi-byte UTF-8 records, on both templates: each row is the shifted
-    BOS + the training render's bytes + EOS, with its tail kept."""
-
-    @pytest.mark.parametrize("seq_len", [512, 40])
-    @pytest.mark.parametrize("policy", ["response-only", "full-sequence"])
-    def test_rows_are_the_shifted_render(self, policy, seq_len):
-        assert [template_for(r).kind for r in JAPANESE] == ["with-input", "no-input"]
-        batch = build_batch(JAPANESE, None, TOK, TrainConfig(train_seq_len=seq_len, mask_policy=policy))
-        assert batch.dropped == 0
-        for record, tokens, targets, mask in zip(JAPANESE, batch.tokens, batch.targets, batch.loss_mask):
-            full = [BOS] + list(render_prompt(record, template_for(record), True).encode("utf-8")) + [EOS]
-            n = min(len(full) - 1, seq_len)
-            assert list(tokens[:n]) == full[:-1][-n:] and list(targets[:n]) == full[1:][-n:]
-            assert (tokens[n:] == PAD).all() and not mask[n:].any()
-            output = list(record.output.encode("utf-8")) + [EOS]
-            if policy == "response-only":
-                assert list(targets[mask]) == output   # the first supervised target is the output's first byte
-            else:
-                assert mask[:n].all() and list(targets[:n][-len(output):]) == output
-
-
 TEXT = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=40)
 RECORD = st.builds(InstructionRecord, TEXT, TEXT, st.none() | TEXT)
 
 
 @settings(max_examples=300, deadline=None)
 @given(recs=st.lists(RECORD, min_size=1, max_size=4), seq_len=st.integers(1, 300),
-       policy=st.sampled_from(["response-only", "full-sequence"]))
-def test_every_kept_row_has_a_supervised_target(recs, seq_len, policy):
-    # BOS and EOS leave prompt and response at least a token each, and tail-keep
-    # keeps every response target of a record whose response fits train_seq_len
-    responses = [len(TOK.encode(r.output)) + 1 for r in recs]
-    kept = [n for n in responses if n <= seq_len]
+       policy=st.sampled_from(MASK_POLICIES), template=st.sampled_from([None, TINY_TEMPLATE]))
+# "Q:ab\nA:\n" is 8 bytes after BOS, so the mask starts at column 8
+@example([InstructionRecord("ab", "cd")], 32, "response-only", TINY_TEMPLATE)
+@example([InstructionRecord("x" * 100, "yz")], 16, "response-only", TINY_TEMPLATE)   # tail kept
+@example([InstructionRecord("a", "ok"), InstructionRecord("a", "y" * 50)], 16, "response-only", TINY_TEMPLATE)
+@example(JAPANESE, 512, "response-only", None)   # 3 bytes a kana or kanji, on both default templates
+@example(JAPANESE, 512, "full-sequence", None)
+@example(JAPANESE, 40, "response-only", None)    # both tail-kept
+@example(JAPANESE, 40, "full-sequence", None)
+@example([InstructionRecord("a", "ok")], 3, "response-only", TINY_TEMPLATE)   # "ok" + EOS is exactly 3: kept
+def test_each_padded_row_is_the_shifted_tail_of_a_kept_record(recs, seq_len, policy, template):
     config = TrainConfig(train_seq_len=seq_len, mask_policy=policy)
+    streams = [([BOS] + TOK.encode(render_prompt(r, template or template_for(r), True)) + [EOS],
+                len(TOK.encode(r.output)) + 1) for r in recs]
+    rows = [training._encode_example(r, template, TOK, config) for r in recs]
+    # a record is kept iff its response and EOS fit train_seq_len
+    assert [row is not None for row in rows] == [response <= seq_len for _, response in streams]
+    kept = [stream for stream, row in zip(streams, rows) if row is not None]
     if not kept:
-        with pytest.raises(ValueError, match="every record in the batch was dropped"):
-            build_batch(recs, None, TOK, config)
         return
-    batch = build_batch(recs, None, TOK, config)
-    assert batch.dropped == len(recs) - len(kept) and len(batch.loss_mask) == len(kept)
-    for n, mask, targets in zip(kept, batch.loss_mask, batch.targets):
-        assert mask.any()
-        if policy == "response-only":
-            assert mask.sum() == n
-        else:
-            assert mask.sum() == (targets != PAD).sum()
+    batch = training._pad([row for row in rows if row is not None])
+    ns = [min(len(full) - 1, seq_len) for full, _ in kept]
+    assert batch.tokens.shape == batch.targets.shape == batch.loss_mask.shape == (len(kept), max(ns))
+    for (full, response), n, tokens, targets, mask in zip(kept, ns, batch.tokens, batch.targets, batch.loss_mask):
+        assert list(tokens[:n]) == full[:-1][-n:] and list(targets[:n]) == full[1:][-n:]
+        assert (tokens[n:] == PAD).all() and (targets[n:] == PAD).all()
+        first = n - response if policy == "response-only" else 0
+        assert list(mask) == [first <= j < n for j in range(len(mask))]
 
 
 class TestTrainStep:
     def test_requires_adapters(self):
         model = tiny_model()
-        batch = build_batch(records(2), TINY_TEMPLATE, TOK, TrainConfig())
+        batch = padded(records(2))
         with pytest.raises(ValueError, match="adapters"):
             train_step(model, batch, AdamW([], lr=1e-3))
 
@@ -181,8 +140,8 @@ class TestTrainStep:
     def test_base_frozen_adapters_move(self):
         model = adapted_model()
         before = {n: p.data.copy() for n, p in model.params.items()}
-        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
-        opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3)
+        batch = padded(records(4))
+        opt = AdamW(adapter_parameters(model), lr=1e-3)
         train_step(model, batch, opt)
         for name, p in model.params.items():
             np.testing.assert_array_equal(p.data, before[name])
@@ -190,15 +149,15 @@ class TestTrainStep:
 
     def test_zero_lr_keeps_loss_constant(self):
         model = adapted_model(dropout=0.0)
-        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
-        opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=0.0)
+        batch = padded(records(4))
+        opt = AdamW(adapter_parameters(model), lr=0.0)
         losses = [train_step(model, batch, opt) for _ in range(3)]
         assert losses[0] == losses[1] == losses[2]
 
     def test_overfits_single_batch(self):
         model = adapted_model(r=16, targets=WIDE_TARGETS, d_model=64, n_heads=4)
-        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
-        opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=3e-3)
+        batch = padded(records(4))
+        opt = AdamW(adapter_parameters(model), lr=3e-3)
         losses = [train_step(model, batch, opt) for _ in range(200)]
         assert np.mean(losses[-20:]) < np.mean(losses[:20])
         assert losses[-1] < 0.1
@@ -213,9 +172,9 @@ class TestTrainStep:
 
         monkeypatch.setattr(ad, "softmax_cross_entropy", nan_loss)
         model = adapted_model()
-        params = [t for a in model.adapters.values() for t in (a.A, a.B)]
+        params = adapter_parameters(model)
         before = [p.data.copy() for p in params]
-        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
+        batch = padded(records(4))
         with pytest.raises(ValueError, match="diverged"):
             train_step(model, batch, AdamW(params, lr=1e-3))
         for p, b in zip(params, before):
@@ -231,10 +190,7 @@ class TestTrainStep:
             loss.data = np.full_like(loss.data, np.nan)
             return loss
 
-        model = adapted_model(dropout=0.3)
-        rng = np.random.default_rng(8)
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        model = live_adapters(adapted_model(dropout=0.3), 8)
         monkeypatch.setattr(ad, "softmax_cross_entropy", nan_loss)
         with pytest.raises(ValueError, match="diverged"):
             train(model, records(8), TrainConfig(batch_size=4, train_seq_len=128), template=TINY_TEMPLATE)
@@ -245,8 +201,8 @@ class TestTrainStep:
 
     def test_gradient_reaches_every_adapter(self):
         model = adapted_model()
-        batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
-        opt = AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3)
+        batch = padded(records(4))
+        opt = AdamW(adapter_parameters(model), lr=1e-3)
         train_step(model, batch, opt)  # B leaves zero so A can receive gradient
         loss = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
         loss.backward()
@@ -262,15 +218,12 @@ def test_frozen_base_weights_get_no_gradient(layout, targets):
     ids = np.random.default_rng(4).integers(0, 256, size=(2, 16))
     adapter_grads = []
     for frozen in (True, False):
-        model = inject(DecoderModel(ModelConfig(attention_layout=layout)),
-                       LoraConfig(target_names=targets, dropout=0.0))
-        rng = np.random.default_rng(5)
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
+        model = live_adapters(inject(DecoderModel(ModelConfig(attention_layout=layout)),
+                                     LoraConfig(target_names=targets, dropout=0.0)), 5)
         for p in model.params.values():
             p.requires_grad = not frozen
         ad.softmax_cross_entropy(model.forward(ids), np.roll(ids, -1, axis=1)).backward()
-        adapter_grads.append([t.grad for a in model.adapters.values() for t in (a.A, a.B)])
+        adapter_grads.append([t.grad for t in adapter_parameters(model)])
         base_grads = [p.grad for p in model.params.values()]
         if frozen:
             assert all(g is None for g in base_grads)
@@ -305,11 +258,8 @@ def recorded_outputs(monkeypatch):
 def test_backward_never_writes_into_an_upstream_gradient(monkeypatch, layout, targets):
     # a node's first gradient is stored without a copy, so it may alias the
     # upstream gradient of another node; no closure may write into its g
-    model = inject(tiny_model(attention_layout=layout), LoraConfig(target_names=targets, dropout=0.1))
-    rng = np.random.default_rng(6)
-    for adapter in model.adapters.values():
-        adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
-    batch = build_batch(records(4), TINY_TEMPLATE, TOK, TrainConfig())
+    model = live_adapters(inject(tiny_model(attention_layout=layout), LoraConfig(target_names=targets, dropout=0.1)), 6)
+    batch = padded(records(4))
     outs = recorded_outputs(monkeypatch)
     loss = ad.softmax_cross_entropy(model.forward(batch.tokens, rng=model.rng), batch.targets, batch.loss_mask)
     nodes = graph_nodes(loss)
@@ -333,7 +283,7 @@ def test_backward_never_writes_into_an_upstream_gradient(monkeypatch, layout, ta
     for g, snapshot in received:
         assert np.array_equal(g, snapshot)
 
-    leaves = [t for a in model.adapters.values() for t in (a.A, a.B)]
+    leaves = adapter_parameters(model)
     # nodes hold no data: the arrays are those of every op output and every weight
     tensors = outs + list(model.params.values()) + leaves
     arrays = [t.data for t in tensors] + [g for g, _ in received] + [n.grad for n in nodes if n.grad is not None]
@@ -372,7 +322,7 @@ def test_acceptance_1_has_a_trial_of_each_op_of_a_train_step(monkeypatch):
     for layout, targets in (("split-qv", ["q_proj", "v_proj", "up_proj", "lm_head"]),
                             ("fused-qkv", ["query_key_value", "dense", "down_proj"])):
         model = adapted_model(dropout=0.1, targets=targets, attention_layout=layout)
-        batch = training._pad([training._encode_example(r, TINY_TEMPLATE, TOK, TrainConfig()) for r in records(4)])
+        batch = padded(records(4))
         assert not batch.loss_mask[:, 0].any()   # so the step cuts its last layer to the supervised tail
         optimizer = AdamW(adapter_parameters(model), lr=1e-3)
         live |= autodiff_ops_of(monkeypatch, lambda: train_step(model, batch, optimizer))
@@ -491,12 +441,9 @@ class TestSupervisedTail:
     @pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
                                                 ("fused-qkv", ["query_key_value"])])
     def test_loss_and_gradients_match_the_full_forward(self, layout, targets):
-        model = adapted_model(attention_layout=layout, targets=targets)
-        rng = np.random.default_rng(7)
-        for adapter in model.adapters.values():
-            adapter.B.data = rng.normal(0.0, 0.05, adapter.B.shape).astype(np.float32)
-        params = [t for a in model.adapters.values() for t in (a.A, a.B)]
-        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
+        model = live_adapters(adapted_model(attention_layout=layout, targets=targets), 7)
+        params = adapter_parameters(model)
+        batch = padded(MIXED, TrainConfig(train_seq_len=64))
         full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask)
         full.backward()
         full_grads = [p.grad for p in params]
@@ -511,21 +458,21 @@ class TestSupervisedTail:
 
     def test_asks_for_the_rows_from_the_earliest_response(self, monkeypatch):
         model = adapted_model()
-        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64))
+        batch = padded(MIXED, TrainConfig(train_seq_len=64))
         # the short row is right-padded and its response starts first
         assert batch.tokens.shape == (2, 29) and (batch.tokens[0, 9:] == PAD).all()
         assert batch.loss_mask[0, 7] and not batch.loss_mask[0, :7].any()
         assert batch.loss_mask[1, 26] and not batch.loss_mask[1, :26].any()
         seen = spy_forward(model, monkeypatch)
-        train_step(model, batch, AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3))
+        train_step(model, batch, AdamW(adapter_parameters(model), lr=1e-3))
         assert seen == [29 - 7]
 
     def test_full_sequence_asks_for_every_row(self, monkeypatch):
         model = adapted_model()
-        batch = build_batch(MIXED, TINY_TEMPLATE, TOK, TrainConfig(train_seq_len=64, mask_policy="full-sequence"))
+        batch = padded(MIXED, TrainConfig(train_seq_len=64, mask_policy="full-sequence"))
         full = ad.softmax_cross_entropy(model.forward(batch.tokens), batch.targets, batch.loss_mask).item()
         seen = spy_forward(model, monkeypatch)
-        loss = train_step(model, batch, AdamW([t for a in model.adapters.values() for t in (a.A, a.B)], lr=1e-3))
+        loss = train_step(model, batch, AdamW(adapter_parameters(model), lr=1e-3))
         assert seen == [batch.tokens.shape[1]]
         assert loss == full
 
@@ -600,27 +547,21 @@ class TestTrainLoop:
     @pytest.mark.parametrize("policy", MASK_POLICIES)
     def test_batches_are_build_batch_over_each_permuted_chunk(self, monkeypatch, policy):
         config = TrainConfig(epochs=2, batch_size=2, train_seq_len=160, mask_policy=policy, seed=3)
-        batches, built, step = [], [], training.train_step
+        batches, step = [], training.train_step
         monkeypatch.setattr(training, "train_step", lambda model, batch, opt: batches.append(batch) or
                             step(model, batch, opt))
-        monkeypatch.setattr(training, "build_batch", lambda *a: built.append(a))
         train(adapted_model(max_seq_len=256, dropout=0.05), FATES, config)
-        monkeypatch.undo()
-        assert built == []   # train encodes its records itself, once
+        kept = [r for r in FATES if training._encode_example(r, None, TOK, config) is not None]
         expected = []
         for epoch in range(config.epochs):
             order = np.random.default_rng(config.seed + epoch).permutation(len(FATES))
             for lo in range(0, len(FATES), config.batch_size):
-                try:
-                    chunk = [FATES[i] for i in order[lo : lo + config.batch_size]]
-                    expected.append(build_batch(chunk, None, TOK, config))
-                except ValueError as exc:
-                    assert str(exc) == "every record in the batch was dropped"
+                chunk = [FATES[i] for i in order[lo : lo + config.batch_size] if FATES[i] in kept]
+                if chunk:
+                    expected.append(padded(chunk, config, template=None))
         assert len(batches) == len(expected) > 2 * config.epochs
         for got, want in zip(batches, expected):
-            for name in ("tokens", "targets", "loss_mask"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            assert_same_batch(got, want)
 
     def test_window_past_the_model_fails_before_any_update(self):
         model = adapted_model(max_seq_len=200)
