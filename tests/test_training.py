@@ -82,12 +82,73 @@ class TestBuildBatch:
         with pytest.raises(ValueError):
             build_batch([], TINY_TEMPLATE, TOK, TrainConfig())
 
+    # the hand cases below run on ``padded``, the batch ``train`` steps on
+    def test_shapes_and_shift(self):
+        batch = padded(records(2), TrainConfig(train_seq_len=16, batch_size=2))
+        assert batch.tokens.shape == batch.targets.shape == batch.loss_mask.shape
+        assert batch.tokens.shape[0] == 2
+        assert batch.tokens.shape[1] <= 16
+        for row_tok, row_tgt in zip(batch.tokens, batch.targets):
+            n = int((row_tok != PAD).sum())
+            np.testing.assert_array_equal(row_tgt[: n - 1], row_tok[1:n])
+
+    def test_response_only_mask_hand_positions(self):
+        # "Q:ab\nA:\n" is 8 bytes; full stream = BOS + 8 prompt + "cd" + EOS
+        rec = InstructionRecord("ab", "cd", category="other")
+        batch = padded([rec], TrainConfig(train_seq_len=32, mask_policy="response-only"))
+        expected = [False] * 8 + [True] * 3
+        np.testing.assert_array_equal(batch.loss_mask[0], expected)
+        np.testing.assert_array_equal(batch.targets[0][-3:], [ord("c"), ord("d"), EOS])
+
+    def test_full_sequence_mask(self):
+        rec = InstructionRecord("ab", "cd", category="other")
+        batch = padded([rec], TrainConfig(train_seq_len=32, mask_policy="full-sequence"))
+        assert batch.loss_mask[0].all()
+
+    def test_truncation_keeps_tail(self):
+        rec = InstructionRecord("x" * 100, "yz", category="other")
+        batch = padded([rec], TrainConfig(train_seq_len=16))
+        assert batch.tokens.shape[1] == 16
+        # the response (and EOS) must survive tail-keep truncation
+        np.testing.assert_array_equal(batch.targets[0][-3:], [ord("y"), ord("z"), EOS])
+        assert batch.loss_mask[0][-3:].all()
+
+    def test_mask_false_on_padding(self):
+        recs = [InstructionRecord("a", "b", category="other"),
+                InstructionRecord("a" * 20, "bb", category="other")]
+        batch = padded(recs, TrainConfig(train_seq_len=64))
+        pad_positions = batch.targets == PAD
+        assert not batch.loss_mask[pad_positions].any()
+
 
 JAPANESE = [
     InstructionRecord("次の文章を要約してください。", input="今日は晴れです。明日は雨が降るでしょう。",
                       output="天気が変わります。", category="summarization"),
     InstructionRecord("日本の首都はどこですか？", output="東京です。", category="qa"),
 ]
+
+
+class TestJapaneseRows:
+    """Multi-byte UTF-8 records, on both templates: each row is the shifted
+    BOS + the training render's bytes + EOS, with its tail kept."""
+
+    @pytest.mark.parametrize("seq_len", [512, 40])
+    @pytest.mark.parametrize("policy", ["response-only", "full-sequence"])
+    def test_rows_are_the_shifted_render(self, policy, seq_len):
+        assert [template_for(r).kind for r in JAPANESE] == ["with-input", "no-input"]
+        batch = padded(JAPANESE, TrainConfig(train_seq_len=seq_len, mask_policy=policy), template=None)
+        assert len(batch.tokens) == len(JAPANESE)   # none dropped
+        for record, tokens, targets, mask in zip(JAPANESE, batch.tokens, batch.targets, batch.loss_mask):
+            full = [BOS] + list(render_prompt(record, template_for(record), True).encode("utf-8")) + [EOS]
+            n = min(len(full) - 1, seq_len)
+            assert list(tokens[:n]) == full[:-1][-n:] and list(targets[:n]) == full[1:][-n:]
+            assert (tokens[n:] == PAD).all() and not mask[n:].any()
+            output = list(record.output.encode("utf-8")) + [EOS]
+            if policy == "response-only":
+                assert list(targets[mask]) == output   # the first supervised target is the output's first byte
+            else:
+                assert mask[:n].all() and list(targets[:n][-len(output):]) == output
+
 
 TEXT = st.text(st.characters(exclude_categories=["Cs"]), min_size=1, max_size=40)
 RECORD = st.builds(InstructionRecord, TEXT, TEXT, st.none() | TEXT)
@@ -105,7 +166,8 @@ RECORD = st.builds(InstructionRecord, TEXT, TEXT, st.none() | TEXT)
 @example(JAPANESE, 40, "response-only", None)    # both tail-kept
 @example(JAPANESE, 40, "full-sequence", None)
 @example([InstructionRecord("a", "ok")], 3, "response-only", TINY_TEMPLATE)   # "ok" + EOS is exactly 3: kept
-def test_each_padded_row_is_the_shifted_tail_of_a_kept_record(recs, seq_len, policy, template):
+def test_every_kept_row_has_a_supervised_target(recs, seq_len, policy, template):
+    # each padded row is the shifted tail of a kept record, its response masked
     config = TrainConfig(train_seq_len=seq_len, mask_policy=policy)
     streams = [([BOS] + TOK.encode(render_prompt(r, template or template_for(r), True)) + [EOS],
                 len(TOK.encode(r.output)) + 1) for r in recs]
