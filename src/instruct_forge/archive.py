@@ -16,6 +16,7 @@ import json
 import math
 import os
 import struct
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,11 @@ class ArchiveError(ValueError):
 
 def write_atomic(files: dict) -> None:
     """Write each ``{path: bytes-like chunks}`` entry to a temporary file beside ``path`` and fsync it;
-    only once every file is written, rename each over its path and fsync each directory once. A failed
-    or interrupted write leaves every previous file whole, a failed rename puts back the files renamed
-    before it, and the error names the caller's path."""
-    pending, old = {}, {}   # caller's path: its temporary file; a second name for the file it replaces
+    only once every file is written, give each file it replaces a second name (a hard link), rename each
+    over its path and fsync each directory once. Any failure or interrupt before that last fsync returns
+    leaves every previous file whole, putting back the files already renamed, and its error names the
+    caller's path. The second names are removed after, as far as that succeeds."""
+    pending, old, renamed = {}, {}, []   # caller's path: its temporary file; a second name for the file it replaces
     try:
         for path, chunks in files.items():
             pending[path] = tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
@@ -42,22 +44,13 @@ def write_atomic(files: dict) -> None:
                     fh.write(chunk)
                 fh.flush()
                 os.fsync(fh.fileno())
-        for path, tmp in list(pending.items())[:-1]:   # a rename after this one may fail
+        for path, tmp in pending.items():
             if os.path.islink(path) or os.path.isfile(path):
                 old[path] = Path(f"{tmp}.old")
                 os.link(path, old[path], follow_symlinks=False)
-        renamed = []
-        try:
-            for path, tmp in pending.items():
-                os.replace(tmp, path)
-                renamed.append(path)
-        except BaseException:
-            for done in renamed:   # back to the file it replaced, or to no file
-                if done in old:
-                    os.replace(old.pop(done), done)
-                else:
-                    os.unlink(done)
-            raise
+        for path, tmp in pending.items():
+            os.replace(tmp, path)
+            renamed.append(path)
         if hasattr(os, "O_DIRECTORY"):  # so that the new names themselves survive a power loss
             for directory, path in {tmp.parent: path for path, tmp in pending.items()}.items():
                 fd = os.open(directory, os.O_RDONLY | os.O_DIRECTORY)
@@ -66,14 +59,19 @@ def write_atomic(files: dict) -> None:
                 finally:
                     os.close(fd)
     except BaseException as exc:
-        for tmp in pending.values():
+        for done in renamed:   # back to the file it replaced, or to no file
+            if done in old:
+                os.replace(old.pop(done), done)
+            else:
+                os.unlink(done)
+        for tmp in [*pending.values(), *old.values()]:
             tmp.unlink(missing_ok=True)
         if isinstance(exc, OSError) and exc.errno is not None:  # name the caller's path, not the temporary one
             raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
         raise
-    finally:
-        for link in old.values():
-            link.unlink(missing_ok=True)
+    for link in old.values():   # the write has committed: a second name left behind fails nothing
+        with suppress(OSError):
+            link.unlink()
 
 
 def archive_chunks(arrays: dict, meta: dict | None = None) -> list:

@@ -1,3 +1,5 @@
+import errno
+import itertools
 import json
 import os
 import stat
@@ -6,13 +8,14 @@ import subprocess
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from instruct_forge import archive
+from instruct_forge import archive, training
 from instruct_forge.archive import MAGIC, ArchiveError, load_archive, save_archive
 from instruct_forge.cli import main
 from instruct_forge.lora import LoraConfig, adapter_parameters, inject, load_adapters, save_adapters
@@ -284,3 +287,127 @@ class TestCrashSafeSave:
         loaded, meta = load_archive(path)
         assert meta == {"kind": "new"} and list(loaded) == ["w"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]
+
+
+def fail_call(monkeypatch, at: int) -> list:
+    """Make the ``at``-th call of ``archive``'s ``open`` or a write to a file it opened, or of ``os.fsync``,
+    ``os.link``, ``os.replace``, ``os.unlink`` or ``os.open``, raise EIO. Returns the calls' names, in order."""
+    calls = []
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == at:
+                raise OSError(errno.EIO, "injected")
+            return real(*args, **kwargs)
+        return call
+
+    class File:
+        def __init__(self, fh):
+            self.fh, self.write = fh, counted("write", fh.write)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    for name in ("fsync", "link", "replace", "unlink", "open"):
+        monkeypatch.setattr(os, name, counted(f"os.{name}", getattr(os, name)))
+    opened = counted("open", open)
+    monkeypatch.setattr(archive, "open", lambda *args: File(opened(*args)), raising=False)
+    return calls
+
+
+def tree(root) -> dict:
+    """Each path under ``root``: a file's bytes, ``"-> target"`` for a symlink, None for a directory."""
+    return {p.relative_to(root).as_posix(): f"-> {os.readlink(p)}" if p.is_symlink()
+            else p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+def plant(root, entries: dict) -> None:
+    """Make ``root`` and its tree holding ``entries``, in the form ``tree`` returns."""
+    root.mkdir(parents=True)
+    for name, entry in entries.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if isinstance(entry, str):
+            path.symlink_to(entry.removeprefix("-> "))
+        else:
+            path.write_bytes(entry)
+
+
+def assert_all_or_nothing(tmp_path, monkeypatch, earlier: dict, targets, run) -> None:
+    """``run(root)`` over a fresh ``root`` holding ``earlier``, with the i-th call ``fail_call`` counts failing,
+    for i = 1, 2, ... until a run makes fewer than i calls. ``run`` returns None when it succeeds, else its stderr.
+
+    Each run either succeeds and leaves the tree that a run with no failure leaves, or fails with one
+    ``error:`` line that names one of ``targets`` and leaves the tree as it was. No temporary file or second
+    name is left, but for one second name when its removal, after the write committed, is what failed."""
+    plant(tmp_path / "clean", earlier)
+    assert run(tmp_path / "clean") is None
+    done, wrong = tree(tmp_path / "clean"), []
+    for at in itertools.count(1):
+        root = tmp_path / str(at)
+        plant(root, earlier)
+        before = tree(root)
+        with monkeypatch.context() as patch:
+            calls = fail_call(patch, at)
+            error = run(root)
+        after, failed = tree(root), calls[at - 1] if at <= len(calls) else None
+        if error is not None:
+            kept = failed and after == before and error in {
+                f"error: [Errno {errno.EIO}] injected: '{root / name}'\n" for name in targets}
+        else:
+            left = [name for name in after if name not in done]
+            kept = {name: after.get(name) for name in done} == done and failed in (None, "os.unlink") and (
+                not left or failed and len(left) == 1 and left[0].endswith(".tmp.old"))
+        if not kept:
+            wrong.append((at, failed, error, sorted(after)))
+        if failed is None:
+            assert wrong == []
+            return
+
+
+class TestEveryFailingCall:
+    """Any failure of a file system call while outputs are written, the directory fsync included, leaves every
+    earlier output whole and no temporary file; a write that commits is reported as a success."""
+
+    @pytest.mark.parametrize("earlier,names", [
+        ({}, ["a", "b"]),
+        ({"a": b"old a", "b": b"old b"}, ["a", "b"]),
+        ({"a": b"old a", "b": b"old b", "c": b"old c"}, ["a", "b", "c"]),
+        ({"a": b"old a", "sub/c": b"old c"}, ["a", "b", "sub/c"]),   # one new, and two directories to fsync
+        ({"real": b"old", "link": "-> real"}, ["link", "b"]),   # a symlink is replaced, not written through
+    ], ids=["two new", "two over earlier", "three over earlier", "three in two directories", "symlink"])
+    def test_write_atomic(self, tmp_path, monkeypatch, earlier, names):
+        def run(root):
+            try:
+                archive.write_atomic({root / name: [b"new ", name.encode()] for name in names})
+            except OSError as exc:
+                return f"error: {exc}\n"   # the line ``cli.main`` prints for it
+
+        assert_all_or_nothing(tmp_path, monkeypatch, earlier, names, run)
+
+    def test_train_over_an_earlier_run(self, tmp_path, monkeypatch, capsys):
+        # a zero clock makes the report's `seconds`, and so every run's bytes, the same
+        monkeypatch.setattr(training, "time", SimpleNamespace(monotonic=lambda: 0.0))
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps({"instruction": f"say w{i}", "output": f"w{i}"}) + "\n" for i in range(2)),
+                        encoding="utf-8")
+        tiny = ["--data", str(data), "--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--max-seq-len", "32",
+                "--seq-len", "32", "--batch", "2", "--epochs", "1"]
+        assert main(["train", "--out", str(tmp_path / "earlier"), *tiny, "--seed", "1"]) == 0
+        capsys.readouterr()
+
+        def run(root):
+            code = main(["train", "--out", str(root), *tiny])
+            out, err = capsys.readouterr()
+            assert (code, bool(out)) == ((1, False) if err else (0, True)), (code, out, err)
+            return err or None
+
+        earlier = tree(tmp_path / "earlier")
+        assert_all_or_nothing(tmp_path / "runs", monkeypatch, earlier, earlier, run)

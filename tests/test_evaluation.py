@@ -482,6 +482,29 @@ class TestRunChoiceEval:
         report = run_choice_eval(model, self.tasks(2), shots=[0])
         assert report.model_overflows == 2
 
+    @pytest.mark.parametrize("counter", ["tuning_overflows", "model_overflows"])
+    def test_an_item_that_exactly_fills_the_limit_is_no_overflow(self, counter):
+        # each query's prompt and longest choice take exactly `needed` ids: at that limit neither query counts,
+        # at one id less both do
+        tasks = self.tasks(2)
+        ctx, conts = _encode_task(tasks[0], FewShotSpec(0))
+        needed = len(ctx) + max(map(len, conts))
+        counts = []
+        for limit in (needed, needed - 1):
+            model = favored_byte_model("x")
+            if counter == "model_overflows":
+                model.max_seq_len = limit
+            report = run_choice_eval(model, tasks, [0], tuning_seq_len=limit if counter == "tuning_overflows" else None)
+            counts.append(getattr(report, counter))
+        assert counts == [0, 2]
+
+    def test_a_tie_goes_to_the_lowest_index(self):
+        # two choices of one length score exactly alike on the uniform model, so the first is the answer
+        tasks = [ChoiceTask("pick", {"Input": f"item {i}"}, ("aa", "bb"), gold=0, version="v0.2") for i in range(2)]
+        scores = _score_items(uniform_model(), [_encode_task(t, FewShotSpec(0)) for t in tasks])
+        assert all(a == b for a, b in scores)
+        assert run_choice_eval(uniform_model(), tasks, shots=[0]).accuracy == {0: 1.0}
+
     @pytest.mark.parametrize("max_seq_len", [4096, 16])   # every prompt fits; every prompt overflows
     def test_encodes_each_prompt_and_choice_once(self, max_seq_len, monkeypatch):
         texts, encode = [], ByteTokenizer.encode

@@ -242,6 +242,26 @@ class TestTrainStep:
         for p, b in zip(params, before):
             assert np.array_equal(p.data, b)
 
+    def test_one_non_finite_adapter_gradient_stops_before_the_update(self, monkeypatch):
+        # the loss stays finite and one entry of the last adapter tensor's gradient is nan, which raises no
+        # floating point error in the update: only the finite-gradient check keeps it from every A and B
+        model = adapted_model()
+        params = adapter_parameters(model)
+        before = [p.data.copy() for p in params]
+        backward = ad.Tensor.backward
+
+        def poisoned(loss):
+            backward(loss)
+            grad = params[-1].grad.copy()
+            grad.flat[0] = np.nan
+            params[-1].grad = grad
+
+        monkeypatch.setattr(ad.Tensor, "backward", poisoned)
+        with pytest.raises(ValueError, match="adapter gradient is not finite"):
+            train_step(model, padded(records(4)), AdamW(params, lr=1e-3))
+        for p, b in zip(params, before):
+            assert np.array_equal(p.data, b)
+
     def test_failed_train_leaves_forward_deterministic(self, monkeypatch):
         # the model used to keep a train-mode flag that a raising train left on,
         # so every later plain forward drew fresh adapter dropout masks
@@ -271,6 +291,19 @@ class TestTrainStep:
         for adapter in model.adapters.values():
             assert np.abs(adapter.A.grad).max() > 0
             assert np.abs(adapter.B.grad).max() > 0
+
+
+class TestAdamW:
+    def test_first_two_updates_on_a_fixed_gradient(self):
+        # with both moments bias-corrected, each early step on a fixed g moves lr * g / (|g| + EPS): at g = 1e-5
+        # that is lr / 1.001, where EPS under the square root would move lr * 1e-5 / sqrt(1e-10 + 1e-8) = lr * 0.0995
+        p = ad.Tensor(np.zeros(3, dtype=np.float64), requires_grad=True)
+        opt = AdamW([p], lr=0.1)
+        for step in (1, 2):
+            p.grad = np.array([2.0, -0.5, 1e-5])
+            opt.step()
+            np.testing.assert_allclose(p.data, step * np.array([-0.1, 0.1, -0.1 / 1.001]), rtol=1e-7, atol=0)
+            assert p.grad is None
 
 
 @pytest.mark.parametrize("layout,targets", [("split-qv", ["q_proj", "v_proj"]),
