@@ -200,13 +200,20 @@ def cmd_train(args, cfg) -> int:
     # publish only a finished run, in one write_atomic: a failure leaves --out as it was
     lines = [json.dumps(entry, allow_nan=False) for entry in report]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     files = {out / f"adapters-epoch{epoch}.ifta": archive_chunks(*adapter_checkpoint(model, arrays))
              for epoch, arrays in enumerate(adapters)}
     files[out / "model.ifta"] = archive_chunks(*model.checkpoint())
     log = out / "train-report.jsonl"   # earlier runs' lines, then this run's
     files[log] = [log.read_bytes() if log.exists() else b"", *(f"{line}\n".encode("utf-8") for line in lines)]
-    write_atomic(files)
+    made = [d for d in (out, *out.parents) if not d.exists()]   # deepest first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write_atomic(files)
+    except BaseException:
+        for d in made:   # a failed run leaves no directory it made behind
+            if d.is_dir():
+                d.rmdir()
+        raise
     notes = {"data": args.data, "out": args.out,
              "trainable_params": trainable_param_count(model), "adapters": len(model.adapters)}
     return _emit(settings, notes, "\n".join(lines))

@@ -153,13 +153,11 @@ def _field_lines(task: ChoiceTask) -> str:
     return "\n".join(f"{label}: {value}" for label, value in task.fields.items())
 
 
-def _v02_block(task: ChoiceTask, answer: str | None) -> str:
-    lines = _field_lines(task) + f"\n{task.answer_label}: "
-    return lines + answer if answer is not None else lines
-
-
-def _v03_block(task: ChoiceTask, answer: str | None) -> str:
-    block = (
+def _block(task: ChoiceTask, version: str, answer: str = "") -> str:
+    """``task`` in ``version``'s layout: a solved demo with its ``answer``, or the open query."""
+    if version == "v0.2":
+        return f"{_field_lines(task)}\n{task.answer_label}: {answer}"
+    return (
         "### Instructions:\n"
         f"{task.instruction}\n"
         "\n"
@@ -168,28 +166,18 @@ def _v03_block(task: ChoiceTask, answer: str | None) -> str:
         + "\n\n### Input:\n"
         f"{_field_lines(task)}\n"
         "\n"
-        "### Response:\n"
+        "### Response:\n" + answer
     )
-    return block + answer if answer is not None else block
 
 
 def assemble_fewshot_prompt(task: ChoiceTask, spec: FewShotSpec) -> str:
-    """In the task's version. v0.2: instruction + constraints + solved demos +
-    open query. v0.3: repeated Instructions/Input/Response blocks, final response empty."""
-    demos = spec.demonstrations[: spec.k]
+    """In the task's version, demos included: a header (v0.2: the instruction, then the constraints if any;
+    v0.3: ``FEWSHOT_HEADER_V03``), the solved demos, then the open query."""
+    header = [FEWSHOT_HEADER_V03]
     if task.version == "v0.2":
-        parts = [task.instruction]
-        if task.constraints:
-            parts.append(task.constraints)
-        for demo in demos:
-            parts.append(_v02_block(demo, demo.choices[demo.gold]))
-        parts.append(_v02_block(task, None))
-        return "\n\n".join(parts)
-    parts = [FEWSHOT_HEADER_V03]
-    for demo in demos:
-        parts.append(_v03_block(demo, demo.choices[demo.gold]))
-    parts.append(_v03_block(task, None))
-    return "\n\n".join(parts)
+        header = [task.instruction, task.constraints] if task.constraints else [task.instruction]
+    demos = [_block(demo, task.version, demo.choices[demo.gold]) for demo in spec.demonstrations[: spec.k]]
+    return "\n\n".join([*header, *demos, _block(task, task.version)])
 
 
 # -- likelihood scoring --------------------------------------------------------

@@ -1,5 +1,3 @@
-import errno
-import itertools
 import json
 import os
 import stat
@@ -15,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_all_or_nothing, fail_call, tree
 from instruct_forge import archive, training
 from instruct_forge.archive import MAGIC, ArchiveError, load_archive, save_archive
 from instruct_forge.cli import main
@@ -202,25 +201,8 @@ class TestCrashSafeSave:
         save_archive(path, arrays(), meta={"kind": "old"})
         before = path.read_bytes()
 
-        class FailingFile:
-            def __init__(self, fh):
-                self.fh = fh
-                self.writes = 0
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 2:
-                    raise OSError("disk full")
-                return self.fh.write(data)
-
-        monkeypatch.setattr(archive, "open", lambda p, mode: FailingFile(open(p, mode)), raising=False)
-        with pytest.raises(OSError, match="disk full"):
+        fail_call(monkeypatch, 3)   # the second write to the temporary file
+        with pytest.raises(OSError, match="injected"):
             save_archive(path, {"w": np.ones(4)}, meta={"kind": "new"})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]
@@ -289,89 +271,6 @@ class TestCrashSafeSave:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.ifta"]
 
 
-def fail_call(monkeypatch, at: int) -> list:
-    """Make the ``at``-th call of ``archive``'s ``open`` or a write to a file it opened, or of ``os.fsync``,
-    ``os.link``, ``os.replace``, ``os.unlink`` or ``os.open``, raise EIO. Returns the calls' names, in order."""
-    calls = []
-
-    def counted(name, real):
-        def call(*args, **kwargs):
-            calls.append(name)
-            if len(calls) == at:
-                raise OSError(errno.EIO, "injected")
-            return real(*args, **kwargs)
-        return call
-
-    class File:
-        def __init__(self, fh):
-            self.fh, self.write = fh, counted("write", fh.write)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def __getattr__(self, name):
-            return getattr(self.fh, name)
-
-    for name in ("fsync", "link", "replace", "unlink", "open"):
-        monkeypatch.setattr(os, name, counted(f"os.{name}", getattr(os, name)))
-    opened = counted("open", open)
-    monkeypatch.setattr(archive, "open", lambda *args: File(opened(*args)), raising=False)
-    return calls
-
-
-def tree(root) -> dict:
-    """Each path under ``root``: a file's bytes, ``"-> target"`` for a symlink, None for a directory."""
-    return {p.relative_to(root).as_posix(): f"-> {os.readlink(p)}" if p.is_symlink()
-            else p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
-
-
-def plant(root, entries: dict) -> None:
-    """Make ``root`` and its tree holding ``entries``, in the form ``tree`` returns."""
-    root.mkdir(parents=True)
-    for name, entry in entries.items():
-        path = root / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(entry, str):
-            path.symlink_to(entry.removeprefix("-> "))
-        else:
-            path.write_bytes(entry)
-
-
-def assert_all_or_nothing(tmp_path, monkeypatch, earlier: dict, targets, run) -> None:
-    """``run(root)`` over a fresh ``root`` holding ``earlier``, with the i-th call ``fail_call`` counts failing,
-    for i = 1, 2, ... until a run makes fewer than i calls. ``run`` returns None when it succeeds, else its stderr.
-
-    Each run either succeeds and leaves the tree that a run with no failure leaves, or fails with one
-    ``error:`` line that names one of ``targets`` and leaves the tree as it was. No temporary file or second
-    name is left, but for one second name when its removal, after the write committed, is what failed."""
-    plant(tmp_path / "clean", earlier)
-    assert run(tmp_path / "clean") is None
-    done, wrong = tree(tmp_path / "clean"), []
-    for at in itertools.count(1):
-        root = tmp_path / str(at)
-        plant(root, earlier)
-        before = tree(root)
-        with monkeypatch.context() as patch:
-            calls = fail_call(patch, at)
-            error = run(root)
-        after, failed = tree(root), calls[at - 1] if at <= len(calls) else None
-        if error is not None:
-            kept = failed and after == before and error in {
-                f"error: [Errno {errno.EIO}] injected: '{root / name}'\n" for name in targets}
-        else:
-            left = [name for name in after if name not in done]
-            kept = {name: after.get(name) for name in done} == done and failed in (None, "os.unlink") and (
-                not left or failed and len(left) == 1 and left[0].endswith(".tmp.old"))
-        if not kept:
-            wrong.append((at, failed, error, sorted(after)))
-        if failed is None:
-            assert wrong == []
-            return
-
-
 class TestEveryFailingCall:
     """Any failure of a file system call while outputs are written, the directory fsync included, leaves every
     earlier output whole and no temporary file; a write that commits is reported as a success."""
@@ -392,7 +291,9 @@ class TestEveryFailingCall:
 
         assert_all_or_nothing(tmp_path, monkeypatch, earlier, names, run)
 
-    def test_train_over_an_earlier_run(self, tmp_path, monkeypatch, capsys):
+    @pytest.fixture
+    def train(self, tmp_path, monkeypatch, capsys):
+        """``train(out, *flags)`` runs a tiny ``train`` into ``out``: None when it exits 0, else its stderr."""
         # a zero clock makes the report's `seconds`, and so every run's bytes, the same
         monkeypatch.setattr(training, "time", SimpleNamespace(monotonic=lambda: 0.0))
         data = tmp_path / "data.jsonl"
@@ -400,14 +301,21 @@ class TestEveryFailingCall:
                         encoding="utf-8")
         tiny = ["--data", str(data), "--d-model", "8", "--n-heads", "2", "--n-layers", "1", "--max-seq-len", "32",
                 "--seq-len", "32", "--batch", "2", "--epochs", "1"]
-        assert main(["train", "--out", str(tmp_path / "earlier"), *tiny, "--seed", "1"]) == 0
-        capsys.readouterr()
 
-        def run(root):
-            code = main(["train", "--out", str(root), *tiny])
-            out, err = capsys.readouterr()
-            assert (code, bool(out)) == ((1, False) if err else (0, True)), (code, out, err)
+        def run(out, *flags):
+            code = main(["train", "--out", str(out), *tiny, *flags])
+            stdout, err = capsys.readouterr()
+            assert (code, bool(stdout)) == ((1, False) if err else (0, True)), (code, stdout, err)
             return err or None
 
+        return run
+
+    def test_train_over_an_earlier_run(self, tmp_path, monkeypatch, train):
+        assert train(tmp_path / "earlier", "--seed", "1") is None
         earlier = tree(tmp_path / "earlier")
-        assert_all_or_nothing(tmp_path / "runs", monkeypatch, earlier, earlier, run)
+        assert_all_or_nothing(tmp_path / "runs", monkeypatch, earlier, earlier, train)
+
+    def test_train_into_a_new_out(self, tmp_path, monkeypatch, train):
+        # a failed first publish used to leave the --out it made, and that --out's new parent, behind empty
+        names = ["new/run/adapters-epoch0.ifta", "new/run/model.ifta", "new/run/train-report.jsonl"]
+        assert_all_or_nothing(tmp_path / "runs", monkeypatch, {}, names, lambda root: train(root / "new" / "run"))

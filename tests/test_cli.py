@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -14,6 +13,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from conftest import tree
 from instruct_forge import archive, cli, training
 from instruct_forge.archive import save_archive
 from instruct_forge.cli import SETTINGS, build_parser, load_config_file, main, resolve
@@ -39,25 +39,19 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def snapshot(*roots) -> dict:
-    """Every file's sha256 and every directory (as None) under ``roots``, by path."""
-    return {p: hashlib.sha256(p.read_bytes()).hexdigest() if p.is_file() else None
-            for root in roots for p in root.rglob("*")}
-
-
 def assert_fails(capsys, argv, text, *roots):
     """The CLI's one failure contract: ``main(argv)`` exits 1 and prints one stderr line, which starts
     with ``error: `` and holds ``text`` (is ``text``, when ``text`` starts with ``error: ``); stdout
-    stays empty, and no file or directory under ``roots`` is made, changed or removed."""
+    stays empty, and no file, symlink or directory under ``roots`` is made, changed or removed."""
     capsys.readouterr()
-    before = snapshot(*roots)
+    before = [tree(root) for root in roots]
     assert main(argv) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert lines[0] == text if text.startswith("error: ") else text in lines[0], (lines[0], text)
     assert captured.out == ""
-    assert snapshot(*roots) == before
+    assert [tree(root) for root in roots] == before
 
 
 TINY = "--d-model 16 --n-heads 2 --n-layers 1 --max-seq-len 64 --seq-len 64"
@@ -856,7 +850,7 @@ class TestFailsBeforeOutput:
         argv = ["train", "--data", str(data), "--out", str(out), "--epochs", "2", *TINY.split()]
         assert main(argv) == 0
         capsys.readouterr()
-        before = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        before = tree(out)
         if failure == "diverge":
             assert_fails(capsys, [*argv, "--lr", "1e30"], "training diverged", tmp_path)
         else:
@@ -872,7 +866,7 @@ class TestFailsBeforeOutput:
             with pytest.raises(KeyboardInterrupt):
                 main([*argv, "--seed", "1"])   # another seed: its epoch 0 differs from the earlier run's
             assert capsys.readouterr().out == ""
-        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == before
+        assert tree(out) == before
 
     def publish_failing_at(self, tmp_path, capsys, monkeypatch, failing):
         # a full disk at one of the files a two-epoch run publishes over a one-epoch run
@@ -882,7 +876,7 @@ class TestFailsBeforeOutput:
         argv = ["train", "--data", str(data), "--out", str(out), *TINY.split()]
         assert main(argv) == 0
         capsys.readouterr()
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        before = tree(out)
 
         def full_disk(path, mode):
             fh = open(path, mode)
@@ -894,7 +888,7 @@ class TestFailsBeforeOutput:
 
         monkeypatch.setattr(archive, "open", full_disk, raising=False)
         assert_fails(capsys, [*argv, "--epochs", "2", "--seed", "1"], f"'{out / failing}'", tmp_path)
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert tree(out) == before
 
     def test_failure_while_publishing_leaves_whole_files(self, tmp_path, capsys, monkeypatch):
         # the files before the failing one used to be replaced, and those after it not written
@@ -916,9 +910,9 @@ class TestFailsBeforeOutput:
         (out / "model.ifta").unlink()
         (out / "model.ifta").mkdir()
         (out / "model.ifta" / "kept").write_bytes(b"x")
-        before = sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*"))
+        before = tree(out)
         assert_fails(capsys, [*argv, "--seed", "1"], f"'{out / 'model.ifta'}'", tmp_path)
-        assert sorted((p.relative_to(out), p.read_bytes() if p.is_file() else None) for p in out.rglob("*")) == before
+        assert tree(out) == before
 
 
 # Frees and reallocates 40 x 2 MB arrays five times and prints the minor page

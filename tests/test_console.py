@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import tree
 from instruct_forge import cli
 
 ENTRY = "import sys; from instruct_forge.cli import main; sys.exit(main())"
@@ -188,9 +189,9 @@ class TestFailedWriteKeepsTheOldFile:
         log = out / "train-report.jsonl"
         lines = log.read_bytes()
         log.write_bytes(lines * (2 * (out / "model.ifta").stat().st_size // len(lines) + 1))   # many earlier runs
-        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        before = tree(out)
         run = console("train", "--data", chain / "data.jsonl", "--out", out, *SMALL, "--seed", "1",
                       preexec_fn=file_size_limit(len(before[log.name]) + 16))
         self.assert_kept(run, log, before[log.name])
         # the checkpoints fit, and used to be replaced beside the earlier runs' report
-        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert tree(out) == before

@@ -147,6 +147,13 @@ class TestGoldenPrompts:
         forced = assemble_fewshot_prompt(dataclasses.replace(query("v0.2"), version="v0.3"), spec)
         assert forced.startswith("Below is a combination")
 
+    @pytest.mark.parametrize("version", ["v0.2", "v0.3"])
+    def test_demos_take_the_query_layout(self, version):
+        # the score workload puts v0.2 demos before a v0.3 query: a demo's own version never picks its layout
+        other = {"v0.2": "v0.3", "v0.3": "v0.2"}[version]
+        mixed = assemble_fewshot_prompt(query(version), FewShotSpec(3, demos(other)))
+        assert mixed == assemble_fewshot_prompt(query(version), FewShotSpec(3, demos(version)))
+
 
 class TestScoreContinuation:
     def test_uniform_score_is_length_times_log_vocab(self):
